@@ -4,7 +4,8 @@ decoherence of a Josephson charge qubit coupled to an LC oscillator.
 The working pieces:
 
 * :mod:`lcdeco.fock` — truncated-Fock-space linear algebra (operators,
-  coherent states, spectral time evolution, truncation guards).
+  coherent states, parity-sector spectral time evolution, truncation
+  guards).
 * :mod:`lcdeco.circuit` — SI circuit constants → dimensionless model
   parameters, plus regime validation.
 * :mod:`lcdeco.hamiltonians` — full and per-branch effective
@@ -26,8 +27,8 @@ from .decoherence import (JumpMetrics, decoherence_approx, decoherence_exact,
                           decoherence_gaussian_oracle, full_model_coherence,
                           jump_metrics)
 from .errors import CheckFailure, ConfigError, RegimeError, TruncationError
-from .fock import (annihilation_op, coherent_state, evolve, hermitian_eig,
-                   overlap, partial_trace_qubit, qubit_op, tensor)
+from .fock import (annihilation_op, coherent_state, hermitian_eig, overlap,
+                   partial_trace_qubit, qubit_op, tensor)
 from .hamiltonians import (BogoliubovCoeffs, SWReport,
                            build_effective_hamiltonian,
                            build_full_hamiltonian, schrieffer_wolff_check,
@@ -48,7 +49,7 @@ __all__ = [
     "coherent_state", "current_analytic", "current_numeric",
     "decoherence_approx", "decoherence_exact", "decoherence_fock_oracle",
     "decoherence_gaussian_oracle", "derive_params", "envelope_metrics",
-    "evolve", "full_model_coherence", "hermitian_eig", "jump_metrics",
+    "full_model_coherence", "hermitian_eig", "jump_metrics",
     "model_params", "overlap", "params_from_dimensionless", "parse_config",
     "partial_trace_qubit", "qubit_op", "run_scenario",
     "schrieffer_wolff_check", "squeeze_coefficients", "tensor",

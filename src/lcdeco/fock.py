@@ -1,15 +1,27 @@
 """Truncated-Fock-space linear algebra.
 
 Operators, coherent states, tensor products with a two-level system, and
-exact time evolution of time-independent Hermitian generators via a cached
-eigendecomposition.  Everything here is dimensionless and O(1)-scaled; SI
-inputs are converted at the package boundary (see circuit / runner).
+exact time evolution of time-independent Hamiltonians.  Everything here is
+dimensionless and O(1)-scaled; SI inputs are converted at the package
+boundary (see circuit / runner).
 
 Basis ordering for joint qubit+oscillator vectors is fixed as
 qubit-slow / oscillator-fast: amplitude of |k⟩⊗|n⟩ sits at index k*dim + n.
+
+Evolution works on sectors: a Hamiltonian is handed over as a
+SectorHamiltonian, invariant blocks that are each a real symmetric
+tridiagonal matrix in their own basis order (the parity sectors of the
+model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
+each block with a tridiagonal eigensolver and propagates in real
+arithmetic; the initial state's smallest eigencomponents, at most
+PRUNE_TOL of its weight, are dropped.  hermitian_eig remains for dense
+matrices (SectorHamiltonian.dense()).
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc, gammaln
 
 from .errors import TruncationError
@@ -22,6 +34,12 @@ COHERENT_TAIL_TOL = 1e-12
 # oscillator levels of an accepted run
 LEAK_LEVELS = 5
 LEAK_TOL = 1e-8
+
+# weight of the initial state, as a fraction of its total, that the
+# propagator may drop from its smallest eigencomponents; the dropped part
+# has norm at most √PRUNE_TOL = 1e-13 relative to the state at every t,
+# an order below the 1e-12 agreement the propagation tests demand
+PRUNE_TOL = 1e-26
 
 
 # ---------------------------------------------------------------------------
@@ -207,64 +225,173 @@ def top_level_population(states, osc_dim=None, levels=LEAK_LEVELS):
     d = n if osc_dim is None else osc_dim
     if osc_dim is not None and n != 2 * osc_dim:
         raise ValueError("joint states of length %d expected" % (2 * osc_dim))
-    prob = np.abs(vecs) ** 2
-    if osc_dim is None:
-        out = prob[d - levels:d].sum(axis=0)
-    else:
-        out = prob[d - levels:d].sum(axis=0) + prob[2 * d - levels:].sum(axis=0)
+    out = (np.abs(vecs[d - levels:d]) ** 2).sum(axis=0)
+    if osc_dim is not None:
+        out = out + (np.abs(vecs[2 * d - levels:]) ** 2).sum(axis=0)
     return float(out[0]) if arr.ndim == 1 else out
 
 
-def assert_leakage(states, osc_dim=None, levels=LEAK_LEVELS, tol=LEAK_TOL):
-    """Raise TruncationError when the leakage guard trips."""
-    leak = np.max(top_level_population(states, osc_dim, levels))
+def assert_leakage(states, osc_dim=None, levels=LEAK_LEVELS, tol=LEAK_TOL,
+                   pruned=0.0):
+    """Raise TruncationError when the leakage guard trips.
+
+    `pruned` is the weight a propagator dropped from the evolved state
+    (SpectralPropagator.pruned_weight).  The dropped part has norm √pruned,
+    so the unpruned state's top-level population is at most
+    (√leak + √pruned)²; the guard tests and returns that bound, so pruning
+    can never turn a trip into a pass.
+    """
+    leak = float(np.max(top_level_population(states, osc_dim, levels)))
+    if pruned:
+        leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
     if leak >= tol:
         arr = np.asarray(states)
         d = arr.shape[0] if osc_dim is None else osc_dim
         raise TruncationError(
             "leakage guard tripped: top-%d-level population %.3e >= %.1e"
-            % (levels, float(leak), tol),
+            % (levels, leak, tol),
             suggested_dim=2 * d)
-    return float(leak)
+    return leak
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
+def _real_finite(values, what):
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError("sector %s must be real" % what)
+    arr = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sector %s has non-finite entries" % what)
+    return arr
+
+
+class Sector:
+    """One invariant block of a Hamiltonian: the basis indices it spans, in
+    chain order, and its real symmetric tridiagonal matrix in that order
+    (diagonal, and off-diagonal coupling index[i] to index[i+1]).
+
+    Real, finite entries are enforced here; with the tridiagonal shape
+    they make the block Hermitian by construction.
+    """
+
+    __slots__ = ("index", "diag", "offdiag")
+
+    def __init__(self, index, diag, offdiag):
+        self.index = np.asarray(index)
+        self.diag = _real_finite(diag, "diagonal")
+        self.offdiag = _real_finite(offdiag, "off-diagonal")
+        n = len(self.index)
+        if (self.index.ndim != 1 or n == 0
+                or not np.issubdtype(self.index.dtype, np.integer)):
+            raise ValueError("sector index must be a non-empty 1-D integer "
+                             "array")
+        if self.diag.shape != (n,) or self.offdiag.shape != (n - 1,):
+            raise ValueError(
+                "sector of %d states needs %d diagonal and %d off-diagonal "
+                "entries, got shapes %r and %r"
+                % (n, n, n - 1, self.diag.shape, self.offdiag.shape))
+
+
+class SectorHamiltonian:
+    """A Hermitian matrix of order `size` given as sectors whose indices
+    partition range(size); entries between different sectors are zero."""
+
+    def __init__(self, size, sectors):
+        self.size = int(size)
+        self.sectors = tuple(sectors)
+        covered = np.sort(np.concatenate([s.index for s in self.sectors]))
+        if not np.array_equal(covered, np.arange(self.size)):
+            raise ValueError("sector indices must partition range(%d)"
+                             % self.size)
+
+    def dense(self):
+        """The full real matrix; for checks and small orders only."""
+        M = np.zeros((self.size, self.size))
+        for s in self.sectors:
+            M[s.index, s.index] = s.diag
+            M[s.index[:-1], s.index[1:]] = s.offdiag
+            M[s.index[1:], s.index[:-1]] = s.offdiag
+        return M
+
+
 class SpectralPropagator:
     """exp(−iHt) applied through a one-time eigendecomposition of H.
 
-    The spectral data is computed once at construction and only read
-    afterwards, so a single instance may be shared across threads.
+    H is a SectorHamiltonian; each sector is diagonalized with the real
+    tridiagonal eigensolver, so the cost is O(n²) per sector instead of a
+    dense O(n³) complex eigh.  A state is projected onto the real
+    eigenvectors and the smallest eigencomponents are dropped, up to
+    PRUNE_TOL of its total weight: the evolved state is then off by a norm
+    of at most √PRUNE_TOL·‖ψ‖ at every t, and pruned_weight reports the
+    dropped weight for the leakage guard.  Rows are formed as real
+    eigenvector block × float view of the complex phase array.
+
+    `eigenvalues` holds every sector's eigenvalues, sector by sector
+    (ascending within each).  The spectral data is computed once at
+    construction and only read afterwards (each call keeps its projection
+    local), so a single instance may be shared across threads.
     """
 
-    def __init__(self, H, tol=1e-12):
-        w, V = hermitian_eig(H, tol)
-        self.eigenvalues = w
-        self._V = V
-        self._Vh = V.conj().T
+    def __init__(self, H):
+        if not isinstance(H, SectorHamiltonian):
+            raise TypeError("SpectralPropagator takes a SectorHamiltonian, "
+                            "got %s" % type(H).__name__)
+        self.size = H.size
+        self._sectors = []
+        for s in H.sectors:
+            w, Q = eigh_tridiagonal(s.diag, s.offdiag)
+            self._sectors.append((s.index, w, Q))
+        self.eigenvalues = np.concatenate([w for _, w, _ in self._sectors])
+
+    def _project(self, psi):
+        """([(index, kept eigenvalues, kept eigenvectors, kept
+        coefficients)] per sector, pruned weight)."""
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (self.size,):
+            raise ValueError("state of length %d expected, got %r"
+                             % (self.size, psi.shape))
+        coeffs = []
+        for index, _, Q in self._sectors:
+            pairs = psi[index].view(float).reshape(-1, 2)   # (re, im) rows
+            coeffs.append((Q.T @ pairs).view(complex)[:, 0])
+        weight = np.abs(np.concatenate(coeffs)) ** 2
+        order = np.argsort(weight, kind="stable")
+        cum = np.cumsum(weight[order])
+        n_drop = int(np.searchsorted(cum, PRUNE_TOL * cum[-1], side="right"))
+        keep = np.ones(len(weight), dtype=bool)
+        keep[order[:n_drop]] = False
+        pruned = float(cum[n_drop - 1]) if n_drop else 0.0
+        kept = []
+        start = 0
+        for (index, w, Q), c in zip(self._sectors, coeffs):
+            k = keep[start:start + len(w)]
+            start += len(w)
+            kept.append((index, w[k], Q[:, k], c[k]))
+        return kept, pruned
+
+    def pruned_weight(self, psi):
+        """Weight of psi's eigencomponents dropped by evolve_grid; at most
+        PRUNE_TOL·‖psi‖²."""
+        return self._project(psi)[1]
 
     def evolve(self, psi, t):
         """State at time t (t scalar)."""
-        c = self._Vh @ np.asarray(psi, dtype=complex)
-        return self._V @ (np.exp(-1j * self.eigenvalues * t) * c)
+        return self.evolve_grid(psi, [t])[:, 0]
 
     def evolve_grid(self, psi, ts):
         """Column-per-time array of states at each t in ts."""
-        ts = np.asarray(ts, dtype=float)
-        c = self._Vh @ np.asarray(psi, dtype=complex)
-        phases = np.exp(-1j * np.outer(self.eigenvalues, ts))
-        return self._V @ (phases * c[:, None])
-
-
-def evolve(H, psi, t):
-    """One-shot exp(−iHt)|psi⟩ (builds a propagator; prefer
-    SpectralPropagator for repeated use of the same H)."""
-    return SpectralPropagator(H).evolve(psi, t)
-
-
-def evolve_grid(H, psi, ts):
-    return SpectralPropagator(H).evolve_grid(psi, ts)
+        ts = np.asarray(ts, dtype=float).ravel()
+        out = np.empty((self.size, len(ts)), dtype=complex)
+        for index, w, Q, c in self._project(psi)[0]:
+            arg = np.outer(w, -ts)
+            phases = np.empty(arg.shape, dtype=complex)
+            np.cos(arg, out=phases.real)
+            np.sin(arg, out=phases.imag)
+            phases *= c[:, None]
+            out[index] = (Q @ phases.view(float)).view(complex)
+        return out
 
 
 def _check_dim(dim):

@@ -9,9 +9,18 @@ its qubit-conditioned effective oscillator Hamiltonians,
     H_k = ω̃ a†a + (−1)^k λ (a² + a†²) + ε_k ,
 
 and the analytic Bogoliubov (squeeze) coefficients of the conditioned
-evolution.  A numerical effective-block extraction (direct-rotation
-block diagonalization of the full H) is provided to quantify how well
-the dispersive effective model approximates the full one.
+evolution.
+
+Both Hamiltonians are built as their two parity sectors
+(fock.SectorHamiltonian).  The full H commutes with the Rabi-model parity
+Π = σ_z ⊗ (−1)^{a†a} and, with this σ_y convention, has only real
+elements; ordered by n, each sector {|n mod 2, n⟩} and {|1 − n mod 2, n⟩}
+is a real symmetric tridiagonal chain.  H_k couples n ↔ n ± 2, so its even
+and odd levels are the two chains.
+
+A numerical effective-block extraction (direct-rotation block
+diagonalization of the full H) is provided to quantify how well the
+dispersive effective model approximates the full one.
 """
 
 import math
@@ -21,8 +30,7 @@ import numpy as np
 
 from .circuit import ModelParams
 from .errors import RegimeError
-from .fock import (annihilation_op, hermitian_eig, number_op, position_quad,
-                   qubit_op, tensor)
+from .fock import Sector, SectorHamiltonian, _check_dim, hermitian_eig
 
 
 def branch_sign(k):
@@ -32,20 +40,38 @@ def branch_sign(k):
 
 
 def build_full_hamiltonian(m: ModelParams, dim):
-    """Joint-space H (qubit-slow ordering); exactly Hermitian."""
-    ident = np.eye(dim, dtype=complex)
-    return (m.omega * tensor(np.eye(2), number_op(dim))
-            - 0.5 * m.omega_a * tensor(qubit_op("sigma_z"), ident)
-            + m.g * tensor(qubit_op("sigma_y"), position_quad(dim)))
+    """Joint-space H (qubit-slow ordering) as its two parity sectors.
+
+    Elements: ⟨q,n|H|q,n⟩ = ωn ∓ ω_a/2 (− for q = 0), and the coupling
+    ⟨0,n|H|1,n+1⟩ = −g√(n+1), ⟨1,n|H|0,n+1⟩ = +g√(n+1).
+    """
+    dim = _check_dim(dim)
+    n = np.arange(dim)
+    root = np.sqrt(np.arange(1.0, dim))     # ⟨n|a|n+1⟩ = √(n+1)
+    sectors = []
+    for first in (0, 1):            # qubit state of the n = 0 member
+        q = (n + first) % 2
+        diag = m.omega * n - 0.5 * m.omega_a * (1.0 - 2.0 * q)
+        # the link n → n+1 leaves qubit q[n]: −g√(n+1) from 0, +g√(n+1)
+        # from 1
+        offdiag = (2.0 * q[:-1] - 1.0) * (m.g * root)
+        sectors.append(Sector(q * dim + n, diag, offdiag))
+    return SectorHamiltonian(2 * dim, sectors)
 
 
 def build_effective_hamiltonian(k, m: ModelParams, dim):
-    """Oscillator-space H_k for qubit branch k."""
-    a = annihilation_op(dim)
+    """Oscillator-space H_k for qubit branch k, as its even- and odd-level
+    sectors."""
+    dim = _check_dim(dim)
     eps = m.eps0 if k == 0 else m.eps1
-    return (m.omega_tilde * number_op(dim)
-            + branch_sign(k) * m.lam * (a @ a + a.conj().T @ a.conj().T)
-            + eps * np.eye(dim, dtype=complex))
+    squeeze = branch_sign(k) * m.lam
+    sectors = []
+    for first in (0, 1):
+        n = np.arange(first, dim, 2)
+        # ⟨n|a²|n+2⟩ = √(n+1)·√(n+2)
+        root = np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)
+        sectors.append(Sector(n, m.omega_tilde * n + eps, squeeze * root))
+    return SectorHamiltonian(dim, sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +221,7 @@ def effective_block(m: ModelParams, dim, k, n_levels):
     overlap matrix.  Returns an (n_levels × n_levels) Hermitian block
     whose spectrum is exactly the selected eigenvalues.
     """
-    H = build_full_hamiltonian(m, dim)
-    w, V = hermitian_eig(H)
+    w, V = hermitian_eig(build_full_hamiltonian(m, dim).dense())
     pop0 = np.sum(np.abs(V[:dim, :]) ** 2, axis=0)
     sel = np.flatnonzero(pop0 > 0.5 if k == 0 else pop0 <= 0.5)
     if len(sel) < n_levels:

@@ -95,7 +95,7 @@ def current_numeric(m: ModelParams, alpha, ts, dim, theta=None, charge=1.0,
     psi = joint_state(c0, c1, coherent_state(alpha, dim))
     prop = SpectralPropagator(build_full_hamiltonian(m, dim))
     grid = prop.evolve_grid(psi, ts)
-    assert_leakage(grid, osc_dim=dim)
+    assert_leakage(grid, osc_dim=dim, pruned=prop.pruned_weight(psi))
     pc = charge_occupation(grid, th)
     current = -2.0 * charge * np.gradient(pc, ts, edge_order=2)
     return pc, current

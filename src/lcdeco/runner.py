@@ -30,7 +30,12 @@ from .hamiltonians import schrieffer_wolff_check
 from .observables import current_analytic, current_numeric, envelope_metrics
 from .version import VERSION
 
-# largest |alpha| still routed through the truncated-Fock oracle
+# largest |alpha| still routed through the truncated-Fock oracle.  The
+# sector propagator handles alpha = 30 at dim = 1200 in well under a
+# second (tests check it against the closed form), but the benchmark's
+# verify.py and workloads.py hard-code 5.0 to count the oracle-check rows
+# and D_fock columns they expect, so raising this waits for a change to
+# the benchmark.
 FOCK_ALPHA_MAX = 5.0
 
 

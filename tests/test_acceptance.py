@@ -128,7 +128,8 @@ def test_06_effective_spectrum_spacing():
     dim = 128
     worst = 0.0
     for k in (0, 1):
-        w, _ = hermitian_eig(build_effective_hamiltonian(k, M_CORE, dim))
+        w, _ = hermitian_eig(
+            build_effective_hamiltonian(k, M_CORE, dim).dense())
         gaps = np.diff(w[: int(0.9 * dim)])   # top 10% of levels excluded
         worst = max(worst, float(np.max(np.abs(gaps - M_CORE.Omega)))
                     / M_CORE.Omega)

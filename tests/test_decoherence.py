@@ -84,6 +84,17 @@ def test_fock_oracle_matches_exact():
     assert np.max(np.abs(d_fock - d_ex)) <= 1e-6
 
 
+def test_fock_oracle_matches_exact_at_alpha_30():
+    """The paper's display amplitude on the truncated-Fock route: display
+    set (omega_a = 8, g = 0.35), dim = 1200, two jump periods."""
+    m = params_from_dimensionless(8.0, 0.35)
+    ts = _grid(m, periods=2.0, n=200)
+    d_fock = decoherence_fock_oracle(m, 30.0, ts, 1200)
+    d_ex = decoherence_exact(m, 30.0, ts)
+    assert np.min(d_ex) < 0.2          # the deep alpha = 30 dips are covered
+    assert np.max(np.abs(d_fock - d_ex)) <= 1e-8
+
+
 def test_fock_oracle_branch_symmetry():
     """Swapping the two branch Hamiltonians cannot change |<s1|s0>|."""
     from lcdeco.fock import SpectralPropagator, coherent_state

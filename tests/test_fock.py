@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from lcdeco.errors import TruncationError
-from lcdeco.fock import (SpectralPropagator, annihilation_op, check_hermitian,
-                         coherent_state, coherent_tail_mass, evolve,
+from lcdeco.fock import (LEAK_TOL, PRUNE_TOL, Sector, SectorHamiltonian,
+                         SpectralPropagator, annihilation_op, assert_leakage,
+                         check_hermitian, coherent_state, coherent_tail_mass,
                          fock_state, hermitian_eig, joint_state,
                          min_adequate_dim, number_op, overlap,
                          partial_trace_qubit, position_quad, qubit_op, tensor)
+
+
+def _one_sector(dim, diag, offdiag):
+    return SectorHamiltonian(dim, [Sector(np.arange(dim), diag, offdiag)])
+
+
+def _number_hamiltonian(dim, omega=1.0):
+    """omega·a†a as a single (diagonal) sector."""
+    return _one_sector(dim, omega * np.arange(dim), np.zeros(dim - 1))
 
 
 def test_annihilation_matrix_elements():
@@ -171,7 +181,7 @@ def test_position_quad_is_hermitian():
 
 def test_evolve_t0_identity():
     psi = coherent_state(1.0, 32)
-    out = evolve(number_op(32), psi, 0.0)
+    out = SpectralPropagator(_number_hamiltonian(32)).evolve(psi, 0.0)
     assert np.max(np.abs(out - psi)) < 1e-12
 
 
@@ -179,7 +189,8 @@ def test_evolve_rotating_coherent_state():
     # H = w a+a sends |alpha> to |alpha e^{-iwt}> up to a global phase
     dim = 48
     omega, t, alpha = 1.3, 2.1, 1.5
-    out = evolve(omega * number_op(dim), coherent_state(alpha, dim), t)
+    out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve(
+        coherent_state(alpha, dim), t)
     ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
     fidelity = abs(np.vdot(ref, out))
     assert fidelity >= 1.0 - 1e-10
@@ -188,11 +199,11 @@ def test_evolve_rotating_coherent_state():
 def test_evolve_composition():
     dim = 32
     rng = np.random.default_rng(11)
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    H = 0.5 * (A + A.conj().T)
+    prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
+                                          rng.normal(size=dim - 1)))
     psi = coherent_state(0.8, dim)
-    one = evolve(H, evolve(H, psi, 0.7), 1.9)
-    two = evolve(H, psi, 2.6)
+    one = prop.evolve(prop.evolve(psi, 0.7), 1.9)
+    two = prop.evolve(psi, 2.6)
     assert np.linalg.norm(one - two) < 1e-10
 
 
@@ -211,9 +222,72 @@ def test_evolve_full_model_unitarity():
     grid = prop.evolve_grid(psi, ts)
     norms = np.linalg.norm(grid, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    e0 = np.vdot(psi, H @ psi).real
-    energies = np.real(np.sum(np.conj(grid) * (H @ grid), axis=0))
+    Hd = H.dense()
+    e0 = np.vdot(psi, Hd @ psi).real
+    energies = np.real(np.sum(np.conj(grid) * (Hd @ grid), axis=0))
     assert np.max(np.abs(energies - e0)) <= 1e-10 * max(abs(e0), 1.0)
+
+
+def test_sector_dense_layout():
+    H = SectorHamiltonian(4, [Sector([0, 3], [1.0, 2.0], [5.0]),
+                              Sector([2, 1], [3.0, 4.0], [6.0])])
+    assert np.array_equal(H.dense(), [[1.0, 0.0, 0.0, 5.0],
+                                      [0.0, 4.0, 6.0, 0.0],
+                                      [0.0, 6.0, 3.0, 0.0],
+                                      [5.0, 0.0, 0.0, 2.0]])
+
+
+@pytest.mark.parametrize("diag, offdiag", [
+    ([1.0, np.nan, 2.0], [0.5, 0.5]),
+    ([1.0, 2.0, 3.0], [np.inf, 0.5]),
+    ([1.0, 2.0 + 1e-3j, 3.0], [0.5, 0.5]),
+    ([1.0, 2.0, 3.0], np.array([0.5, 0.5], dtype=complex)),
+    ([1.0, 2.0, 3.0], [0.5]),
+])
+def test_sector_rejects_bad_entries(diag, offdiag):
+    with pytest.raises(ValueError):
+        Sector(np.arange(3), diag, offdiag)
+
+
+def test_sector_hamiltonian_rejects_bad_partition():
+    with pytest.raises(ValueError):
+        SectorHamiltonian(3, [Sector([0, 1], [1.0, 2.0], [0.5]),
+                              Sector([1], [3.0], [])])
+    with pytest.raises(TypeError):
+        SpectralPropagator(np.eye(3))
+
+
+def test_pruned_weight_bounded_and_reproduced():
+    """A coherent state far from the vacuum has eigencomponents of weight
+    far below PRUNE_TOL; the dropped weight stays within PRUNE_TOL and
+    the kept part reproduces the unpruned evolution to √PRUNE_TOL."""
+    dim = 160
+    rng = np.random.default_rng(4)
+    H = _one_sector(dim, np.arange(dim) + 0.1 * rng.normal(size=dim),
+                    0.3 * np.sqrt(np.arange(1.0, dim)))
+    psi = coherent_state(7.0, dim)
+    prop = SpectralPropagator(H)
+    pruned = prop.pruned_weight(psi)
+    assert 0.0 < pruned <= PRUNE_TOL
+    ts = np.linspace(0.0, 5.0, 7)
+    w, V = np.linalg.eigh(H.dense())
+    ref = V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
+    assert np.max(np.abs(prop.evolve_grid(psi, ts) - ref)) \
+        <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+def test_leakage_guard_adds_pruned_weight():
+    dim = 16
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    psi[-1] = math.sqrt(0.81 * LEAK_TOL)
+    leak = assert_leakage(psi)
+    assert leak == pytest.approx(0.81 * LEAK_TOL, rel=1e-12)
+    # (0.9 + 0.1)² · LEAK_TOL: the pruned weight alone is below the
+    # tolerance and so is the population, but their worst case is not
+    with pytest.raises(TruncationError):
+        assert_leakage(psi, pruned=0.01 * LEAK_TOL)
+    assert assert_leakage(psi, pruned=PRUNE_TOL) > leak
 
 
 def test_overlap_basics():

@@ -9,7 +9,8 @@ from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.errors import RegimeError
 from lcdeco.fock import (SpectralPropagator, annihilation_op,
                          check_hermitian, coherent_state, hermitian_eig,
-                         number_op)
+                         joint_state, number_op, position_quad, qubit_op,
+                         tensor)
 from lcdeco.hamiltonians import (branch_sign, build_effective_hamiltonian,
                                  build_full_hamiltonian,
                                  evolution_coefficients, predicted_moments,
@@ -20,10 +21,71 @@ from lcdeco.hamiltonians import (branch_sign, build_effective_hamiltonian,
 M_REF = params_from_dimensionless(1.8, 0.05)
 
 
+def _kron_full(m, dim):
+    """The full H assembled densely from its operator definition."""
+    ident = np.eye(dim, dtype=complex)
+    return (m.omega * tensor(np.eye(2), number_op(dim))
+            - 0.5 * m.omega_a * tensor(qubit_op("sigma_z"), ident)
+            + m.g * tensor(qubit_op("sigma_y"), position_quad(dim)))
+
+
+def _dense_effective(k, m, dim):
+    a = annihilation_op(dim)
+    eps = m.eps0 if k == 0 else m.eps1
+    return (m.omega_tilde * number_op(dim)
+            + branch_sign(k) * m.lam * (a @ a + a.conj().T @ a.conj().T)
+            + eps * np.eye(dim, dtype=complex))
+
+
+def _random_regimes(seed, count):
+    """(model, dim) over omega_a in [1.2, 12], gamma <= 0.15, odd and even
+    dim."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        omega_a = rng.uniform(1.2, 12.0)
+        g = rng.uniform(0.0, 0.15) * (omega_a - 1.0)
+        yield (params_from_dimensionless(omega_a, g),
+               2 * int(rng.integers(1, 32)) + i % 2)
+
+
+def test_sector_builders_match_dense_reference_exactly():
+    for m, dim in _random_regimes(41, 20):
+        assert np.array_equal(build_full_hamiltonian(m, dim).dense(),
+                              _kron_full(m, dim))
+        for k in (0, 1):
+            assert np.array_equal(
+                build_effective_hamiltonian(k, m, dim).dense(),
+                _dense_effective(k, m, dim))
+
+
+def _eigh_grid(H, psi, ts):
+    w, V = np.linalg.eigh(H)
+    c = V.conj().T @ psi
+    return V @ (np.exp(-1j * np.outer(w, ts)) * c[:, None])
+
+
+def test_sector_propagation_matches_dense_eigh():
+    ts = np.linspace(0.0, 12.0, 25)
+    for i, (m, dim) in enumerate(_random_regimes(43, 8)):
+        dim = max(dim, 40)     # holds |alpha| ~ 1.5 with a clean tail
+        alpha = 1.5 * np.exp(0.7j * (i + 1))
+        osc = coherent_state(alpha, dim)
+        psi = joint_state(0.6, 0.8j, osc)
+        got = SpectralPropagator(build_full_hamiltonian(m, dim)) \
+            .evolve_grid(psi, ts)
+        ref = _eigh_grid(_kron_full(m, dim), psi, ts)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        for k in (0, 1):
+            got = SpectralPropagator(build_effective_hamiltonian(k, m, dim)) \
+                .evolve_grid(osc, ts)
+            ref = _eigh_grid(_dense_effective(k, m, dim), osc, ts)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 def test_full_hamiltonian_uncoupled_spectrum():
     m = params_from_dimensionless(1.8, 0.0)
     dim = 12
-    w, _ = hermitian_eig(build_full_hamiltonian(m, dim))
+    w, _ = hermitian_eig(build_full_hamiltonian(m, dim).dense())
     expected = np.sort(np.concatenate(
         [np.arange(dim) * m.omega - 0.5 * m.omega_a,
          np.arange(dim) * m.omega + 0.5 * m.omega_a]))
@@ -35,7 +97,7 @@ def test_full_hamiltonian_hermitian_random_params():
     for _ in range(20):
         m = params_from_dimensionless(rng.uniform(1.2, 4.0),
                                       rng.uniform(0.0, 0.15))
-        check_hermitian(build_full_hamiltonian(m, 24))
+        check_hermitian(build_full_hamiltonian(m, 24).dense())
 
 
 def test_full_hamiltonian_ground_energy_dispersive_shift():
@@ -46,7 +108,7 @@ def test_full_hamiltonian_ground_energy_dispersive_shift():
     -omega_a/2 by that amount.  Note the denominator: the sum frequency,
     not the detuning."""
     m = M_REF
-    w, _ = hermitian_eig(build_full_hamiltonian(m, 64))
+    w, _ = hermitian_eig(build_full_hamiltonian(m, 64).dense())
     shift = w[0] - (-0.5 * m.omega_a)
     shift_ref = -m.g ** 2 / (m.omega_a + m.omega)
     assert abs(shift - shift_ref) <= 2e-3 * abs(shift_ref)
@@ -56,8 +118,8 @@ def test_full_hamiltonian_ground_energy_dispersive_shift():
 def test_effective_hamiltonian_uncoupled():
     m = params_from_dimensionless(1.8, 0.0)
     dim = 10
-    h0 = build_effective_hamiltonian(0, m, dim)
-    h1 = build_effective_hamiltonian(1, m, dim)
+    h0 = build_effective_hamiltonian(0, m, dim).dense()
+    h1 = build_effective_hamiltonian(1, m, dim).dense()
     ref = m.omega * number_op(dim)
     assert np.max(np.abs(h0 - (ref - 0.5 * m.omega_a * np.eye(dim)))) < 1e-12
     assert np.max(np.abs(h1 - (ref + 0.5 * m.omega_a * np.eye(dim)))) < 1e-12
@@ -65,8 +127,8 @@ def test_effective_hamiltonian_uncoupled():
 
 def test_effective_hamiltonian_branch_swap():
     dim = 16
-    h0 = build_effective_hamiltonian(0, M_REF, dim)
-    h1 = build_effective_hamiltonian(1, M_REF, dim)
+    h0 = build_effective_hamiltonian(0, M_REF, dim).dense()
+    h1 = build_effective_hamiltonian(1, M_REF, dim).dense()
     diff = h1 - h0
     # constant offset on the diagonal...
     assert np.max(np.abs(np.diag(diff) - (M_REF.eps1 - M_REF.eps0))) < 1e-12
@@ -80,7 +142,8 @@ def test_effective_hamiltonian_branch_swap():
 def test_effective_hamiltonian_interior_gap():
     dim = 128
     for k in (0, 1):
-        w, _ = hermitian_eig(build_effective_hamiltonian(k, M_REF, dim))
+        w, _ = hermitian_eig(
+            build_effective_hamiltonian(k, M_REF, dim).dense())
         gaps = np.diff(w[: int(0.9 * dim)])   # top 10% excluded
         assert np.max(np.abs(gaps - M_REF.Omega)) <= 1e-9 * M_REF.Omega
 
