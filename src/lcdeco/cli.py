@@ -2,6 +2,7 @@
 
 Exit codes:
     0   success
+    1   I/O error (an output file or directory could not be written)
     2   configuration error (every problem is listed on stderr)
     3   numeric or regime error (truncation, invalid regime, sampling)
     4   one or more recorded checks ended in FAIL
@@ -37,13 +38,11 @@ def _build_parser():
     run.add_argument("--out", metavar="DIR", default=None,
                      help="output directory (default: run.out key, "
                           "then LCDECO_OUT, then ./out)")
-    run.add_argument("--threads", type=int, default=None, metavar="N")
     run.set_defaults(fn=_cmd_run)
 
     chk = sub.add_parser(
         "check", help="run oracle-check and sw-check with built-in defaults")
     chk.add_argument("--out", metavar="DIR", default=None)
-    chk.add_argument("--threads", type=int, default=None, metavar="N")
     chk.set_defaults(fn=_cmd_check)
 
     der = sub.add_parser(
@@ -77,7 +76,7 @@ def _print_checks(manifest):
 def _cmd_run(args):
     cfg, text = _load_config(args.config)
     manifest, report = run_scenario(cfg, out_dir=args.out,
-                                    threads=args.threads, config_text=text)
+                                    config_text=text)
     if report is not None:
         sys.stdout.write(report)
     _print_checks(manifest)
@@ -95,8 +94,7 @@ def _cmd_check(args):
                       ("sw", BUILTIN_SW_CONFIG)):
         cfg = parse_config(text)
         out = os.path.join(base, "check-" + tag)
-        manifest, _ = run_scenario(cfg, out_dir=out, threads=args.threads,
-                                   config_text=text)
+        manifest, _ = run_scenario(cfg, out_dir=out, config_text=text)
         print("[%s]" % cfg.scenario)
         _print_checks(manifest)
         if failed_checks(manifest):

@@ -10,7 +10,7 @@ file is reported once, completely.
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -52,11 +52,16 @@ class RunConfig:
     dim: int = 64
     samples: int = 400
     t_max: float = None     # None → scenario default (runner decides)
-    c0: float = SQRT_HALF
+    c0: float = SQRT_HALF   # qubit weights as given; see qubit_weights
     c1: float = SQRT_HALF
     device: DeviceConfig = None
-    threads: int = 1
     out: str = None
+
+    @property
+    def qubit_weights(self):
+        """(c0, c1) normalized to |c0|² + |c1|² = 1."""
+        norm = math.sqrt(self.c0 * self.c0 + self.c1 * self.c1)
+        return self.c0 / norm, self.c1 / norm
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,8 @@ def parse_config(text):
     t_max = r.take("model.t_max", _float)
     c0 = r.take("model.c0", _float, default=SQRT_HALF)
     c1 = r.take("model.c1", _float, default=SQRT_HALF)
+    # run.threads has no effect (scenarios run serially); it is still
+    # validated so that existing configs that set it keep parsing
     threads = r.take("run.threads", _int, default=1)
     out = r.take("run.out", _string)
     r.leftovers()
@@ -247,13 +254,9 @@ def parse_config(text):
         problems.append("model.t_max must be positive")
     if threads is not None and threads < 1:
         problems.append("run.threads must be >= 1")
-    norm = None
-    if c0 is not None and c1 is not None:
-        if c0 <= 0 or c1 <= 0:
-            problems.append("model.c0 and model.c1 must be positive "
-                            "(weights of the qubit superposition)")
-        else:
-            norm = math.sqrt(c0 * c0 + c1 * c1)
+    if c0 is not None and c1 is not None and (c0 <= 0 or c1 <= 0):
+        problems.append("model.c0 and model.c1 must be positive "
+                        "(weights of the qubit superposition)")
 
     if problems:
         raise ConfigError(problems)
@@ -261,7 +264,7 @@ def parse_config(text):
     return RunConfig(
         scenario=scenario, mode=mode, omega_a=omega_a, g=g, theta=theta,
         alpha=tuple(alpha), dim=dim, samples=samples, t_max=t_max,
-        c0=c0 / norm, c1=c1 / norm, device=device, threads=threads, out=out)
+        c0=c0, c1=c1, device=device, out=out)
 
 
 def _read_device(r):
@@ -328,12 +331,7 @@ def canonical_config(cfg: RunConfig):
             lines.append("n_g = %s" % format_float(d.n_g))
         lines.append("phi_x = %s" % format_float(d.phi_x))
         lines.append("convention = %s" % d.convention)
-    lines.append("[run]")
-    lines.append("threads = %d" % cfg.threads)
     if cfg.out is not None:
+        lines.append("[run]")
         lines.append("out = %s" % cfg.out)
     return "\n".join(lines) + "\n"
-
-
-def with_threads(cfg: RunConfig, threads):
-    return replace(cfg, threads=int(threads))

@@ -21,7 +21,7 @@ from .errors import RegimeError
 from .fock import (SpectralPropagator, assert_leakage, coherent_state,
                    joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
-                           build_full_hamiltonian, squeeze_coefficients)
+                           build_full_hamiltonian, evolution_coefficients)
 
 
 def decoherence_exact(m: ModelParams, alpha, t):
@@ -69,9 +69,9 @@ def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
     """|⟨s₁(t)|s₀(t)⟩| from the analytic two-squeezed-state overlap.
 
     Each evolved branch state is characterized by the pair
-    (M_k, V_k) = (μ_k(t)μ_k(0) − ν_k(t)ν_k(0),
-                  μ_k(t)ν_k(0) − μ_k(0)ν_k(t)),
-    a composed Bogoliubov transformation with |M|² − |V|² = 1.  With
+    (M_k, V_k) = (conj(u_k), v_k) of its Heisenberg coefficients
+    (hamiltonians.evolution_coefficients), a composed Bogoliubov
+    transformation with |M|² − |V|² = 1.  With
     c_k = V_k/M_k and d_k = α/M_k the log-magnitude of the overlap is a
     closed expression; everything is evaluated in the log domain so the
     e^{−|α|²}-scale intermediate factors never underflow.
@@ -82,11 +82,9 @@ def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
     d = []
     al = complex(alpha)
     for k in (0, 1):
-        mu_t, nu_t = squeeze_coefficients(k, m, ts)
-        bc0 = squeeze_coefficients(k, m, 0.0)
-        mk = mu_t * bc0.mu - nu_t * bc0.nu
-        vk = mu_t * bc0.nu - bc0.mu * nu_t
-        c.append(vk / mk)
+        u, v = evolution_coefficients(k, m, ts)
+        mk = np.conj(u)
+        c.append(v / mk)
         d.append(al / mk)
     c0, c1 = c[0], c[1]
     d0, d1 = d[0], d[1]

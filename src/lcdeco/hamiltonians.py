@@ -120,17 +120,12 @@ def evolution_coefficients(k, m: ModelParams, t):
     u(0) = 1, v(0) = 0, and |u|² − |v|² = 1 for all t.
     Accepts scalar or array t.
     """
-    nk = squeeze_ratio(k, m)
-    rt = math.sqrt(nk)
-    mu0 = 0.5 * (rt + 1.0 / rt)   # real at t = 0
-    nu0 = 0.5 * (rt - 1.0 / rt)
-    tt = np.asarray(t, dtype=float)
-    mut = mu0 * np.exp(1j * m.Omega * tt)
-    nut = nu0 * np.exp(-1j * m.Omega * tt)
-    u = mu0 * np.conj(mut) - nu0 * np.conj(nut)
-    v = nu0 * mut - mu0 * nut
+    b0 = squeeze_coefficients(k, m, 0.0)
+    mu_t, nu_t = squeeze_coefficients(k, m, np.atleast_1d(t))
+    u = np.conj(mu_t * b0.mu - nu_t * b0.nu)
+    v = mu_t * b0.nu - b0.mu * nu_t
     if np.ndim(t) == 0:
-        return complex(u), complex(v)
+        return complex(u[0]), complex(v[0])
     return u, v
 
 
@@ -150,28 +145,6 @@ def predicted_moments(k, m: ModelParams, alpha, t):
               + 2.0 * np.real(np.conj(u) * v * alc * alc)
               + abs(v) ** 2 * (1.0 + abs(al) ** 2))
     return mean_a, mean_a2, mean_n
-
-
-def second_order_coefficients(m: ModelParams):
-    """True second-order effective coefficients of each branch.
-
-    Per branch k: frequency ω − (−1)^k·2g²ω_a/(ΔΣ), squeeze coefficient
-    (−1)^k·g²ω_a/(ΔΣ), constant −(−1)^k ω_a/2 − branch-dependent shift,
-    with Σ = ω_a + ω.  These keep the 1/(ω_a+ω) denominators that the
-    modeled H_k folds into 1/Δ, so they differ from (ω̃, λ) at order
-    ω/ω_a; the difference is what schrieffer_wolff_check measures.
-    """
-    sig = m.omega_a + m.omega
-    shift = 2.0 * m.g ** 2 * m.omega_a / (m.delta * sig)
-    lam_true = m.g ** 2 * m.omega_a / (m.delta * sig)
-    out = []
-    for k in (0, 1):
-        s = branch_sign(k)
-        const = -s * 0.5 * m.omega_a + (
-            -m.g ** 2 / sig if k == 0 else m.g ** 2 / m.delta)
-        out.append({"k": k, "omega_eff": m.omega - s * shift,
-                    "lam_eff": s * lam_true, "const": const})
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

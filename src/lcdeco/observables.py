@@ -15,7 +15,9 @@ import numpy as np
 from scipy.signal import hilbert
 
 from .circuit import ModelParams
-from .decoherence import decoherence_approx, decoherence_exact
+# decoherence_exact is not called here, but perfbench/spans.py patches it
+# at this module, so it stays importable from it
+from .decoherence import decoherence_approx, decoherence_exact  # noqa: F401
 from .fock import (SpectralPropagator, assert_leakage, coherent_state,
                    joint_state)
 from .hamiltonians import build_full_hamiltonian
@@ -52,20 +54,17 @@ def charge_occupation_analytic(m: ModelParams, alpha, t, theta=None):
         * np.cos(m.omega_a * t)
 
 
-def current_analytic(m: ModelParams, alpha, t, theta=None, charge=1.0,
-                     use_exact_d=False):
+def current_analytic(m: ModelParams, alpha, t, theta=None, charge=1.0):
     """I(t) = q·sinθ·D(t)·[ω_a·sin(ω_a t) + BΩ·sin(2Ωt)·cos(ω_a t)]
     with B = 8g⁴|α|²/(Δ²Ω²).
 
     This is exactly −2q·d/dt of charge_occupation_analytic (note the Ω
     multiplying the sideband term: it comes from d/dt sin²Ωt).  D is the
-    simplified factor, consistent with the derivation regime; pass
-    use_exact_d=True for a sensitivity variant.
+    simplified factor, consistent with the derivation regime.
     """
     th = m.theta if theta is None else theta
     t = np.asarray(t, dtype=float)
-    dfun = decoherence_exact if use_exact_d else decoherence_approx
-    d = dfun(m, alpha, t)
+    d = decoherence_approx(m, alpha, t)
     b = 8.0 * m.g ** 4 * abs(alpha) ** 2 / (m.delta * m.Omega) ** 2
     out = charge * math.sin(th) * d * (
         m.omega_a * np.sin(m.omega_a * t)

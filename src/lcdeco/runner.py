@@ -1,15 +1,8 @@
-"""Scenario execution: compute curves/tables, emit CSV + SVG + manifest.
-
-Concurrency: per-alpha curves and sweep rows are computed in a thread
-pool, but results are collected by submission index and files are
-written serially afterwards, so emitted bytes never depend on the
-thread count or scheduling order.
-"""
+"""Scenario execution: compute curves/tables, emit CSV + SVG + manifest."""
 
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -17,9 +10,8 @@ from .circuit import (CircuitParams, ModelParams, charging_energy,
                       circuit_from_kelvin, coherent_flux_rms, derive_params,
                       effective_capacitance, flux_zero_point,
                       gate_charge_from_voltage, josephson_energy,
-                      model_params, oscillator_frequency, series_capacitance,
-                      validate_regime)
-from .config import CONVENTIONS, RunConfig, canonical_config, with_threads
+                      model_params, series_capacitance, validate_regime)
+from .config import CONVENTIONS, RunConfig, canonical_config
 from .constants import E_CHARGE, constants_record
 from .decoherence import (decoherence_approx, decoherence_exact,
                           decoherence_fock_oracle,
@@ -69,9 +61,8 @@ def _circuit(cfg: RunConfig) -> CircuitParams:
 
 
 def config_digest(cfg: RunConfig):
-    """Digest of the resolved configuration, thread-count independent
-    (so reruns with --threads N stay byte-identical)."""
-    return sha256_text(canonical_config(with_threads(cfg, 1)))
+    """Digest of the resolved configuration."""
+    return sha256_text(canonical_config(cfg))
 
 
 def _meta(cfg, m: ModelParams, extra=()):
@@ -99,70 +90,66 @@ def _alpha_tag(alpha):
     return "%g" % alpha
 
 
-def _map_indexed(fn, items, threads):
-    """fn over items, preserving order; thread pool only when needed."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [f.result() for f in futures]
+def _t_unit(cfg):
+    return "s" if cfg.mode == "si" else "1/omega"
+
+
+def _with_status(checks):
+    """(name, at, value, limit) rows → rows with PASS/FAIL appended."""
+    return [(name, at, value, limit, "PASS" if value <= limit else "FAIL")
+            for name, at, value, limit in checks]
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 
-def _run_fig2(cfg, m, out_dir, threads, time_scale, _current_scale):
+def _run_fig2(cfg, m, out_dir, time_scale, _current_scale):
     ts = _time_grid(cfg, m, 1.0, time_scale)
-
-    def one(alpha):
-        d_exact = decoherence_exact(m, alpha, ts)
-        d_approx = decoherence_approx(m, alpha, ts)
-        d_gauss = decoherence_gaussian_oracle(m, alpha, ts)
-        d_fock = (decoherence_fock_oracle(m, alpha, ts, cfg.dim)
-                  if abs(alpha) <= FOCK_ALPHA_MAX else None)
-        return d_exact, d_approx, d_gauss, d_fock
-
-    results = _map_indexed(one, cfg.alpha, threads)
+    # every curve is computed before any file is written, so an alpha that
+    # fails (e.g. truncation) leaves no CSV of this run behind
+    curves = []
+    for alpha in cfg.alpha:
+        columns = ["t", "D_exact", "D_approx", "D_gaussian"]
+        data = [ts * time_scale, decoherence_exact(m, alpha, ts),
+                decoherence_approx(m, alpha, ts),
+                decoherence_gaussian_oracle(m, alpha, ts)]
+        if abs(alpha) <= FOCK_ALPHA_MAX:
+            columns.append("D_fock")
+            data.append(decoherence_fock_oracle(m, alpha, ts, cfg.dim))
+        curves.append((alpha, columns, data))
     files = []
     overlay = []
     labels = []
     echo = {"d_min": {}}
-    for alpha, (d_exact, d_approx, d_gauss, d_fock) in zip(cfg.alpha,
-                                                           results):
+    for alpha, columns, data in curves:
         jm = jump_metrics(m, alpha)
         echo["d_min"][_alpha_tag(alpha)] = jm.d_min
-        columns = ["t", "D_exact", "D_approx", "D_gaussian"]
-        data = [ts * time_scale, d_exact, d_approx, d_gauss]
-        if d_fock is not None:
-            columns.append("D_fock")
-            data.append(d_fock)
         meta = _meta(cfg, m, [("alpha", alpha), ("dim", cfg.dim),
                               ("samples", cfg.samples),
                               ("d_min", jm.d_min),
-                              ("t_unit", "s" if cfg.mode == "si" else
-                               "1/omega")])
+                              ("t_unit", _t_unit(cfg))])
         path = os.path.join(out_dir, "fig2_alpha%s.csv" % _alpha_tag(alpha))
         emit_csv(path, columns, list(zip(*data)), meta=meta)
         files.append(path)
-        overlay.append(d_exact)
+        overlay.append(data[1])
         labels.append("alpha=%s" % _alpha_tag(alpha))
     svg = os.path.join(out_dir, "fig2_overlay.svg")
     emit_svg(svg, ts * time_scale, overlay, labels,
              title="branch-overlap decoherence factor",
-             xlabel="time [%s]" % ("s" if cfg.mode == "si" else "1/omega"),
+             xlabel="time [%s]" % _t_unit(cfg),
              ylabel="D(t)")
     files.append(svg)
     return files, [], echo
 
 
-def _run_fig4(cfg, m, out_dir, threads, time_scale, current_scale):
+def _run_fig4(cfg, m, out_dir, time_scale, current_scale):
     alpha = cfg.alpha[0]
     ts = _time_grid(cfg, m, 8.0, time_scale)
     i_analytic = current_analytic(m, alpha, ts)
     m0 = model_params(m.omega, m.omega_a, 0.0, m.theta)
     i_uncoupled = current_analytic(m0, alpha, ts)
-    _, i_numeric = current_numeric(m, alpha, ts, cfg.dim,
-                                   c0=cfg.c0, c1=cfg.c1)
+    c0, c1 = cfg.qubit_weights
+    _, i_numeric = current_numeric(m, alpha, ts, cfg.dim, c0=c0, c1=c1)
     echo = {}
     for name, trace in (("analytic", i_analytic), ("numeric", i_numeric)):
         try:
@@ -181,8 +168,7 @@ def _run_fig4(cfg, m, out_dir, threads, time_scale, current_scale):
     meta = _meta(cfg, m, [("alpha", alpha), ("dim", cfg.dim),
                           ("samples", cfg.samples),
                           ("current_unit", unit),
-                          ("t_unit", "s" if cfg.mode == "si" else
-                           "1/omega")])
+                          ("t_unit", _t_unit(cfg))])
     path = os.path.join(out_dir, "fig4.csv")
     emit_csv(path, ["t", "I_analytic", "I_numeric", "I_uncoupled"],
              list(zip(ts * time_scale, i_analytic * current_scale,
@@ -194,36 +180,28 @@ def _run_fig4(cfg, m, out_dir, threads, time_scale, current_scale):
               i_uncoupled * current_scale],
              ["analytic", "numeric", "uncoupled"],
              title="probe current, alpha=%s" % _alpha_tag(alpha),
-             xlabel="time [%s]" % ("s" if cfg.mode == "si" else "1/omega"),
+             xlabel="time [%s]" % _t_unit(cfg),
              ylabel="I [%s]" % unit)
     return [path, svg], [], echo
 
 
-def _run_oracle_check(cfg, m, out_dir, threads, time_scale, _cs):
+def _run_oracle_check(cfg, m, out_dir, time_scale, _cs):
     ts = _time_grid(cfg, m, 2.0, time_scale)
-
-    def one(alpha):
-        d_exact = decoherence_exact(m, alpha, ts)
-        d_gauss = decoherence_gaussian_oracle(m, alpha, ts)
-        rows = [("gaussian_vs_exact", alpha,
-                 float(np.max(np.abs(d_gauss - d_exact))), 1e-8)]
-        if abs(alpha) <= FOCK_ALPHA_MAX:
-            d_fock = decoherence_fock_oracle(m, alpha, ts, cfg.dim)
-            rows.insert(0, ("fock_vs_exact", alpha,
-                            float(np.max(np.abs(d_fock - d_exact))), 1e-6))
-            rows.insert(1, ("gaussian_vs_fock", alpha,
-                            float(np.max(np.abs(d_gauss - d_fock))), 1e-8))
-        return rows
-
-    results = _map_indexed(one, cfg.alpha, threads)
     period = math.pi / m.Omega
     checks = [("exact_revival", cfg.alpha[0],
                abs(decoherence_exact(m, cfg.alpha[0], period) - 1.0), 1e-12)]
-    for rows in results:
-        checks.extend(rows)
-    table = [(name, alpha, value, limit,
-              "PASS" if value <= limit else "FAIL")
-             for name, alpha, value, limit in checks]
+    for alpha in cfg.alpha:
+        d_exact = decoherence_exact(m, alpha, ts)
+        d_gauss = decoherence_gaussian_oracle(m, alpha, ts)
+        if abs(alpha) <= FOCK_ALPHA_MAX:
+            d_fock = decoherence_fock_oracle(m, alpha, ts, cfg.dim)
+            checks.append(("fock_vs_exact", alpha,
+                           float(np.max(np.abs(d_fock - d_exact))), 1e-6))
+            checks.append(("gaussian_vs_fock", alpha,
+                           float(np.max(np.abs(d_gauss - d_fock))), 1e-8))
+        checks.append(("gaussian_vs_exact", alpha,
+                       float(np.max(np.abs(d_gauss - d_exact))), 1e-8))
+    table = _with_status(checks)
     meta = _meta(cfg, m, [("dim", cfg.dim), ("samples", cfg.samples)])
     path = os.path.join(out_dir, "oracle_check.csv")
     emit_csv(path, ["check", "alpha", "max_abs_diff", "limit", "status"],
@@ -232,11 +210,9 @@ def _run_oracle_check(cfg, m, out_dir, threads, time_scale, _cs):
     return [path], table, {"failed": len(failed)}
 
 
-def _run_sw_check(cfg, m, out_dir, threads, time_scale, _cs):
-    reports = _map_indexed(
-        lambda mm: schrieffer_wolff_check(mm, dim=cfg.dim),
-        [m, model_params(m.omega, m.omega_a, 2.0 * m.g, m.theta)],
-        threads)
+def _run_sw_check(cfg, m, out_dir, time_scale, _cs):
+    reports = [schrieffer_wolff_check(mm, dim=cfg.dim) for mm in
+               (m, model_params(m.omega, m.omega_a, 2.0 * m.g, m.theta))]
     base, doubled = reports
     fit_rows = []
     for rep in reports:
@@ -248,18 +224,16 @@ def _run_sw_check(cfg, m, out_dir, threads, time_scale, _cs):
              ["gamma", "branch", "omega_fit", "lam_fit", "omega_ref",
               "lam_ref", "omega_dev", "lam_dev"],
              fit_rows, meta=_meta(cfg, m, [("dim", cfg.dim)]))
-    table = [
+    checks = [
         ("omega_dev_monotone", base.gamma,
          base.max_omega_dev - doubled.max_omega_dev, 0.0),
         ("lam_dev_monotone", base.gamma,
          base.max_lam_dev - doubled.max_lam_dev, 0.0),
     ]
     if base.gamma <= 0.0501:
-        table.append(("omega_dev_tol", base.gamma, base.max_omega_dev, 0.10))
-        table.append(("lam_dev_tol", base.gamma, base.max_lam_dev, 0.15))
-    table = [(name, gamma, value, limit,
-              "PASS" if value <= limit else "FAIL")
-             for name, gamma, value, limit in table]
+        checks.append(("omega_dev_tol", base.gamma, base.max_omega_dev, 0.10))
+        checks.append(("lam_dev_tol", base.gamma, base.max_lam_dev, 0.15))
+    table = _with_status(checks)
     path = os.path.join(out_dir, "sw_check.csv")
     emit_csv(path, ["check", "gamma", "value", "limit", "status"], table,
              meta=_meta(cfg, m, [("dim", cfg.dim)]))
@@ -270,16 +244,16 @@ def _run_sw_check(cfg, m, out_dir, threads, time_scale, _cs):
         "max_lam_dev_2gamma": doubled.max_lam_dev}
 
 
-def _run_sweep(cfg, m, out_dir, threads, time_scale, _cs):
-    def one(alpha):
+def _run_sweep(cfg, m, out_dir, time_scale, _cs):
+    rows = []
+    for alpha in cfg.alpha:
         jm = jump_metrics(m, alpha)
         d_gauss_min = float(decoherence_gaussian_oracle(m, alpha, jm.t_min))
         d_approx_min = float(decoherence_approx(m, alpha, jm.t_min))
-        return (alpha, m.Omega / time_scale if cfg.mode == "si" else m.Omega,
-                jm.period * time_scale, jm.t_min * time_scale,
-                jm.d_min, d_approx_min, d_gauss_min)
-
-    rows = _map_indexed(one, cfg.alpha, threads)
+        rows.append((alpha,
+                     m.Omega / time_scale if cfg.mode == "si" else m.Omega,
+                     jm.period * time_scale, jm.t_min * time_scale,
+                     jm.d_min, d_approx_min, d_gauss_min))
     path = os.path.join(out_dir, "sweep.csv")
     emit_csv(path,
              ["alpha", "Omega", "period", "t_min", "d_min_exact",
@@ -368,8 +342,7 @@ _SCENARIO_FNS = {
 }
 
 
-def run_scenario(cfg: RunConfig, out_dir=None, threads=None,
-                 config_text=None):
+def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
     """Execute one scenario; returns (manifest dict, derive-report text).
 
     The manifest is also written to <out>/manifest.json.  Check failures
@@ -378,7 +351,6 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads=None,
     """
     out = default_out_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
-    nthreads = cfg.threads if threads is None else int(threads)
     started = time.perf_counter()
     report_text = None
     try:
@@ -388,8 +360,8 @@ def run_scenario(cfg: RunConfig, out_dir=None, threads=None,
         else:
             m, time_scale, current_scale = resolve_model(cfg)
             fn = _SCENARIO_FNS[cfg.scenario]
-            files, checks, params_echo = fn(cfg, m, out, nthreads,
-                                            time_scale, current_scale)
+            files, checks, params_echo = fn(cfg, m, out, time_scale,
+                                            current_scale)
             params_echo = {"model": m.as_dict(), **params_echo}
     except Exception as exc:
         write_manifest(os.path.join(out, "manifest.json"), {

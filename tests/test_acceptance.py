@@ -222,9 +222,10 @@ def test_10_parameter_derivation(tmp_path):
 
 
 def test_11_determinism(tmp_path):
-    cfg = parse_config(FIG2_SMALL)
-    m1, _ = run_scenario(cfg, out_dir=str(tmp_path / "a"), threads=1)
-    m2, _ = run_scenario(cfg, out_dir=str(tmp_path / "b"), threads=4)
+    m1, _ = run_scenario(parse_config(FIG2_SMALL + "[run]\nthreads = 1\n"),
+                         out_dir=str(tmp_path / "a"))
+    m2, _ = run_scenario(parse_config(FIG2_SMALL + "[run]\nthreads = 4\n"),
+                         out_dir=str(tmp_path / "b"))
     same = all((tmp_path / "a" / name).read_bytes()
                == (tmp_path / "b" / name).read_bytes()
                for name in m1["files"])

@@ -98,9 +98,17 @@ def test_run_check_failure_exit_four(tmp_path, capsys, monkeypatch):
     assert "1 check(s), 1 failed" in out
 
 
+@pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])
+def test_threads_option_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path, capsys):
     out = str(tmp_path / "checks")
-    assert cli.main(["check", "--out", out, "--threads", "2"]) == 0
+    assert cli.main(["check", "--out", out]) == 0
     captured = capsys.readouterr().out
     assert "[oracle-check]" in captured
     assert "[sw-check]" in captured

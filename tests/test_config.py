@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcdeco.config import (RunConfig, canonical_config, parse_config,
-                           with_threads)
+from lcdeco.config import RunConfig, canonical_config, parse_config
 from lcdeco.errors import ConfigError
 
 MINIMAL_FIG2 = """\
@@ -37,7 +38,6 @@ def test_minimal_config_defaults():
     assert cfg.alpha == (5.0, 10.0, 30.0)
     assert cfg.theta == math.pi / 2.0
     assert abs(cfg.c0 - 1.0 / math.sqrt(2.0)) < 1e-15
-    assert cfg.threads == 1
     assert cfg.t_max is None and cfg.out is None
 
 
@@ -153,6 +153,14 @@ def test_garbage_line():
     assert any(p.startswith("line 2:") for p in err.value.problems)
 
 
+def test_semicolon_is_not_a_comment():
+    """Only '#' starts a comment; a ';' line is reported with its line."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL_FIG2 + "; note\n")
+    assert any(p.startswith("line 6: expected 'key = value'")
+               for p in err.value.problems)
+
+
 def test_canonical_round_trip():
     for text in (MINIMAL_FIG2, DEVICE_SI):
         cfg = parse_config(text)
@@ -162,19 +170,75 @@ def test_canonical_round_trip():
         assert canonical_config(again) == canonical_config(cfg)
 
 
-def test_with_threads_only_changes_threads():
-    cfg = parse_config(MINIMAL_FIG2)
-    cfg4 = with_threads(cfg, 4)
-    assert cfg4.threads == 4
-    assert with_threads(cfg4, 1) == cfg
-
-
 def test_qubit_weights_normalized():
     cfg = parse_config("scenario = fig4\n[model]\nomega_a = 1.8\ng = 0.05\n"
                        "alpha = 2\nc0 = 3\nc1 = 4\n")
-    assert abs(cfg.c0 - 0.6) < 1e-15
-    assert abs(cfg.c1 - 0.8) < 1e-15
+    assert (cfg.c0, cfg.c1) == (3.0, 4.0)
+    c0, c1 = cfg.qubit_weights
+    assert abs(c0 - 0.6) < 1e-15
+    assert abs(c1 - 0.8) < 1e-15
     assert isinstance(cfg, RunConfig)
+
+
+_finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _config_texts(draw):
+    """Random valid configs, dimensionless or SI, in a text form that
+    differs from the canonical one (gamma shorthand, omitted defaults,
+    unnormalized qubit weights)."""
+    lines = []
+    si = draw(st.booleans())
+    if si:
+        lines += ["scenario = %s" % draw(st.sampled_from(
+                      ("derive-params", "fig2", "sweep"))),
+                  "mode = si", "[device]"]
+        for key in ("c_j", "c_g"):
+            lines.append("%s = %r" % (key, draw(_finite) * 1e-16))
+        lines.append("l = %r" % (draw(_finite) * 1e-6))
+        lines.append("e_j0_kelvin = %r" % (draw(_finite) * 1e-2))
+        if draw(st.booleans()):
+            lines.append("v_g = %r" % (draw(_finite) * 1e-3))
+        else:
+            lines.append("n_g = %r" % draw(_finite))
+        lines.append("phi_x = %r" % (draw(_finite) * 1e-16))
+        lines.append("convention = %s" % draw(st.sampled_from(
+            ("junction_C", "series_C"))))
+        lines.append("[model]")
+    else:
+        lines += ["scenario = %s" % draw(st.sampled_from(
+                      ("fig2", "oracle-check", "sweep"))), "[model]",
+                  "omega_a = %r" % draw(_finite)]
+        if draw(st.booleans()):
+            lines.append("gamma = %r" % draw(_finite))
+        else:
+            lines.append("g = %r" % draw(_finite))
+        if draw(st.booleans()):
+            lines.append("theta = %r" % draw(_finite))
+    lines.append("alpha = %s" % ", ".join(
+        repr(a) for a in draw(st.lists(_finite, min_size=1, max_size=3))))
+    lines.append("dim = %d" % draw(st.integers(2, 2000)))
+    lines.append("samples = %d" % draw(st.integers(2, 5000)))
+    if draw(st.booleans()):
+        lines.append("t_max = %r" % draw(_finite))
+    if draw(st.booleans()):
+        lines.append("c0 = %r" % draw(_finite))
+        lines.append("c1 = %r" % draw(_finite))
+    lines.append("[run]")
+    if draw(st.booleans()):
+        lines.append("out = out/%d" % draw(st.integers(0, 99)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_config_texts(), threads=st.integers(1, 64))
+def test_canonical_round_trip_random(text, threads):
+    cfg = parse_config(text)
+    assert parse_config(canonical_config(cfg)) == cfg
+    # run.threads is validated but has no effect on the parsed config
+    assert parse_config(text + "threads = %d\n" % threads) == cfg
 
 
 def test_derive_params_requires_si():

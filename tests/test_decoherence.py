@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
@@ -11,6 +13,7 @@ from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_gaussian_oracle,
                                 full_model_coherence, jump_metrics)
 from lcdeco.errors import RegimeError
+from lcdeco.hamiltonians import evolution_coefficients
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 
@@ -130,6 +133,35 @@ def test_gaussian_oracle_matches_exact_large_alpha():
     d_g = decoherence_gaussian_oracle(M_REF, 30.0, ts)
     d_ex = decoherence_exact(M_REF, 30.0, ts)
     assert np.max(np.abs(d_g - d_ex)) <= 1e-8
+
+
+# random valid regimes: omega_a in [1.5, 12], gamma <= 0.15, complex
+# alpha with |alpha| <= 30, t in [0, 50]
+_regimes = st.tuples(
+    st.floats(1.5, 12.0), st.floats(0.0, 0.15),
+    st.floats(0.0, 30.0), st.floats(0.0, 2.0 * math.pi),
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=16))
+
+
+def _regime(omega_a, gamma, r, phase, ts):
+    m = params_from_dimensionless(omega_a, gamma * (omega_a - 1.0))
+    return m, r * complex(math.cos(phase), math.sin(phase)), np.array(ts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regimes)
+def test_gaussian_oracle_matches_exact_random(regime):
+    m, alpha, ts = _regime(*regime)
+    d_g = decoherence_gaussian_oracle(m, alpha, ts)
+    assert np.max(np.abs(d_g - decoherence_exact(m, alpha, ts))) <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regimes, st.sampled_from((0, 1)))
+def test_evolution_coefficients_canonical_random(regime, k):
+    m, _, ts = _regime(*regime)
+    u, v = evolution_coefficients(k, m, ts)
+    assert np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0)) <= 1e-12
 
 
 def test_phase_insensitivity():

@@ -15,7 +15,6 @@ from lcdeco.hamiltonians import (branch_sign, build_effective_hamiltonian,
                                  build_full_hamiltonian,
                                  evolution_coefficients, predicted_moments,
                                  schrieffer_wolff_check,
-                                 second_order_coefficients,
                                  squeeze_coefficients)
 
 M_REF = params_from_dimensionless(1.8, 0.05)
@@ -196,21 +195,6 @@ def test_moments_match_fock_evolution():
             assert abs(np.vdot(psi, a @ psi) - ma) < 1e-6
             assert abs(np.vdot(psi, a2 @ psi) - m2) < 1e-6
             assert abs(np.vdot(psi, nn @ psi).real - mn) < 1e-6
-
-
-def test_second_order_coefficients_structure():
-    m = M_REF
-    coeffs = second_order_coefficients(m)
-    sig = m.omega_a + m.omega
-    lam_true = m.g ** 2 * m.omega_a / (m.delta * sig)
-    assert abs(coeffs[0]["lam_eff"] - lam_true) < 1e-15
-    assert abs(coeffs[1]["lam_eff"] + lam_true) < 1e-15
-    # branch frequencies straddle omega symmetrically
-    assert abs((coeffs[0]["omega_eff"] + coeffs[1]["omega_eff"]) / 2
-               - m.omega) < 1e-15
-    # ground branch constant reproduces the perturbative ground shift
-    assert abs(coeffs[0]["const"] - (-0.5 * m.omega_a - m.g ** 2 / sig)) \
-        < 1e-15
 
 
 def test_sw_check_uncoupled_is_exact():

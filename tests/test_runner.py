@@ -104,9 +104,10 @@ def test_manifest_digests_verify(tmp_path):
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
-    cfg = parse_config(FIG2_SMALL)
-    m1, _ = run_scenario(cfg, out_dir=str(tmp_path / "t1"), threads=1)
-    m4, _ = run_scenario(cfg, out_dir=str(tmp_path / "t4"), threads=4)
+    m1, _ = run_scenario(parse_config(FIG2_SMALL),
+                         out_dir=str(tmp_path / "t1"))
+    m4, _ = run_scenario(parse_config(FIG2_SMALL + "[run]\nthreads = 4\n"),
+                         out_dir=str(tmp_path / "t4"))
     assert m1["config_sha256"] == m4["config_sha256"]
     for name in m1["files"]:
         b1 = (tmp_path / "t1" / name).read_bytes()
@@ -207,19 +208,21 @@ def test_derive_report_is_pure(tmp_path):
 
 
 def test_error_manifest_written(tmp_path):
-    # alpha = 5 cannot fit in dim = 32: the failure must be recorded
+    # alpha = 5 cannot fit in dim = 32: the failure must be recorded, and
+    # the curve of alpha = 2, computed first, must not be written
     cfg = parse_config("scenario = fig2\n[model]\nomega_a = 8.0\n"
-                       "g = 0.35\nalpha = 5\ndim = 32\nsamples = 40\n")
+                       "g = 0.35\nalpha = 2, 5\ndim = 32\nsamples = 40\n")
     with pytest.raises(TruncationError):
         run_scenario(cfg, out_dir=str(tmp_path))
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert "error" in on_disk
     assert on_disk["error"].startswith("TruncationError")
     assert on_disk["scenario"] == "fig2"
+    assert os.listdir(tmp_path) == ["manifest.json"]
 
 
 def test_config_digest_thread_invariant():
     cfg1 = parse_config(FIG2_SMALL)
     cfg4 = parse_config(FIG2_SMALL + "[run]\nthreads = 4\n")
-    assert cfg1.threads != cfg4.threads
+    assert cfg1 == cfg4
     assert config_digest(cfg1) == config_digest(cfg4)
