@@ -4,7 +4,8 @@ Exit codes:
     0   success
     1   I/O error (an output file or directory could not be written)
     2   configuration error (every problem is listed on stderr)
-    3   numeric or regime error (truncation, invalid regime, sampling)
+    3   numeric or regime error (truncation, invalid regime, sampling,
+        a failed linear-algebra routine) or out of memory
     4   one or more recorded checks ended in FAIL
 """
 
@@ -124,6 +125,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except (RegimeError, TruncationError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print("error: out of memory (%s); lower model.dim or model.samples"
+              % (str(exc) or "allocation failed"), file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .circuit import ModelParams
 # decoherence_exact is not called here, but perfbench/spans.py patches it
@@ -103,6 +102,22 @@ def current_numeric(m: ModelParams, alpha, ts, dim, theta=None, charge=1.0,
 # ---------------------------------------------------------------------------
 # spectral utilities
 
+def analytic_signal(x):
+    """x + i·H[x] of a real trace via the FFT: the spectrum is kept at
+    DC (and Nyquist for even n), doubled at positive and zeroed at
+    negative frequencies.  This is the transform scipy.signal.hilbert
+    computes, written in numpy so importing lcdeco does not pay for
+    scipy.signal."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    h = np.zeros(n)
+    h[0] = 1.0
+    h[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+    return np.fft.ifft(np.fft.fft(x) * h)
+
+
 def spectrum(ts, x, pad=8):
     """(angular frequencies, magnitude) of the Hann-windowed, mean-free,
     zero-padded discrete Fourier transform of a real uniform trace."""
@@ -172,11 +187,12 @@ FLAT_ENVELOPE_DEPTH = 0.01
 def envelope_metrics(ts, x, trim_frac=0.08, pad=8):
     """Carrier/modulation periods and envelope depth of a sampled trace.
 
-    The envelope is the analytic-signal magnitude (discrete Hilbert
-    transform) with trim_frac of the samples dropped at each end to
-    discard transform edge ripple.  The modulation peak is searched only
-    below 0.6× the carrier so residual carrier ripple in the envelope
-    cannot masquerade as modulation.  An essentially flat envelope
+    The envelope is the magnitude of the numpy FFT analytic signal
+    (`analytic_signal`, the discrete Hilbert transform) with trim_frac
+    of the samples dropped at each end to discard transform edge
+    ripple.  The modulation peak is searched only below 0.6× the carrier
+    so residual carrier ripple in the envelope cannot masquerade as
+    modulation.  An essentially flat envelope
     (depth ≤ FLAT_ENVELOPE_DEPTH) is reported with an infinite
     modulation period rather than a noise-peak fit.  Meaningful only
     when the carrier is well above the modulation frequency
@@ -188,7 +204,7 @@ def envelope_metrics(ts, x, trim_frac=0.08, pad=8):
     if n < 16:
         raise ValueError("trace too short for envelope analysis")
     wc = carrier_frequency(ts, x, pad)
-    env = np.abs(hilbert(x - x.mean()))
+    env = np.abs(analytic_signal(x - x.mean()))
     k = max(int(trim_frac * n), 1)
     te = ts[k:n - k]
     ee = env[k:n - k]

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import lcdeco.cli as cli
@@ -96,6 +99,40 @@ def test_run_check_failure_exit_four(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "1 check(s), 1 failed" in out
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("cannot allocate"), "error: out of memory (cannot"),
+    (MemoryError(), "error: out of memory (allocation failed)"),
+    (np.linalg.LinAlgError("eigh did not converge"),
+     "error: eigh did not converge"),
+])
+def test_run_numeric_failure_exit_three(exc, message, tmp_path, capsys,
+                                        monkeypatch):
+    """Memory exhaustion and a failed LAPACK routine exit 3 with one line
+    on stderr (LinAlgError is a ValueError), not a traceback."""
+    def fail(cfg, **kw):
+        raise exc
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    cfg = _write(tmp_path, "sweep.cfg", GOOD_SWEEP)
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+def test_cli_import_skips_scipy_signal():
+    """Importing the CLI must not pull in scipy.signal (and with it
+    scipy.stats and scipy.interpolate), which would add most of a
+    second to every lcdeco call."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import lcdeco.cli, sys; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])

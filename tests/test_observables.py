@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.signal import hilbert
 
+import lcdeco.observables as observables
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import decoherence_exact
 from lcdeco.fock import coherent_state, joint_state
-from lcdeco.observables import (charge_occupation,
+from lcdeco.observables import (analytic_signal, charge_occupation,
                                 charge_occupation_analytic, current_analytic,
                                 current_numeric, envelope_metrics,
                                 sampling_limit, spectral_peaks, spectrum)
@@ -116,7 +117,7 @@ def test_numeric_current_envelope_level():
     m = model_params(1.0, 1.8, 0.056)
     ts = _uniform_grid(m, 8, 4096)
     _, inum = current_numeric(m, 2.0, ts, 64)
-    env = np.abs(hilbert(inum - inum.mean()))
+    env = np.abs(analytic_signal(inum - inum.mean()))
     ref = math.sin(m.theta) * m.omega_a * decoherence_exact(m, 2.0, ts)
     k = int(0.08 * len(ts))
     dev = env[k:-k] - ref[k:-k]
@@ -173,6 +174,32 @@ def test_envelope_depth_ordering():
               .modulation_depth for a in (5.0, 10.0, 30.0)]
     assert depths[0] < depths[1] < depths[2]
     assert depths[2] > 0.5
+
+
+@pytest.mark.parametrize("n", [16, 17, 1023, 4096, 4097])
+def test_analytic_signal_matches_scipy_hilbert(n):
+    """scipy.signal.hilbert is the test-only reference; odd and even n
+    differ in whether the Nyquist bin is kept."""
+    x = np.random.default_rng(n).standard_normal(n)
+    ref = hilbert(x)
+    got = analytic_signal(x)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_envelope_metrics_same_as_scipy_route(monkeypatch):
+    """The fig4 analytic trace (alpha = 30, 8 jump periods, 4096
+    samples) gives the same four envelope fields as with
+    scipy.signal.hilbert in place of analytic_signal."""
+    m = params_from_dimensionless(8.0, 0.35)
+    ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 4096)
+    trace = current_analytic(m, 30.0, ts)
+    got = envelope_metrics(ts, trace)
+    monkeypatch.setattr(observables, "analytic_signal", hilbert)
+    ref = envelope_metrics(ts, trace)
+    for field in ("carrier_period", "modulation_period",
+                  "modulation_depth", "envelope_width_ratio"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert abs(a - b) <= 1e-12 * abs(b), field
 
 
 def test_envelope_too_short():

@@ -83,7 +83,8 @@ def test_fig2_overlay_golden(tmp_path):
     produced = str(tmp_path / "fig2_overlay.svg")
     golden = os.path.join(DATA_DIR, "fig2_overlay_golden.svg")
     assert sha256_file(produced) == sha256_file(golden)
-    text = open(produced).read()
+    with open(produced) as fh:
+        text = fh.read()
     assert text.count("<polyline") == 3
     for label in ("alpha=5", "alpha=10", "alpha=30"):
         assert label in text
