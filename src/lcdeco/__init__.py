@@ -29,8 +29,7 @@ from .decoherence import (JumpMetrics, decoherence_approx, decoherence_exact,
 from .errors import CheckFailure, ConfigError, RegimeError, TruncationError
 from .fock import (annihilation_op, coherent_state, hermitian_eig, overlap,
                    partial_trace_qubit, qubit_op, tensor)
-from .hamiltonians import (BogoliubovCoeffs, SWReport,
-                           build_effective_hamiltonian,
+from .hamiltonians import (SWReport, build_effective_hamiltonian,
                            build_full_hamiltonian, schrieffer_wolff_check,
                            squeeze_coefficients)
 from .observables import (EnvelopeMetrics, charge_occupation,
@@ -41,9 +40,9 @@ from .runner import run_scenario
 from .version import VERSION as __version__
 
 __all__ = [
-    "BogoliubovCoeffs", "CheckFailure", "CircuitParams", "ConfigError",
-    "DeviceConfig", "EnvelopeMetrics", "JumpMetrics", "ModelParams",
-    "RegimeError", "RegimeReport", "RunConfig", "SWReport",
+    "CheckFailure", "CircuitParams", "ConfigError", "DeviceConfig",
+    "EnvelopeMetrics", "JumpMetrics", "ModelParams", "RegimeError",
+    "RegimeReport", "RunConfig", "SWReport",
     "TruncationError", "annihilation_op", "build_effective_hamiltonian",
     "build_full_hamiltonian", "charge_occupation", "circuit_from_kelvin",
     "coherent_state", "current_analytic", "current_numeric",

@@ -89,12 +89,11 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
-    base = args.out or os.environ.get("LCDECO_OUT") or "out"
     status = 0
     for tag, text in (("oracle", BUILTIN_ORACLE_CONFIG),
                       ("sw", BUILTIN_SW_CONFIG)):
         cfg = parse_config(text)
-        out = os.path.join(base, "check-" + tag)
+        out = os.path.join(default_out_dir(cfg, args.out), "check-" + tag)
         manifest, _ = run_scenario(cfg, out_dir=out, config_text=text)
         print("[%s]" % cfg.scenario)
         _print_checks(manifest)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ModelParams
-from .errors import RegimeError
 from .fock import (SpectralPropagator, assert_leakage, coherent_state,
                    joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
@@ -131,9 +130,10 @@ class JumpMetrics:
 
 
 def jump_metrics(m: ModelParams, alpha):
-    """Revival period, minimum position, and minimum value of D(t)."""
-    if m.g == 0:
-        raise RegimeError("no decoherence jumps at g = 0 (D ≡ 1)")
+    """Revival period, minimum position, and minimum value of D(t).
+
+    At g = 0 there is no jump: D ≡ 1, so d_min = 1 at the nominal t_min.
+    """
     period = np.pi / m.Omega
     t_min = 0.5 * period
     return JumpMetrics(period=period, t_min=t_min,

@@ -103,9 +103,9 @@ def _tick_label(v):
     return "%g" % (round(v, 12),)
 
 
-def emit_svg(path, x, series, labels, title="", xlabel="", ylabel="",
-             width=960, height=560):
-    """Standalone multi-line plot: one polyline per series, shared x.
+def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
+    """Standalone 960 × 560 px multi-line plot: one polyline per series,
+    shared x.
 
     Purely geometric output — fixed palette, fixed layout, coordinates
     rounded to 0.01 px — so the same data always yields the same bytes.
@@ -134,6 +134,7 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel="",
     pad = 0.05 * (yhi - ylo)
     ylo -= pad
     yhi += pad
+    width, height = 960, 560
     left, right, top, bottom = 72, 24, 44, 56
     pw = width - left - right
     ph = height - top - bottom

@@ -99,24 +99,24 @@ def tensor(qubit_part, osc_part):
     return np.kron(q, o)
 
 
-def check_hermitian(M, tol=1e-12):
-    """Return the hermiticity defect max|M − M†|; raise if above tol
+def check_hermitian(M):
+    """Return the hermiticity defect max|M − M†|; raise if above 1e-12
     (scaled by max(1, max|M|) so O(10) dimensionless matrices are not
     penalized for representation rounding)."""
     M = np.asarray(M)
     defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if defect > tol * scale:
+    if defect > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian (defect %.3e)" % defect)
     return defect
 
 
-def hermitian_eig(M, tol=1e-12):
+def hermitian_eig(M):
     """Eigendecomposition of a certified-Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).
     """
-    check_hermitian(M, tol)
+    check_hermitian(M)
     return np.linalg.eigh(np.asarray(M, dtype=complex))
 
 
@@ -184,7 +184,7 @@ def coherent_state(alpha, dim):
     return v / np.linalg.norm(v)
 
 
-def joint_state(c0, c1, osc, dim=None):
+def joint_state(c0, c1, osc):
     """(c0|0⟩ + c1|1⟩) ⊗ |osc⟩ in qubit-slow ordering, normalized."""
     osc = np.asarray(osc, dtype=complex)
     v = np.concatenate([c0 * osc, c1 * osc])
@@ -213,8 +213,8 @@ def partial_trace_qubit(psi, dim):
     return block @ block.conj().T
 
 
-def top_level_population(states, osc_dim=None, levels=LEAK_LEVELS):
-    """Population in the top `levels` oscillator levels.
+def top_level_population(states, osc_dim=None):
+    """Population in the top LEAK_LEVELS oscillator levels.
 
     `states` is one state vector or a (N, nt) array of column states.
     For joint states pass osc_dim; both qubit branches are summed.
@@ -225,15 +225,15 @@ def top_level_population(states, osc_dim=None, levels=LEAK_LEVELS):
     d = n if osc_dim is None else osc_dim
     if osc_dim is not None and n != 2 * osc_dim:
         raise ValueError("joint states of length %d expected" % (2 * osc_dim))
-    out = (np.abs(vecs[d - levels:d]) ** 2).sum(axis=0)
+    out = (np.abs(vecs[d - LEAK_LEVELS:d]) ** 2).sum(axis=0)
     if osc_dim is not None:
-        out = out + (np.abs(vecs[2 * d - levels:]) ** 2).sum(axis=0)
+        out = out + (np.abs(vecs[2 * d - LEAK_LEVELS:]) ** 2).sum(axis=0)
     return float(out[0]) if arr.ndim == 1 else out
 
 
-def assert_leakage(states, osc_dim=None, levels=LEAK_LEVELS, tol=LEAK_TOL,
-                   pruned=0.0):
-    """Raise TruncationError when the leakage guard trips.
+def assert_leakage(states, osc_dim=None, pruned=0.0):
+    """Raise TruncationError when the top LEAK_LEVELS oscillator levels
+    hold LEAK_TOL or more of the population.
 
     `pruned` is the weight a propagator dropped from the evolved state
     (SpectralPropagator.pruned_weight).  The dropped part has norm √pruned,
@@ -241,15 +241,15 @@ def assert_leakage(states, osc_dim=None, levels=LEAK_LEVELS, tol=LEAK_TOL,
     (√leak + √pruned)²; the guard tests and returns that bound, so pruning
     can never turn a trip into a pass.
     """
-    leak = float(np.max(top_level_population(states, osc_dim, levels)))
+    leak = float(np.max(top_level_population(states, osc_dim)))
     if pruned:
         leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
-    if leak >= tol:
+    if leak >= LEAK_TOL:
         arr = np.asarray(states)
         d = arr.shape[0] if osc_dim is None else osc_dim
         raise TruncationError(
             "leakage guard tripped: top-%d-level population %.3e >= %.1e"
-            % (levels, leak, tol),
+            % (LEAK_LEVELS, leak, LEAK_TOL),
             suggested_dim=2 * d)
     return leak
 
@@ -376,12 +376,9 @@ class SpectralPropagator:
         PRUNE_TOL·‖psi‖²."""
         return self._project(psi)[1]
 
-    def evolve(self, psi, t):
-        """State at time t (t scalar)."""
-        return self.evolve_grid(psi, [t])[:, 0]
-
     def evolve_grid(self, psi, ts):
-        """Column-per-time array of states at each t in ts."""
+        """Column-per-time array of states at each t in ts (one time t:
+        ts = [t], column 0)."""
         ts = np.asarray(ts, dtype=float).ravel()
         out = np.empty((self.size, len(ts)), dtype=complex)
         for index, w, Q, c in self._project(psi)[0]:

@@ -77,39 +77,20 @@ def build_effective_hamiltonian(k, m: ModelParams, dim):
 # ---------------------------------------------------------------------------
 # Bogoliubov / squeeze coefficients
 
-@dataclass(frozen=True)
-class BogoliubovCoeffs:
-    mu: complex
-    nu: complex
-    k: int
-    t: float
-
-    @property
-    def defect(self):
-        """|mu|² − |nu|² − 1 (zero for a canonical pair)."""
-        return abs(self.mu) ** 2 - abs(self.nu) ** 2 - 1.0
-
-
-def squeeze_ratio(k, m: ModelParams):
-    """N_k with N_0 = 1/N_1 = √(ωΔ/(ωΔ + 4g²))."""
-    return m.n0 if k == 0 else m.n1
-
-
 def squeeze_coefficients(k, m: ModelParams, t):
-    """μ_k(t) = ½(√N_k + 1/√N_k)e^{+iΩt}, ν_k(t) = ½(√N_k − 1/√N_k)e^{−iΩt}.
+    """μ_k(t) = ½(√N_k + 1/√N_k)e^{+iΩt}, ν_k(t) = ½(√N_k − 1/√N_k)e^{−iΩt}
+    with N_0 = 1/N_1 = √(ωΔ/(ωΔ + 4g²)).
 
-    Scalar t → BogoliubovCoeffs; array t → (mu, nu) arrays.
+    Returns (mu, nu): complex numbers for scalar t, arrays for array t.
     """
-    nk = squeeze_ratio(k, m)
-    rt = math.sqrt(nk)
+    rt = math.sqrt(m.n0 if k == 0 else m.n1)
     mu_mag = 0.5 * (rt + 1.0 / rt)
     nu_mag = 0.5 * (rt - 1.0 / rt)
     tt = np.asarray(t, dtype=float)
     mu = mu_mag * np.exp(1j * m.Omega * tt)
     nu = nu_mag * np.exp(-1j * m.Omega * tt)
     if np.ndim(t) == 0:
-        return BogoliubovCoeffs(mu=complex(mu), nu=complex(nu), k=k,
-                                t=float(t))
+        return complex(mu), complex(nu)
     return mu, nu
 
 
@@ -120,10 +101,10 @@ def evolution_coefficients(k, m: ModelParams, t):
     u(0) = 1, v(0) = 0, and |u|² − |v|² = 1 for all t.
     Accepts scalar or array t.
     """
-    b0 = squeeze_coefficients(k, m, 0.0)
+    mu_0, nu_0 = squeeze_coefficients(k, m, 0.0)
     mu_t, nu_t = squeeze_coefficients(k, m, np.atleast_1d(t))
-    u = np.conj(mu_t * b0.mu - nu_t * b0.nu)
-    v = mu_t * b0.nu - b0.mu * nu_t
+    u = np.conj(mu_t * mu_0 - nu_t * nu_0)
+    v = mu_t * nu_0 - mu_0 * nu_t
     if np.ndim(t) == 0:
         return complex(u[0]), complex(v[0])
     return u, v
@@ -185,16 +166,17 @@ class SWReport:
         return max(b.lam_dev for b in self.branches)
 
 
-def effective_block(m: ModelParams, dim, k, n_levels):
+def effective_block(w, V, k, n_levels):
     """Direct-rotation effective Hamiltonian of branch k.
 
-    Diagonalizes the full H, classifies eigenvectors by qubit population,
-    takes the n_levels lowest of branch k, and rotates them onto the bare
-    |k, n⟩ subspace with the polar (least-distortion) unitary of the
-    overlap matrix.  Returns an (n_levels × n_levels) Hermitian block
-    whose spectrum is exactly the selected eigenvalues.
+    (w, V) is the eigendecomposition of the full H (hermitian_eig of its
+    dense matrix, order 2·dim).  Classifies eigenvectors by qubit
+    population, takes the n_levels lowest of branch k, and rotates them
+    onto the bare |k, n⟩ subspace with the polar (least-distortion)
+    unitary of the overlap matrix.  Returns an (n_levels × n_levels)
+    Hermitian block whose spectrum is exactly the selected eigenvalues.
     """
-    w, V = hermitian_eig(build_full_hamiltonian(m, dim).dense())
+    dim = len(w) // 2
     pop0 = np.sum(np.abs(V[:dim, :]) ** 2, axis=0)
     sel = np.flatnonzero(pop0 > 0.5 if k == 0 else pop0 <= 0.5)
     if len(sel) < n_levels:
@@ -230,9 +212,11 @@ def schrieffer_wolff_check(m: ModelParams, dim=64, n_levels=24, n_fit=10):
     if m.gamma > 0.15:
         raise RegimeError("gamma = %.3g above 0.15: effective-model check "
                           "not meaningful" % m.gamma)
+    # one eigendecomposition of the full H serves both branches
+    w, V = hermitian_eig(build_full_hamiltonian(m, dim).dense())
     branches = []
     for k in (0, 1):
-        block = effective_block(m, dim, k, n_levels)
+        block = effective_block(w, V, k, n_levels)
         omega_fit, lam_fit = fit_branch_coefficients(block, n_fit)
         branches.append(BranchFit(
             k=k, omega_fit=omega_fit, lam_fit=lam_fit,

@@ -44,42 +44,41 @@ def charge_occupation(states, theta):
     return float(p[0]) if arr.ndim == 1 else p
 
 
-def charge_occupation_analytic(m: ModelParams, alpha, t, theta=None):
+def charge_occupation_analytic(m: ModelParams, alpha, t):
     """Dispersive-regime P_c(t) ≈ 1/2 + (sinθ/2)·D(t)·cos(ω_a t) for the
-    equal-weight initial superposition (D is the simplified factor)."""
-    th = m.theta if theta is None else theta
+    equal-weight initial superposition, θ = m.theta (D is the simplified
+    factor)."""
     t = np.asarray(t, dtype=float)
-    return 0.5 + 0.5 * math.sin(th) * decoherence_approx(m, alpha, t) \
+    return 0.5 + 0.5 * math.sin(m.theta) * decoherence_approx(m, alpha, t) \
         * np.cos(m.omega_a * t)
 
 
-def current_analytic(m: ModelParams, alpha, t, theta=None, charge=1.0):
-    """I(t) = q·sinθ·D(t)·[ω_a·sin(ω_a t) + BΩ·sin(2Ωt)·cos(ω_a t)]
-    with B = 8g⁴|α|²/(Δ²Ω²).
+def current_analytic(m: ModelParams, alpha, t):
+    """I(t) = sinθ·D(t)·[ω_a·sin(ω_a t) + BΩ·sin(2Ωt)·cos(ω_a t)]
+    in units of e·ω, with θ = m.theta and B = 8g⁴|α|²/(Δ²Ω²).
 
-    This is exactly −2q·d/dt of charge_occupation_analytic (note the Ω
+    This is exactly −2·d/dt of charge_occupation_analytic (note the Ω
     multiplying the sideband term: it comes from d/dt sin²Ωt).  D is the
     simplified factor, consistent with the derivation regime.
     """
-    th = m.theta if theta is None else theta
     t = np.asarray(t, dtype=float)
     d = decoherence_approx(m, alpha, t)
     b = 8.0 * m.g ** 4 * abs(alpha) ** 2 / (m.delta * m.Omega) ** 2
-    out = charge * math.sin(th) * d * (
+    out = math.sin(m.theta) * d * (
         m.omega_a * np.sin(m.omega_a * t)
         + b * m.Omega * np.sin(2.0 * m.Omega * t) * np.cos(m.omega_a * t))
     return float(out) if out.ndim == 0 else out
 
 
-def current_numeric(m: ModelParams, alpha, ts, dim, theta=None, charge=1.0,
-                    c0=SQRT_HALF, c1=SQRT_HALF):
-    """(P_c(t), I(t)) from exact full-model evolution on a uniform grid.
+def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
+                    c1=SQRT_HALF):
+    """(P_c(t), I(t)) from exact full-model evolution on a uniform grid,
+    with P_c at θ = m.theta and I in units of e·ω.
 
-    I is the second-order finite difference of −2q·P_c (central in the
+    I is the second-order finite difference of −2·P_c (central in the
     interior, one-sided at the ends).  The grid must satisfy the
     sampling criterion dt ≤ 2π/(20·max(ω_a, Ω)).
     """
-    th = m.theta if theta is None else theta
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
         raise ValueError("need a 1-D grid of at least 3 samples")
@@ -94,8 +93,8 @@ def current_numeric(m: ModelParams, alpha, ts, dim, theta=None, charge=1.0,
     prop = SpectralPropagator(build_full_hamiltonian(m, dim))
     grid = prop.evolve_grid(psi, ts)
     assert_leakage(grid, osc_dim=dim, pruned=prop.pruned_weight(psi))
-    pc = charge_occupation(grid, th)
-    current = -2.0 * charge * np.gradient(pc, ts, edge_order=2)
+    pc = charge_occupation(grid, m.theta)
+    current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 
 
@@ -118,13 +117,14 @@ def analytic_signal(x):
     return np.fft.ifft(np.fft.fft(x) * h)
 
 
-def spectrum(ts, x, pad=8):
-    """(angular frequencies, magnitude) of the Hann-windowed, mean-free,
-    zero-padded discrete Fourier transform of a real uniform trace."""
+def spectrum(ts, x):
+    """(angular frequencies, magnitude) of the Hann-windowed, mean-free
+    discrete Fourier transform of a real uniform trace, zero-padded to
+    SPECTRUM_PAD times its length."""
     x = np.asarray(x, dtype=float)
     ts = np.asarray(ts, dtype=float)
     y = (x - x.mean()) * np.hanning(len(x))
-    n = int(pad) * len(x)
+    n = SPECTRUM_PAD * len(x)
     mag = np.abs(np.fft.rfft(y, n))
     w = 2.0 * np.pi * np.fft.rfftfreq(n, ts[1] - ts[0])
     return w, mag
@@ -149,9 +149,9 @@ def peak_frequency(w, mag, lo=0.0, hi=None):
     return float(w[i] + shift * (w[1] - w[0]))
 
 
-def carrier_frequency(ts, x, pad=8):
+def carrier_frequency(ts, x):
     """Dominant tone of the trace (above one cycle per window)."""
-    w, mag = spectrum(ts, x, pad)
+    w, mag = spectrum(ts, x)
     span = ts[-1] - ts[0]
     return peak_frequency(w, mag, lo=2.0 * np.pi / span)
 
@@ -183,16 +183,22 @@ class EnvelopeMetrics:
 # (infinite modulation period) instead of chasing noise peaks
 FLAT_ENVELOPE_DEPTH = 0.01
 
+# fraction of the envelope dropped at each end (transform edge ripple)
+ENVELOPE_TRIM = 0.08
 
-def envelope_metrics(ts, x, trim_frac=0.08, pad=8):
+# zero-padding factor of every spectrum (DFT length / trace length)
+SPECTRUM_PAD = 8
+
+
+def envelope_metrics(ts, x):
     """Carrier/modulation periods and envelope depth of a sampled trace.
 
     The envelope is the magnitude of the numpy FFT analytic signal
-    (`analytic_signal`, the discrete Hilbert transform) with trim_frac
-    of the samples dropped at each end to discard transform edge
-    ripple.  The modulation peak is searched only below 0.6× the carrier
-    so residual carrier ripple in the envelope cannot masquerade as
-    modulation.  An essentially flat envelope
+    (`analytic_signal`, the discrete Hilbert transform) with
+    ENVELOPE_TRIM of the samples dropped at each end to discard
+    transform edge ripple.  The modulation peak is searched only below
+    0.6× the carrier so residual carrier ripple in the envelope cannot
+    masquerade as modulation.  An essentially flat envelope
     (depth ≤ FLAT_ENVELOPE_DEPTH) is reported with an infinite
     modulation period rather than a noise-peak fit.  Meaningful only
     when the carrier is well above the modulation frequency
@@ -203,15 +209,15 @@ def envelope_metrics(ts, x, trim_frac=0.08, pad=8):
     n = len(x)
     if n < 16:
         raise ValueError("trace too short for envelope analysis")
-    wc = carrier_frequency(ts, x, pad)
+    wc = carrier_frequency(ts, x)
     env = np.abs(analytic_signal(x - x.mean()))
-    k = max(int(trim_frac * n), 1)
+    k = max(int(ENVELOPE_TRIM * n), 1)
     te = ts[k:n - k]
     ee = env[k:n - k]
     lo, hi = float(np.min(ee)), float(np.max(ee))
     depth = (hi - lo) / (hi + lo) if hi + lo > 0 else 0.0
     flat = depth <= FLAT_ENVELOPE_DEPTH
-    we, me = spectrum(te, ee, pad)
+    we, me = spectrum(te, ee)
     span = te[-1] - te[0]
     wm = peak_frequency(we, me, lo=2.0 * np.pi / span, hi=0.6 * wc)
     if not np.isfinite(wm):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lcdeco.cli as cli
+from lcdeco.emit import read_csv
 
 GOOD_SWEEP = """\
 scenario = sweep
@@ -44,6 +45,24 @@ def test_run_success_exit_zero(tmp_path, capsys):
     assert "scenario sweep" in captured.out
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("scenario", ["fig2", "sweep"])
+def test_run_uncoupled_exit_zero(tmp_path, scenario):
+    """g = 0 is a valid config: D ≡ 1, so every d_min is 1."""
+    cfg = _write(tmp_path, "g0.cfg",
+                 "scenario = %s\n[model]\nomega_a = 1.8\ng = 0\n"
+                 "alpha = 2, 30\nsamples = 40\n" % scenario)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        params = json.load(fh)["params"]
+    if scenario == "fig2":
+        assert set(params["d_min"].values()) == {1.0}
+    else:
+        _, columns, rows = read_csv(os.path.join(out, "sweep.csv"))
+        col = columns.index("d_min_exact")
+        assert [row[col] for row in rows] == ["1", "1"]
 
 
 def test_run_config_error_exit_two(tmp_path, capsys):

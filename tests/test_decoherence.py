@@ -12,8 +12,9 @@ from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_fock_oracle,
                                 decoherence_gaussian_oracle,
                                 full_model_coherence, jump_metrics)
-from lcdeco.errors import RegimeError
+from lcdeco.fock import min_adequate_dim
 from lcdeco.hamiltonians import evolution_coefficients
+from lcdeco.runner import FOCK_ALPHA_MAX
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 
@@ -135,12 +136,13 @@ def test_gaussian_oracle_matches_exact_large_alpha():
     assert np.max(np.abs(d_g - d_ex)) <= 1e-8
 
 
-# random valid regimes: omega_a in [1.5, 12], gamma <= 0.15, complex
-# alpha with |alpha| <= 30, t in [0, 50]
-_regimes = st.tuples(
-    st.floats(1.5, 12.0), st.floats(0.0, 0.15),
-    st.floats(0.0, 30.0), st.floats(0.0, 2.0 * math.pi),
-    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=16))
+def _regimes(alpha_max):
+    """Random valid regimes: omega_a in [1.5, 12], gamma <= 0.15, complex
+    alpha with |alpha| <= alpha_max, t in [0, 50]."""
+    return st.tuples(
+        st.floats(1.5, 12.0), st.floats(0.0, 0.15),
+        st.floats(0.0, alpha_max), st.floats(0.0, 2.0 * math.pi),
+        st.lists(st.floats(0.0, 50.0), min_size=1, max_size=16))
 
 
 def _regime(omega_a, gamma, r, phase, ts):
@@ -149,7 +151,7 @@ def _regime(omega_a, gamma, r, phase, ts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_regimes)
+@given(_regimes(30.0))
 def test_gaussian_oracle_matches_exact_random(regime):
     m, alpha, ts = _regime(*regime)
     d_g = decoherence_gaussian_oracle(m, alpha, ts)
@@ -157,7 +159,22 @@ def test_gaussian_oracle_matches_exact_random(regime):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_regimes, st.sampled_from((0, 1)))
+@given(_regimes(FOCK_ALPHA_MAX))
+def test_fock_oracle_matches_gaussian_random(regime):
+    """The truncated-Fock route over every amplitude the runner sends
+    through it, with a truncation chosen from alpha.  The 32 extra levels
+    hold the squeezed vacuum's own tail: with 16, alpha = 0 at
+    omega_a = 12, gamma = 0.15 (dim 20) is 4e-7 off, and the leakage
+    guard does not trip."""
+    m, alpha, ts = _regime(*regime)
+    dim = 2 * min_adequate_dim(alpha) + 32
+    d_f = decoherence_fock_oracle(m, alpha, ts, dim)
+    assert np.max(np.abs(d_f - decoherence_gaussian_oracle(m, alpha, ts))) \
+        <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regimes(30.0), st.sampled_from((0, 1)))
 def test_evolution_coefficients_canonical_random(regime, k):
     m, _, ts = _regime(*regime)
     u, v = evolution_coefficients(k, m, ts)
@@ -238,6 +255,7 @@ def test_jump_metrics_ordering():
     assert d_mins[0] > d_mins[1] > d_mins[2]
 
 
-def test_jump_metrics_rejects_uncoupled():
-    with pytest.raises(RegimeError):
-        jump_metrics(params_from_dimensionless(1.8, 0.0), 2.0)
+def test_jump_metrics_uncoupled():
+    """g = 0: no jump, D ≡ 1, so the minimum is exactly 1."""
+    assert jump_metrics(params_from_dimensionless(1.8, 0.0), 2.0).d_min \
+        == 1.0

@@ -181,7 +181,8 @@ def test_position_quad_is_hermitian():
 
 def test_evolve_t0_identity():
     psi = coherent_state(1.0, 32)
-    out = SpectralPropagator(_number_hamiltonian(32)).evolve(psi, 0.0)
+    out = SpectralPropagator(_number_hamiltonian(32)).evolve_grid(
+        psi, [0.0])[:, 0]
     assert np.max(np.abs(out - psi)) < 1e-12
 
 
@@ -189,8 +190,8 @@ def test_evolve_rotating_coherent_state():
     # H = w a+a sends |alpha> to |alpha e^{-iwt}> up to a global phase
     dim = 48
     omega, t, alpha = 1.3, 2.1, 1.5
-    out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve(
-        coherent_state(alpha, dim), t)
+    out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve_grid(
+        coherent_state(alpha, dim), [t])[:, 0]
     ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
     fidelity = abs(np.vdot(ref, out))
     assert fidelity >= 1.0 - 1e-10
@@ -202,8 +203,8 @@ def test_evolve_composition():
     prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
                                           rng.normal(size=dim - 1)))
     psi = coherent_state(0.8, dim)
-    one = prop.evolve(prop.evolve(psi, 0.7), 1.9)
-    two = prop.evolve(psi, 2.6)
+    one = prop.evolve_grid(prop.evolve_grid(psi, [0.7])[:, 0], [1.9])[:, 0]
+    two = prop.evolve_grid(psi, [2.6])[:, 0]
     assert np.linalg.norm(one - two) < 1e-10
 
 

@@ -155,9 +155,9 @@ def test_branch_sign():
 
 def test_squeeze_uncoupled():
     m = params_from_dimensionless(1.8, 0.0)
-    bc = squeeze_coefficients(0, m, 0.37)
-    assert abs(bc.mu - np.exp(1j * m.omega * 0.37)) < 1e-12
-    assert bc.nu == 0.0
+    mu, nu = squeeze_coefficients(0, m, 0.37)
+    assert abs(mu - np.exp(1j * m.omega * 0.37)) < 1e-12
+    assert nu == 0.0
 
 
 def test_squeeze_invariant_random():
@@ -166,9 +166,9 @@ def test_squeeze_invariant_random():
     for _ in range(300):
         m = params_from_dimensionless(rng.uniform(1.3, 4.0),
                                       rng.uniform(0.0, 0.15))
-        bc = squeeze_coefficients(int(rng.integers(0, 2)), m,
-                                  rng.uniform(0.0, 20.0))
-        worst = max(worst, abs(bc.defect))
+        mu, nu = squeeze_coefficients(int(rng.integers(0, 2)), m,
+                                      rng.uniform(0.0, 20.0))
+        worst = max(worst, abs(abs(mu) ** 2 - abs(nu) ** 2 - 1.0))
     assert worst < 1e-12
 
 
@@ -190,7 +190,7 @@ def test_moments_match_fock_evolution():
     for k in (0, 1):
         prop = SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
         for t in (0.0, 0.3, math.pi / (2 * M_REF.Omega), 2.7):
-            psi = prop.evolve(psi0, t)
+            psi = prop.evolve_grid(psi0, [t])[:, 0]
             ma, m2, mn = predicted_moments(k, M_REF, alpha, t)
             assert abs(np.vdot(psi, a @ psi) - ma) < 1e-6
             assert abs(np.vdot(psi, a2 @ psi) - m2) < 1e-6
@@ -224,6 +224,18 @@ def test_sw_check_monotone_in_gamma():
     r2 = schrieffer_wolff_check(m2, dim=64)
     assert r1.max_omega_dev < r2.max_omega_dev
     assert r1.max_lam_dev < r2.max_lam_dev
+
+
+def test_sw_check_one_eigendecomposition_per_model(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return hermitian_eig(M)
+
+    monkeypatch.setattr("lcdeco.hamiltonians.hermitian_eig", counted)
+    schrieffer_wolff_check(model_params(1.0, 10.0, 0.45), dim=32)
+    assert calls == [(64, 64)]
 
 
 def test_sw_check_rejects_strong_coupling():
