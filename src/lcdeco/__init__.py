@@ -3,8 +3,8 @@ decoherence of a Josephson charge qubit coupled to an LC oscillator.
 
 The working pieces:
 
-* :mod:`lcdeco.fock` — truncated-Fock-space linear algebra (operators,
-  coherent states, parity-sector spectral time evolution, truncation
+* :mod:`lcdeco.fock` — truncated-Fock-space linear algebra (coherent
+  and joint states, parity-sector spectral time evolution, truncation
   guards).
 * :mod:`lcdeco.circuit` — SI circuit constants → dimensionless model
   parameters, plus regime validation.
@@ -26,9 +26,8 @@ from .decoherence import (JumpMetrics, decoherence_approx, decoherence_exact,
                           decoherence_fock_oracle,
                           decoherence_gaussian_oracle, full_model_coherence,
                           jump_metrics)
-from .errors import CheckFailure, ConfigError, RegimeError, TruncationError
-from .fock import (annihilation_op, coherent_state, hermitian_eig, overlap,
-                   partial_trace_qubit, qubit_op, tensor)
+from .errors import ConfigError, RegimeError, TruncationError
+from .fock import coherent_state
 from .hamiltonians import (SWReport, build_effective_hamiltonian,
                            build_full_hamiltonian, schrieffer_wolff_check,
                            squeeze_coefficients)
@@ -40,17 +39,16 @@ from .runner import run_scenario
 from .version import VERSION as __version__
 
 __all__ = [
-    "CheckFailure", "CircuitParams", "ConfigError", "DeviceConfig",
-    "EnvelopeMetrics", "JumpMetrics", "ModelParams", "RegimeError",
-    "RegimeReport", "RunConfig", "SWReport",
-    "TruncationError", "annihilation_op", "build_effective_hamiltonian",
-    "build_full_hamiltonian", "charge_occupation", "circuit_from_kelvin",
-    "coherent_state", "current_analytic", "current_numeric",
-    "decoherence_approx", "decoherence_exact", "decoherence_fock_oracle",
+    "CircuitParams", "ConfigError", "DeviceConfig", "EnvelopeMetrics",
+    "JumpMetrics", "ModelParams", "RegimeError", "RegimeReport",
+    "RunConfig", "SWReport", "TruncationError",
+    "build_effective_hamiltonian", "build_full_hamiltonian",
+    "charge_occupation", "circuit_from_kelvin", "coherent_state",
+    "current_analytic", "current_numeric", "decoherence_approx",
+    "decoherence_exact", "decoherence_fock_oracle",
     "decoherence_gaussian_oracle", "derive_params", "envelope_metrics",
-    "full_model_coherence", "hermitian_eig", "jump_metrics",
-    "model_params", "overlap", "params_from_dimensionless", "parse_config",
-    "partial_trace_qubit", "qubit_op", "run_scenario",
-    "schrieffer_wolff_check", "squeeze_coefficients", "tensor",
-    "validate_regime", "__version__",
+    "full_model_coherence", "jump_metrics", "model_params",
+    "params_from_dimensionless", "parse_config", "run_scenario",
+    "schrieffer_wolff_check", "squeeze_coefficients", "validate_regime",
+    "__version__",
 ]

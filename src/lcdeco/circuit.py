@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .constants import E_CHARGE, HBAR, K_B, PHI0
 from .errors import RegimeError
-from .fock import min_adequate_dim
 
 CAP_CONVENTIONS = ("junction_C", "series_C")
 
@@ -213,8 +212,6 @@ class RegimeReport:
     gamma_warn: bool          # 0.1 < γ ≤ 0.15
     coupling_param: float     # (C/C_J)·√⟨φ²⟩·(2π/φ_0); nan when unknown
     coupling_pass: bool
-    alpha_abs: float
-    required_dim: int
     notes: tuple
 
     @property
@@ -222,8 +219,7 @@ class RegimeReport:
         return self.gamma_pass and self.coupling_pass
 
 
-def validate_regime(m: ModelParams, alpha, phi_rms_estimate=None,
-                    cap_ratio=None):
+def validate_regime(m: ModelParams, phi_rms_estimate=None, cap_ratio=None):
     """Report-only regime validation.
 
     γ must stay ≤ 0.15 (warn above 0.1).  When a flux RMS estimate and
@@ -251,7 +247,6 @@ def validate_regime(m: ModelParams, alpha, phi_rms_estimate=None,
     return RegimeReport(
         gamma=m.gamma, gamma_pass=gamma_pass, gamma_warn=gamma_warn,
         coupling_param=coupling_param, coupling_pass=coupling_pass,
-        alpha_abs=abs(alpha), required_dim=min_adequate_dim(alpha),
         notes=tuple(notes))
 
 

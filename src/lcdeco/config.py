@@ -12,12 +12,12 @@ import math
 import re
 from dataclasses import dataclass
 
+from .circuit import CAP_CONVENTIONS
 from .errors import ConfigError
 
 SCENARIOS = ("derive-params", "fig2", "fig4", "oracle-check", "sw-check",
              "sweep")
 MODES = ("dimensionless", "si")
-CONVENTIONS = ("junction_C", "series_C")
 
 # scenarios that sample D(t) or I(t) curves and therefore need alpha
 CURVE_SCENARIOS = ("fig2", "fig4", "oracle-check", "sweep")
@@ -25,6 +25,12 @@ CURVE_SCENARIOS = ("fig2", "fig4", "oracle-check", "sweep")
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
+
+
+def alpha_tag(alpha):
+    """An amplitude as it appears in file names and labels (%g: six
+    significant digits, so close amplitudes can share a tag)."""
+    return "%g" % alpha
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,17 @@ def parse_config(text):
     if scenario == "fig4" and len(alpha) > 1:
         problems.append("model.alpha: scenario fig4 takes exactly one alpha "
                         "(got %d)" % len(alpha))
+    if scenario == "fig2":
+        # fig2 writes one fig2_alpha<tag>.csv per alpha
+        tagged = {}
+        for a in alpha:
+            tag = alpha_tag(a)
+            if tag in tagged:
+                problems.append("model.alpha: %r and %r share the file tag "
+                                "%r, so fig2 would write one CSV for both"
+                                % (tagged[tag], a, tag))
+            else:
+                tagged[tag] = a
     if dim is not None and dim < 2:
         problems.append("model.dim must be >= 2")
     if samples is not None and samples < 2:
@@ -281,7 +298,7 @@ def _read_device(r):
     n_g = r.take("device.n_g", _float, default=None if has_vg else 0.5)
     v_g = r.take("device.v_g", _float) if has_vg else None
     phi_x = r.take("device.phi_x", _float, default=0.0)
-    convention = r.take("device.convention", _choice(CONVENTIONS),
+    convention = r.take("device.convention", _choice(CAP_CONVENTIONS),
                         default="junction_C")
     for name, val in (("device.c_j", c_j), ("device.c_g", c_g),
                       ("device.l", l)):

@@ -81,9 +81,10 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 # SVG
 
-def _nice_ticks(lo, hi, target=6):
+def _nice_ticks(lo, hi):
+    """Round-valued ticks covering [lo, hi], about six of them."""
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -34,8 +34,3 @@ class TruncationError(Exception):
         if suggested_dim is not None:
             message = "%s (suggested dim >= %d)" % (message, suggested_dim)
         super().__init__(message)
-
-
-class CheckFailure(Exception):
-    """A built-in consistency check (oracle or effective-model fit) did
-    not meet its tolerance."""

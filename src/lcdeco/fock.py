@@ -1,7 +1,7 @@
 """Truncated-Fock-space linear algebra.
 
-Operators, coherent states, tensor products with a two-level system, and
-exact time evolution of time-independent Hamiltonians.  Everything here is
+Coherent and joint qubit+oscillator states, truncation guards, and exact
+time evolution of time-independent Hamiltonians.  Everything here is
 dimensionless and O(1)-scaled; SI inputs are converted at the package
 boundary (see circuit / runner).
 
@@ -14,8 +14,9 @@ tridiagonal matrix in their own basis order (the parity sectors of the
 model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
 each block with a tridiagonal eigensolver and propagates in real
 arithmetic; the initial state's smallest eigencomponents, at most
-PRUNE_TOL of its weight, are dropped.  hermitian_eig remains for dense
-matrices (SectorHamiltonian.dense()).
+PRUNE_TOL of its weight, are dropped.  hermitian_eig diagonalizes a
+dense Hermitian matrix; only the Schrieffer-Wolff check uses it, on
+SectorHamiltonian.dense().
 """
 
 import math
@@ -43,61 +44,7 @@ PRUNE_TOL = 1e-26
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-def annihilation_op(dim):
-    """Boson annihilation operator a on a dim-level truncated Fock space."""
-    dim = _check_dim(dim)
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-
-
-def number_op(dim):
-    """Number operator a†a."""
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def position_quad(dim):
-    """Hermitian combination i(a − a†) used as the coupling quadrature."""
-    a = annihilation_op(dim)
-    return 1j * (a - a.conj().T)
-
-
-_QUBIT_OPS = {
-    # qubit basis {|0>, |1>} with sigma_z = |0><0| − |1><1|
-    "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "sigma_y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-    "sigma_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    "projector_0": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    "projector_1": np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-}
-
-
-def qubit_op(which):
-    """2x2 qubit operator by name.
-
-    Conventions: sigma_z = |0⟩⟨0| − |1⟩⟨1| (so |0⟩ is the low-energy
-    eigenstate of −(ω_a/2)σ_z), sigma_y = −i(|1⟩⟨0| − |0⟩⟨1|),
-    sigma_x = |1⟩⟨0| + |0⟩⟨1|.
-    """
-    try:
-        return _QUBIT_OPS[which].copy()
-    except KeyError:
-        raise ValueError(
-            "unknown qubit operator %r (valid: %s)"
-            % (which, ", ".join(sorted(_QUBIT_OPS))))
-
-
-def tensor(qubit_part, osc_part):
-    """Kronecker product, qubit factor slow: (2x2) ⊗ (dim x dim)."""
-    q = np.asarray(qubit_part, dtype=complex)
-    o = np.asarray(osc_part, dtype=complex)
-    if q.shape != (2, 2):
-        raise ValueError("qubit factor must be 2x2, got %r" % (q.shape,))
-    if o.ndim != 2 or o.shape[0] != o.shape[1]:
-        raise ValueError("oscillator factor must be square, got %r" % (o.shape,))
-    return np.kron(q, o)
-
+# dense matrices
 
 def check_hermitian(M):
     """Return the hermiticity defect max|M − M†|; raise if above 1e-12
@@ -123,15 +70,6 @@ def hermitian_eig(M):
 # ---------------------------------------------------------------------------
 # states
 
-def fock_state(n, dim):
-    dim = _check_dim(dim)
-    if not 0 <= n < dim:
-        raise ValueError("Fock level %d outside [0, %d)" % (n, dim))
-    v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
-    return v
-
-
 def coherent_tail_mass(alpha, dim):
     """Poisson mass of the untruncated coherent state above level dim−1.
 
@@ -144,16 +82,17 @@ def coherent_tail_mass(alpha, dim):
     return float(gammainc(dim, lam))
 
 
-def min_adequate_dim(alpha, tol=COHERENT_TAIL_TOL):
-    """Smallest truncation with coherent tail mass below tol."""
+def min_adequate_dim(alpha):
+    """Smallest truncation with coherent tail mass below
+    COHERENT_TAIL_TOL."""
     lo = 2
     hi = max(4, int(abs(alpha) ** 2) + 2)
-    while coherent_tail_mass(alpha, hi) >= tol:
+    while coherent_tail_mass(alpha, hi) >= COHERENT_TAIL_TOL:
         lo = hi
         hi *= 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if coherent_tail_mass(alpha, mid) < tol:
+        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
             hi = mid
         else:
             lo = mid + 1
@@ -175,7 +114,9 @@ def coherent_state(alpha, dim):
             "(tail mass %.3e at dim=%d)" % (alpha, tail, dim),
             suggested_dim=min_adequate_dim(alpha))
     if alpha == 0:
-        return fock_state(0, dim)
+        v = np.zeros(dim, dtype=complex)
+        v[0] = 1.0
+        return v
     n = np.arange(dim)
     mag = np.exp(n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
                  - 0.5 * abs(alpha) ** 2)
@@ -194,46 +135,13 @@ def joint_state(c0, c1, osc):
     return v / nrm
 
 
-def overlap(s1, s2):
-    """Inner product ⟨s1|s2⟩."""
-    s1 = np.asarray(s1)
-    s2 = np.asarray(s2)
-    if s1.shape != s2.shape:
-        raise ValueError("state shapes differ: %r vs %r" % (s1.shape, s2.shape))
-    return complex(np.vdot(s1, s2))
-
-
-def partial_trace_qubit(psi, dim):
-    """Reduced 2x2 qubit density matrix of a joint pure state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2 * dim,):
-        raise ValueError("joint state of length %d expected, got %r"
-                         % (2 * dim, psi.shape))
-    block = psi.reshape(2, dim)
-    return block @ block.conj().T
-
-
-def top_level_population(states, osc_dim=None):
-    """Population in the top LEAK_LEVELS oscillator levels.
-
-    `states` is one state vector or a (N, nt) array of column states.
-    For joint states pass osc_dim; both qubit branches are summed.
-    """
-    arr = np.asarray(states)
-    vecs = arr[:, None] if arr.ndim == 1 else arr
-    n = vecs.shape[0]
-    d = n if osc_dim is None else osc_dim
-    if osc_dim is not None and n != 2 * osc_dim:
-        raise ValueError("joint states of length %d expected" % (2 * osc_dim))
-    out = (np.abs(vecs[d - LEAK_LEVELS:d]) ** 2).sum(axis=0)
-    if osc_dim is not None:
-        out = out + (np.abs(vecs[2 * d - LEAK_LEVELS:]) ** 2).sum(axis=0)
-    return float(out[0]) if arr.ndim == 1 else out
-
-
 def assert_leakage(states, osc_dim=None, pruned=0.0):
     """Raise TruncationError when the top LEAK_LEVELS oscillator levels
-    hold LEAK_TOL or more of the population.
+    hold LEAK_TOL or more of the population; return that population.
+
+    `states` is one state vector or a (N, nt) array of column states.
+    For joint states pass osc_dim; both qubit branches are summed.  Below
+    LEAK_LEVELS levels every level counts as a top level.
 
     `pruned` is the weight a propagator dropped from the evolved state
     (SpectralPropagator.pruned_weight).  The dropped part has norm √pruned,
@@ -241,12 +149,19 @@ def assert_leakage(states, osc_dim=None, pruned=0.0):
     (√leak + √pruned)²; the guard tests and returns that bound, so pruning
     can never turn a trip into a pass.
     """
-    leak = float(np.max(top_level_population(states, osc_dim)))
+    arr = np.asarray(states)
+    vecs = arr[:, None] if arr.ndim == 1 else arr
+    d = vecs.shape[0] if osc_dim is None else osc_dim
+    if osc_dim is not None and vecs.shape[0] != 2 * osc_dim:
+        raise ValueError("joint states of length %d expected" % (2 * osc_dim))
+    lo = max(d - LEAK_LEVELS, 0)
+    top = (np.abs(vecs[lo:d]) ** 2).sum(axis=0)
+    if osc_dim is not None:
+        top = top + (np.abs(vecs[d + lo:]) ** 2).sum(axis=0)
+    leak = float(np.max(top))
     if pruned:
         leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
     if leak >= LEAK_TOL:
-        arr = np.asarray(states)
-        d = arr.shape[0] if osc_dim is None else osc_dim
         raise TruncationError(
             "leakage guard tripped: top-%d-level population %.3e >= %.1e"
             % (LEAK_LEVELS, leak, LEAK_TOL),

@@ -131,6 +131,11 @@ def predicted_moments(k, m: ModelParams, alpha, t):
 # ---------------------------------------------------------------------------
 # numerical effective-block extraction
 
+# levels per branch in the extracted effective block, and the lowest of
+# them that the (frequency, squeeze) fit averages over
+SW_LEVELS = 24
+SW_FIT_LEVELS = 10
+
 @dataclass(frozen=True)
 class BranchFit:
     k: int
@@ -153,8 +158,6 @@ class BranchFit:
 class SWReport:
     gamma: float
     dim: int
-    n_levels: int
-    n_fit: int
     branches: tuple
 
     @property
@@ -206,9 +209,10 @@ def fit_branch_coefficients(block, n_fit):
     return omega_fit, lam_fit
 
 
-def schrieffer_wolff_check(m: ModelParams, dim=64, n_levels=24, n_fit=10):
+def schrieffer_wolff_check(m: ModelParams, dim=64):
     """Compare numerically extracted branch coefficients against the
-    modeled (ω̃, (−1)^k λ).  Report-only; see SWReport."""
+    modeled (ω̃, (−1)^k λ), fitted over the SW_FIT_LEVELS lowest of the
+    SW_LEVELS lowest levels of each branch.  Report-only; see SWReport."""
     if m.gamma > 0.15:
         raise RegimeError("gamma = %.3g above 0.15: effective-model check "
                           "not meaningful" % m.gamma)
@@ -216,11 +220,10 @@ def schrieffer_wolff_check(m: ModelParams, dim=64, n_levels=24, n_fit=10):
     w, V = hermitian_eig(build_full_hamiltonian(m, dim).dense())
     branches = []
     for k in (0, 1):
-        block = effective_block(w, V, k, n_levels)
-        omega_fit, lam_fit = fit_branch_coefficients(block, n_fit)
+        block = effective_block(w, V, k, SW_LEVELS)
+        omega_fit, lam_fit = fit_branch_coefficients(block, SW_FIT_LEVELS)
         branches.append(BranchFit(
             k=k, omega_fit=omega_fit, lam_fit=lam_fit,
             omega_ref=m.omega_tilde,
             lam_ref=branch_sign(k) * m.lam))
-    return SWReport(gamma=m.gamma, dim=dim, n_levels=n_levels, n_fit=n_fit,
-                    branches=tuple(branches))
+    return SWReport(gamma=m.gamma, dim=dim, branches=tuple(branches))

@@ -44,22 +44,15 @@ def charge_occupation(states, theta):
     return float(p[0]) if arr.ndim == 1 else p
 
 
-def charge_occupation_analytic(m: ModelParams, alpha, t):
-    """Dispersive-regime P_c(t) ≈ 1/2 + (sinθ/2)·D(t)·cos(ω_a t) for the
-    equal-weight initial superposition, θ = m.theta (D is the simplified
-    factor)."""
-    t = np.asarray(t, dtype=float)
-    return 0.5 + 0.5 * math.sin(m.theta) * decoherence_approx(m, alpha, t) \
-        * np.cos(m.omega_a * t)
-
-
 def current_analytic(m: ModelParams, alpha, t):
     """I(t) = sinθ·D(t)·[ω_a·sin(ω_a t) + BΩ·sin(2Ωt)·cos(ω_a t)]
     in units of e·ω, with θ = m.theta and B = 8g⁴|α|²/(Δ²Ω²).
 
-    This is exactly −2·d/dt of charge_occupation_analytic (note the Ω
-    multiplying the sideband term: it comes from d/dt sin²Ωt).  D is the
-    simplified factor, consistent with the derivation regime.
+    This is exactly −2·d/dt of the dispersive-regime occupation
+    P_c(t) ≈ 1/2 + (sinθ/2)·D(t)·cos(ω_a t) of the equal-weight
+    superposition (note the Ω multiplying the sideband term: it comes
+    from d/dt sin²Ωt).  D is the simplified factor, consistent with the
+    derivation regime.
     """
     t = np.asarray(t, dtype=float)
     d = decoherence_approx(m, alpha, t)
@@ -156,10 +149,10 @@ def carrier_frequency(ts, x):
     return peak_frequency(w, mag, lo=2.0 * np.pi / span)
 
 
-def spectral_peaks(w, mag, min_ratio=0.1):
-    """Local maxima with magnitude ≥ min_ratio·max, parabolic-refined,
+def spectral_peaks(w, mag):
+    """Local maxima with magnitude ≥ PEAK_FLOOR·max, parabolic-refined,
     strongest first.  Returns an array of (frequency, magnitude) rows."""
-    floor = min_ratio * np.max(mag)
+    floor = PEAK_FLOOR * np.max(mag)
     out = []
     for i in range(1, len(mag) - 1):
         if mag[i] >= floor and mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]:
@@ -188,6 +181,10 @@ ENVELOPE_TRIM = 0.08
 
 # zero-padding factor of every spectrum (DFT length / trace length)
 SPECTRUM_PAD = 8
+
+# spectral_peaks keeps local maxima at or above this fraction of the
+# largest magnitude
+PEAK_FLOOR = 0.05
 
 
 def envelope_metrics(ts, x):

@@ -6,12 +6,13 @@ import time
 
 import numpy as np
 
-from .circuit import (CircuitParams, ModelParams, charging_energy,
-                      circuit_from_kelvin, coherent_flux_rms, derive_params,
+from .circuit import (CAP_CONVENTIONS, CircuitParams, ModelParams,
+                      charging_energy, circuit_from_kelvin,
+                      coherent_flux_rms, derive_params,
                       effective_capacitance, flux_zero_point,
                       gate_charge_from_voltage, josephson_energy,
                       model_params, series_capacitance, validate_regime)
-from .config import CONVENTIONS, RunConfig, canonical_config
+from .config import RunConfig, alpha_tag, canonical_config
 from .constants import E_CHARGE, constants_record
 from .decoherence import (decoherence_approx, decoherence_exact,
                           decoherence_fock_oracle,
@@ -86,10 +87,6 @@ def _time_grid(cfg, m: ModelParams, default_periods, time_scale):
     return np.linspace(0.0, t_max, cfg.samples)
 
 
-def _alpha_tag(alpha):
-    return "%g" % alpha
-
-
 def _t_unit(cfg):
     return "s" if cfg.mode == "si" else "1/omega"
 
@@ -123,16 +120,16 @@ def _run_fig2(cfg, m, out_dir, time_scale, _current_scale):
     echo = {"d_min": {}}
     for alpha, columns, data in curves:
         jm = jump_metrics(m, alpha)
-        echo["d_min"][_alpha_tag(alpha)] = jm.d_min
+        echo["d_min"][alpha_tag(alpha)] = jm.d_min
         meta = _meta(cfg, m, [("alpha", alpha), ("dim", cfg.dim),
                               ("samples", cfg.samples),
                               ("d_min", jm.d_min),
                               ("t_unit", _t_unit(cfg))])
-        path = os.path.join(out_dir, "fig2_alpha%s.csv" % _alpha_tag(alpha))
+        path = os.path.join(out_dir, "fig2_alpha%s.csv" % alpha_tag(alpha))
         emit_csv(path, columns, list(zip(*data)), meta=meta)
         files.append(path)
         overlay.append(data[1])
-        labels.append("alpha=%s" % _alpha_tag(alpha))
+        labels.append("alpha=%s" % alpha_tag(alpha))
     svg = os.path.join(out_dir, "fig2_overlay.svg")
     emit_svg(svg, ts * time_scale, overlay, labels,
              title="branch-overlap decoherence factor",
@@ -179,7 +176,7 @@ def _run_fig4(cfg, m, out_dir, time_scale, current_scale):
              [i_analytic * current_scale, i_numeric * current_scale,
               i_uncoupled * current_scale],
              ["analytic", "numeric", "uncoupled"],
-             title="probe current, alpha=%s" % _alpha_tag(alpha),
+             title="probe current, alpha=%s" % alpha_tag(alpha),
              xlabel="time [%s]" % _t_unit(cfg),
              ylabel="I [%s]" % unit)
     return [path, svg], [], echo
@@ -284,10 +281,10 @@ def derive_report(cfg):
     lines.append("")
     csv_rows = []
     echo = {}
-    for convention in CONVENTIONS:
+    for convention in CAP_CONVENTIONS:
         m = derive_params(circ, convention)
         report = validate_regime(
-            m, alpha, phi_rms_estimate=coherent_flux_rms(circ, alpha),
+            m, phi_rms_estimate=coherent_flux_rms(circ, alpha),
             cap_ratio=series_capacitance(circ) / circ.c_j)
         lines.append("derived model parameters [%s: C_eff = %s F]:"
                      % (convention,
@@ -303,7 +300,7 @@ def derive_report(cfg):
         lines.append("  regime: flux expansion parameter %s (%.4g, "
                      "alpha=%s)" % ("PASS" if report.coupling_pass
                                     else "FAIL", report.coupling_param,
-                                    _alpha_tag(alpha)))
+                                    alpha_tag(alpha)))
         for note in report.notes:
             lines.append("  note: %s" % note)
         csv_rows.append((convention, "gamma_ok", float(report.gamma_pass)))

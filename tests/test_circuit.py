@@ -69,7 +69,7 @@ def test_reference_device_regime():
     gamma near 0.07, passing the 0.15 threshold."""
     m = derive_params(_device(), "junction_C")
     assert abs(m.gamma - 0.07) < 0.01
-    report = validate_regime(m, 2.0)
+    report = validate_regime(m)
     assert report.gamma_pass and not report.gamma_warn
 
 
@@ -176,16 +176,15 @@ def test_scale_consistency():
 
 def test_validate_regime_flags():
     m = params_from_dimensionless(1.8, 0.1)    # gamma = 0.125: warn zone
-    report = validate_regime(m, 2.0)
+    report = validate_regime(m)
     assert report.gamma_pass and report.gamma_warn
-    bad = validate_regime(params_from_dimensionless(1.3, 0.06), 2.0)
+    bad = validate_regime(params_from_dimensionless(1.3, 0.06))
     assert abs(bad.gamma - 0.2) < 1e-12 and not bad.gamma_pass
     assert not bad.ok
-    assert bad.required_dim >= 4
 
 
 def test_validate_regime_zero_coupling():
-    report = validate_regime(params_from_dimensionless(1.8, 0.0), 1.0)
+    report = validate_regime(params_from_dimensionless(1.8, 0.0))
     assert report.gamma == 0.0 and report.gamma_pass
 
 
@@ -194,7 +193,7 @@ def test_flux_expansion_parameter():
     expansion parameter is far above 0.1 and must be flagged."""
     c = _device()
     m = derive_params(c, "junction_C")
-    report = validate_regime(m, 2.0,
+    report = validate_regime(m,
                              phi_rms_estimate=coherent_flux_rms(c, 2.0),
                              cap_ratio=series_capacitance(c) / c.c_j)
     assert not report.coupling_pass

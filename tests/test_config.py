@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdeco.config import RunConfig, canonical_config, parse_config
+from lcdeco.config import (RunConfig, alpha_tag, canonical_config,
+                           parse_config)
 from lcdeco.errors import ConfigError
 
 MINIMAL_FIG2 = """\
@@ -127,6 +128,19 @@ def test_ng_and_vg_exclusive():
     assert any("not both" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize("alphas, named", [
+    ("2, 2.0000001", ("2.0", "2.0000001")),
+    ("2, 2", ("2.0",)),
+])
+def test_fig2_alphas_sharing_a_file_tag_rejected(alphas, named):
+    # both would be written to fig2_alpha2.csv, the second over the first
+    with pytest.raises(ConfigError) as err:
+        parse_config("scenario = fig2\n[model]\nomega_a = 1.8\ng = 0.05\n"
+                     "alpha = %s\n" % alphas)
+    [problem] = err.value.problems
+    assert "'2'" in problem and all(v in problem for v in named)
+
+
 def test_fig4_single_alpha():
     text = ("scenario = fig4\n[model]\nomega_a = 1.8\ng = 0.05\n"
             "alpha = 2, 5\n")
@@ -192,9 +206,8 @@ def _config_texts(draw):
     lines = []
     si = draw(st.booleans())
     if si:
-        lines += ["scenario = %s" % draw(st.sampled_from(
-                      ("derive-params", "fig2", "sweep"))),
-                  "mode = si", "[device]"]
+        scenario = draw(st.sampled_from(("derive-params", "fig2", "sweep")))
+        lines += ["scenario = %s" % scenario, "mode = si", "[device]"]
         for key in ("c_j", "c_g"):
             lines.append("%s = %r" % (key, draw(_finite) * 1e-16))
         lines.append("l = %r" % (draw(_finite) * 1e-6))
@@ -208,8 +221,8 @@ def _config_texts(draw):
             ("junction_C", "series_C"))))
         lines.append("[model]")
     else:
-        lines += ["scenario = %s" % draw(st.sampled_from(
-                      ("fig2", "oracle-check", "sweep"))), "[model]",
+        scenario = draw(st.sampled_from(("fig2", "oracle-check", "sweep")))
+        lines += ["scenario = %s" % scenario, "[model]",
                   "omega_a = %r" % draw(_finite)]
         if draw(st.booleans()):
             lines.append("gamma = %r" % draw(_finite))
@@ -217,8 +230,10 @@ def _config_texts(draw):
             lines.append("g = %r" % draw(_finite))
         if draw(st.booleans()):
             lines.append("theta = %r" % draw(_finite))
-    lines.append("alpha = %s" % ", ".join(
-        repr(a) for a in draw(st.lists(_finite, min_size=1, max_size=3))))
+    # fig2 rejects amplitudes that share a file tag
+    alphas = st.lists(_finite, min_size=1, max_size=3,
+                      unique_by=alpha_tag if scenario == "fig2" else None)
+    lines.append("alpha = %s" % ", ".join(repr(a) for a in draw(alphas)))
     lines.append("dim = %d" % draw(st.integers(2, 2000)))
     lines.append("samples = %d" % draw(st.integers(2, 5000)))
     if draw(st.booleans()):

@@ -12,6 +12,7 @@ from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_fock_oracle,
                                 decoherence_gaussian_oracle,
                                 full_model_coherence, jump_metrics)
+from lcdeco.errors import TruncationError
 from lcdeco.fock import min_adequate_dim
 from lcdeco.hamiltonians import evolution_coefficients
 from lcdeco.runner import FOCK_ALPHA_MAX
@@ -97,6 +98,14 @@ def test_fock_oracle_matches_exact_at_alpha_30():
     d_ex = decoherence_exact(m, 30.0, ts)
     assert np.min(d_ex) < 0.2          # the deep alpha = 30 dips are covered
     assert np.max(np.abs(d_fock - d_ex)) <= 1e-8
+
+
+def test_fock_oracle_guard_trips_below_leak_levels():
+    """dim = 4 holds fewer than LEAK_LEVELS levels, so the guard must
+    count all of them; counting only level 3 let this run through 5.5e-8
+    off the Gaussian oracle, above its 1e-8 gate."""
+    with pytest.raises(TruncationError):
+        decoherence_fock_oracle(M_REF, 1e-3, np.linspace(0.0, 50.0, 400), 4)
 
 
 def test_fock_oracle_branch_symmetry():

@@ -1,17 +1,20 @@
-"""Truncated-Fock-space basics: operators, coherent states, evolution."""
+"""Truncated-Fock-space basics: coherent and joint states, the leakage
+guard, evolution."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                       annihilation_op, fock_state, number_op,
+                       partial_trace_qubit, position_quad)
 from lcdeco.errors import TruncationError
-from lcdeco.fock import (LEAK_TOL, PRUNE_TOL, Sector, SectorHamiltonian,
-                         SpectralPropagator, annihilation_op, assert_leakage,
-                         check_hermitian, coherent_state, coherent_tail_mass,
-                         fock_state, hermitian_eig, joint_state,
-                         min_adequate_dim, number_op, overlap,
-                         partial_trace_qubit, position_quad, qubit_op, tensor)
+from lcdeco.fock import (LEAK_LEVELS, LEAK_TOL, PRUNE_TOL, Sector,
+                         SectorHamiltonian, SpectralPropagator,
+                         assert_leakage, check_hermitian, coherent_state,
+                         coherent_tail_mass, hermitian_eig, joint_state,
+                         min_adequate_dim)
 
 
 def _one_sector(dim, diag, offdiag):
@@ -33,12 +36,13 @@ def test_annihilation_matrix_elements():
 
 def test_annihilation_kills_vacuum():
     a = annihilation_op(16)
-    assert np.linalg.norm(a @ fock_state(0, 16)) == 0.0
+    assert np.linalg.norm(a @ coherent_state(0.0, 16)) == 0.0
 
 
 def test_annihilation_rejects_tiny_space():
+    # a needs two levels; every truncated space rejects fewer
     with pytest.raises(ValueError):
-        annihilation_op(1)
+        coherent_state(0.0, 1)
 
 
 def test_coherent_mean_of_a():
@@ -88,51 +92,38 @@ def test_min_adequate_dim_is_minimal():
 
 
 def test_qubit_conventions():
-    sz = qubit_op("sigma_z")
+    # the literals the dense reference of the full H is built from
+    sz = SIGMA_Z
     e0 = np.array([1.0, 0.0], dtype=complex)
     assert np.array_equal(sz @ e0, e0)          # sigma_z |0> = +|0>
-    sy = qubit_op("sigma_y")
+    sy = SIGMA_Y
     assert np.allclose(sy @ sy, np.eye(2))
     # direct 2x2 multiplication with these conventions
     # (sigma_y = -i(|1><0| - |0><1|), the sign-flipped standard Pauli):
-    sx = qubit_op("sigma_x")
+    sx = SIGMA_X
     comm = sx @ sy - sy @ sx
     assert np.max(np.abs(comm - (-2j) * sz)) < 1e-15
 
 
-def test_qubit_op_unknown_name():
-    with pytest.raises(ValueError):
-        qubit_op("sigma_w")
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor(np.eye(2), np.eye(5)), np.eye(10))
-
-
 def test_tensor_ordering_qubit_slow():
-    # tensor(projector_0, N) on |0> x |n| must return n times the state
+    # kron(projector_0, N) on |0> x |n> must return n times the state
     dim = 6
     n = 4
-    v = np.zeros(2 * dim, dtype=complex)
-    v[0 * dim + n] = 1.0
-    out = tensor(qubit_op("projector_0"), number_op(dim)) @ v
+    v = joint_state(1.0, 0.0, fock_state(n, dim))
+    assert v[0 * dim + n] == 1.0
+    out = np.kron(PROJECTOR_0, number_op(dim)) @ v
     assert np.allclose(out, n * v)
     # and annihilate the |1> branch entirely
-    w = np.zeros(2 * dim, dtype=complex)
-    w[1 * dim + n] = 1.0
-    assert np.linalg.norm(tensor(qubit_op("projector_0"), number_op(dim)) @ w) == 0.0
+    w = joint_state(0.0, 1.0, fock_state(n, dim))
+    assert w[1 * dim + n] == 1.0
+    assert np.linalg.norm(np.kron(PROJECTOR_0, number_op(dim)) @ w) == 0.0
 
 
 def test_tensor_sigma_z_balanced_superposition():
     dim = 32
     psi = joint_state(1.0, 1.0, coherent_state(1.0, dim))
-    val = np.vdot(psi, tensor(qubit_op("sigma_z"), np.eye(dim)) @ psi)
+    val = np.vdot(psi, np.kron(SIGMA_Z, np.eye(dim)) @ psi)
     assert abs(val) < 1e-12
-
-
-def test_tensor_shape_check():
-    with pytest.raises(ValueError):
-        tensor(np.eye(3), np.eye(4))
 
 
 def test_hermitian_eig_diagonal():
@@ -291,18 +282,24 @@ def test_leakage_guard_adds_pruned_weight():
     assert assert_leakage(psi, pruned=PRUNE_TOL) > leak
 
 
+@pytest.mark.parametrize("dim, osc_dim", [(4, None), (3, 3)])
+def test_leakage_guard_counts_every_level_below_leak_levels(dim, osc_dim):
+    # with fewer than LEAK_LEVELS levels all of them are top levels, so
+    # the vacuum (of the qubit-0 branch, for a joint state) trips
+    assert dim < LEAK_LEVELS
+    psi = np.zeros(dim if osc_dim is None else 2 * dim, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(TruncationError):
+        assert_leakage(psi, osc_dim=osc_dim)
+
+
 def test_overlap_basics():
     psi = coherent_state(1.2, 32)
-    assert abs(overlap(psi, psi) - 1.0) < 1e-12
-    assert overlap(fock_state(1, 8), fock_state(3, 8)) == 0.0
+    assert abs(np.vdot(psi, psi) - 1.0) < 1e-12
+    assert np.vdot(fock_state(1, 8), fock_state(3, 8)) == 0.0
     # <0|alpha> = e^{-|alpha|^2/2}
-    val = overlap(fock_state(0, 64), coherent_state(1.0, 64))
+    val = np.vdot(coherent_state(0.0, 64), coherent_state(1.0, 64))
     assert abs(val - math.exp(-0.5)) < 1e-10
-
-
-def test_overlap_shape_mismatch():
-    with pytest.raises(ValueError):
-        overlap(fock_state(0, 8), fock_state(0, 9))
 
 
 def test_partial_trace_product_state():
@@ -325,7 +322,7 @@ def test_partial_trace_branch_state():
     s1 = coherent_state(1.0j, dim)
     psi = np.concatenate([c0 * s0, c1 * s1])
     rho = partial_trace_qubit(psi, dim)
-    expected = c0 * np.conj(c1) * overlap(s1, s0)
+    expected = c0 * np.conj(c1) * np.vdot(s1, s0)
     assert abs(rho[0, 1] - expected) < 1e-12
 
 

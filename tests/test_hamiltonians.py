@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dense_ref import (SIGMA_Y, SIGMA_Z, annihilation_op, number_op,
+                       position_quad)
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.errors import RegimeError
-from lcdeco.fock import (SpectralPropagator, annihilation_op,
-                         check_hermitian, coherent_state, hermitian_eig,
-                         joint_state, number_op, position_quad, qubit_op,
-                         tensor)
+from lcdeco.fock import (SpectralPropagator, check_hermitian, coherent_state,
+                         hermitian_eig, joint_state)
 from lcdeco.hamiltonians import (branch_sign, build_effective_hamiltonian,
                                  build_full_hamiltonian,
                                  evolution_coefficients, predicted_moments,
@@ -23,9 +23,9 @@ M_REF = params_from_dimensionless(1.8, 0.05)
 def _kron_full(m, dim):
     """The full H assembled densely from its operator definition."""
     ident = np.eye(dim, dtype=complex)
-    return (m.omega * tensor(np.eye(2), number_op(dim))
-            - 0.5 * m.omega_a * tensor(qubit_op("sigma_z"), ident)
-            + m.g * tensor(qubit_op("sigma_y"), position_quad(dim)))
+    return (m.omega * np.kron(np.eye(2, dtype=complex), number_op(dim))
+            - 0.5 * m.omega_a * np.kron(SIGMA_Z, ident)
+            + m.g * np.kron(SIGMA_Y, position_quad(dim)))
 
 
 def _dense_effective(k, m, dim):
@@ -198,8 +198,7 @@ def test_moments_match_fock_evolution():
 
 
 def test_sw_check_uncoupled_is_exact():
-    rep = schrieffer_wolff_check(params_from_dimensionless(1.8, 0.0),
-                                 dim=32, n_levels=12, n_fit=6)
+    rep = schrieffer_wolff_check(params_from_dimensionless(1.8, 0.0), dim=32)
     assert rep.max_omega_dev < 1e-12
     assert rep.max_lam_dev < 1e-12
 
