@@ -66,7 +66,7 @@ class RunConfig:
     @property
     def qubit_weights(self):
         """(c0, c1) normalized to |c0|² + |c1|² = 1."""
-        norm = math.sqrt(self.c0 * self.c0 + self.c1 * self.c1)
+        norm = math.hypot(self.c0, self.c1)
         return self.c0 / norm, self.c1 / norm
 
 
@@ -144,9 +144,12 @@ class _Reader:
 
 def _float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError("expected a number, got %r" % raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number, got %r" % raw)
+    return value
 
 
 def _int(raw):

@@ -1,8 +1,11 @@
-"""Branch-overlap decoherence factor D(t), four independent ways.
+"""Branch-overlap decoherence factor D(t): three independent routes plus
+the simplified form.
 
 * closed form ("exact"): D = G(t)·exp(−8g⁴sin²Ωt·|α|²/(Δ²Ω²+8g⁴sin²Ωt))
   with G = ΔΩ/√(Δ²Ω²+8g⁴sin²Ωt),
-* simplified form ("approx"): D = exp(−8g⁴sin²Ωt·|α|²/(Δ²Ω²)),
+* simplified form ("approx"): D = exp(−8g⁴sin²Ωt·|α|²/(Δ²Ω²)), the
+  closed form without its prefactor and denominator shift, so not an
+  independent route,
 * Fock oracle: evolve |α⟩ under both branch Hamiltonians on the truncated
   space and take |⟨s₁(t)|s₀(t)⟩| directly,
 * Gaussian oracle: the analytic overlap of the two squeezed coherent

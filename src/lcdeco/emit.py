@@ -38,16 +38,15 @@ def _quote(text):
 # ---------------------------------------------------------------------------
 # CSV
 
-def emit_csv(path, columns, rows, meta=None, meta_lines=None):
+def emit_csv(path, columns, rows, meta=None):
     """Write a CSV with an optional '#'-prefixed metadata comment block.
 
-    meta: ordered (key, value) pairs rendered as '# key = value';
-    meta_lines: preformatted comment lines taken verbatim (used to
-    round-trip a file read back with read_csv).
+    meta: ordered (key, value) pairs rendered as '# key = value' (strings
+    verbatim, numbers as data cells).  A file read back with read_csv is
+    re-emitted byte for byte by splitting each of its meta lines back
+    into a pair at the first ' = '.
     """
     out = []
-    if meta_lines is not None:
-        out.extend(meta_lines)
     if meta is not None:
         for key, value in meta:
             out.append("# %s = %s" % (key, _cell(value)

@@ -123,6 +123,14 @@ def spectrum(ts, x):
     return w, mag
 
 
+def _refined_peak(w, mag, i):
+    """w[i] moved to the vertex of the parabola through the three bins
+    around the maximum at i, by at most half a bin."""
+    den = mag[i - 1] - 2.0 * mag[i] + mag[i + 1]
+    shift = 0.5 * (mag[i - 1] - mag[i + 1]) / den if den != 0 else 0.0
+    return w[i] + float(np.clip(shift, -0.5, 0.5)) * (w[1] - w[0])
+
+
 def peak_frequency(w, mag, lo=0.0, hi=None):
     """Frequency of the largest spectral magnitude in (lo, hi), refined
     by parabolic interpolation of the three bins around the maximum.
@@ -132,21 +140,9 @@ def peak_frequency(w, mag, lo=0.0, hi=None):
     if len(sel) == 0:
         return float("nan")
     i = sel[np.argmax(mag[sel])]
-    if 1 <= i < len(w) - 1:
-        y0, y1, y2 = mag[i - 1], mag[i], mag[i + 1]
-        den = y0 - 2.0 * y1 + y2
-        shift = 0.5 * (y0 - y2) / den if den != 0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    return float(w[i] + shift * (w[1] - w[0]))
-
-
-def carrier_frequency(ts, x):
-    """Dominant tone of the trace (above one cycle per window)."""
-    w, mag = spectrum(ts, x)
-    span = ts[-1] - ts[0]
-    return peak_frequency(w, mag, lo=2.0 * np.pi / span)
+    if not 1 <= i < len(w) - 1:
+        return float(w[i])
+    return float(_refined_peak(w, mag, i))
 
 
 def spectral_peaks(w, mag):
@@ -156,10 +152,7 @@ def spectral_peaks(w, mag):
     out = []
     for i in range(1, len(mag) - 1):
         if mag[i] >= floor and mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]:
-            den = mag[i - 1] - 2.0 * mag[i] + mag[i + 1]
-            shift = 0.5 * (mag[i - 1] - mag[i + 1]) / den if den != 0 else 0.0
-            shift = float(np.clip(shift, -0.5, 0.5))
-            out.append((w[i] + shift * (w[1] - w[0]), mag[i]))
+            out.append((_refined_peak(w, mag, i), mag[i]))
     out.sort(key=lambda p: -p[1])
     return np.array(out) if out else np.empty((0, 2))
 
@@ -206,7 +199,9 @@ def envelope_metrics(ts, x):
     n = len(x)
     if n < 16:
         raise ValueError("trace too short for envelope analysis")
-    wc = carrier_frequency(ts, x)
+    w, mag = spectrum(ts, x)
+    # carrier: the dominant tone above one cycle per window
+    wc = peak_frequency(w, mag, lo=2.0 * np.pi / (ts[-1] - ts[0]))
     env = np.abs(analytic_signal(x - x.mean()))
     k = max(int(ENVELOPE_TRIM * n), 1)
     te = ts[k:n - k]

@@ -1,4 +1,10 @@
-"""Scenario execution: compute curves/tables, emit CSV + SVG + manifest."""
+"""Scenario execution: compute curves/tables, emit CSV + SVG + manifest.
+
+Scenario functions are pure and return (tables, plots, checks, echo).
+`run_scenario` alone writes files: the CSV meta head and config digest
+are set there once, and nothing is written before every result is
+computed, so a failed run leaves only its error manifest.
+"""
 
 import math
 import os
@@ -66,15 +72,14 @@ def config_digest(cfg: RunConfig):
     return sha256_text(canonical_config(cfg))
 
 
-def _meta(cfg, m: ModelParams, extra=()):
-    rows = [("tool", "lcdeco " + VERSION),
+def _meta(cfg, m: ModelParams, digest):
+    """The meta head every scenario CSV starts with, in this order."""
+    return [("tool", "lcdeco " + VERSION),
             ("scenario", cfg.scenario),
             ("mode", cfg.mode),
-            ("config_sha256", config_digest(cfg)),
+            ("config_sha256", digest),
             ("omega", m.omega), ("omega_a", m.omega_a), ("g", m.g),
             ("Omega", m.Omega), ("gamma", m.gamma)]
-    rows.extend(extra)
-    return rows
 
 
 def _time_grid(cfg, m: ModelParams, default_periods, time_scale):
@@ -98,48 +103,41 @@ def _with_status(checks):
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: (cfg, m, time_scale, current_scale) → (tables, plots, checks,
+# echo).  A table is (file name, columns, rows, extra meta rows); a plot is
+# emit_svg's arguments (file name, x, series, labels, title, xlabel, ylabel).
 
-def _run_fig2(cfg, m, out_dir, time_scale, _current_scale):
+def _run_fig2(cfg, m, time_scale, _current_scale):
     ts = _time_grid(cfg, m, 1.0, time_scale)
-    # every curve is computed before any file is written, so an alpha that
-    # fails (e.g. truncation) leaves no CSV of this run behind
-    curves = []
+    t = ts * time_scale
+    tables = []
+    overlay = []
+    labels = []
+    echo = {"d_min": {}}
     for alpha in cfg.alpha:
         columns = ["t", "D_exact", "D_approx", "D_gaussian"]
-        data = [ts * time_scale, decoherence_exact(m, alpha, ts),
+        data = [t, decoherence_exact(m, alpha, ts),
                 decoherence_approx(m, alpha, ts),
                 decoherence_gaussian_oracle(m, alpha, ts)]
         if abs(alpha) <= FOCK_ALPHA_MAX:
             columns.append("D_fock")
             data.append(decoherence_fock_oracle(m, alpha, ts, cfg.dim))
-        curves.append((alpha, columns, data))
-    files = []
-    overlay = []
-    labels = []
-    echo = {"d_min": {}}
-    for alpha, columns, data in curves:
-        jm = jump_metrics(m, alpha)
-        echo["d_min"][alpha_tag(alpha)] = jm.d_min
-        meta = _meta(cfg, m, [("alpha", alpha), ("dim", cfg.dim),
-                              ("samples", cfg.samples),
-                              ("d_min", jm.d_min),
-                              ("t_unit", _t_unit(cfg))])
-        path = os.path.join(out_dir, "fig2_alpha%s.csv" % alpha_tag(alpha))
-        emit_csv(path, columns, list(zip(*data)), meta=meta)
-        files.append(path)
+        d_min = jump_metrics(m, alpha).d_min
+        echo["d_min"][alpha_tag(alpha)] = d_min
+        tables.append(("fig2_alpha%s.csv" % alpha_tag(alpha), columns,
+                       list(zip(*data)),
+                       [("alpha", alpha), ("dim", cfg.dim),
+                        ("samples", cfg.samples), ("d_min", d_min),
+                        ("t_unit", _t_unit(cfg))]))
         overlay.append(data[1])
         labels.append("alpha=%s" % alpha_tag(alpha))
-    svg = os.path.join(out_dir, "fig2_overlay.svg")
-    emit_svg(svg, ts * time_scale, overlay, labels,
-             title="branch-overlap decoherence factor",
-             xlabel="time [%s]" % _t_unit(cfg),
-             ylabel="D(t)")
-    files.append(svg)
-    return files, [], echo
+    plots = [("fig2_overlay.svg", t, overlay, labels,
+              "branch-overlap decoherence factor",
+              "time [%s]" % _t_unit(cfg), "D(t)")]
+    return tables, plots, [], echo
 
 
-def _run_fig4(cfg, m, out_dir, time_scale, current_scale):
+def _run_fig4(cfg, m, time_scale, current_scale):
     alpha = cfg.alpha[0]
     ts = _time_grid(cfg, m, 8.0, time_scale)
     i_analytic = current_analytic(m, alpha, ts)
@@ -162,27 +160,20 @@ def _run_fig4(cfg, m, out_dir, time_scale, current_scale):
             "envelope_width_ratio": em.envelope_width_ratio,
         }
     unit = "A" if cfg.mode == "si" else "e*omega"
-    meta = _meta(cfg, m, [("alpha", alpha), ("dim", cfg.dim),
-                          ("samples", cfg.samples),
-                          ("current_unit", unit),
-                          ("t_unit", _t_unit(cfg))])
-    path = os.path.join(out_dir, "fig4.csv")
-    emit_csv(path, ["t", "I_analytic", "I_numeric", "I_uncoupled"],
-             list(zip(ts * time_scale, i_analytic * current_scale,
-                      i_numeric * current_scale,
-                      i_uncoupled * current_scale)), meta=meta)
-    svg = os.path.join(out_dir, "fig4.svg")
-    emit_svg(svg, ts * time_scale,
-             [i_analytic * current_scale, i_numeric * current_scale,
-              i_uncoupled * current_scale],
-             ["analytic", "numeric", "uncoupled"],
-             title="probe current, alpha=%s" % alpha_tag(alpha),
-             xlabel="time [%s]" % _t_unit(cfg),
-             ylabel="I [%s]" % unit)
-    return [path, svg], [], echo
+    t = ts * time_scale
+    currents = [i_analytic * current_scale, i_numeric * current_scale,
+                i_uncoupled * current_scale]
+    tables = [("fig4.csv", ["t", "I_analytic", "I_numeric", "I_uncoupled"],
+               list(zip(t, *currents)),
+               [("alpha", alpha), ("dim", cfg.dim), ("samples", cfg.samples),
+                ("current_unit", unit), ("t_unit", _t_unit(cfg))])]
+    plots = [("fig4.svg", t, currents, ["analytic", "numeric", "uncoupled"],
+              "probe current, alpha=%s" % alpha_tag(alpha),
+              "time [%s]" % _t_unit(cfg), "I [%s]" % unit)]
+    return tables, plots, [], echo
 
 
-def _run_oracle_check(cfg, m, out_dir, time_scale, _cs):
+def _run_oracle_check(cfg, m, time_scale, _cs):
     ts = _time_grid(cfg, m, 2.0, time_scale)
     period = math.pi / m.Omega
     checks = [("exact_revival", cfg.alpha[0],
@@ -199,15 +190,14 @@ def _run_oracle_check(cfg, m, out_dir, time_scale, _cs):
         checks.append(("gaussian_vs_exact", alpha,
                        float(np.max(np.abs(d_gauss - d_exact))), 1e-8))
     table = _with_status(checks)
-    meta = _meta(cfg, m, [("dim", cfg.dim), ("samples", cfg.samples)])
-    path = os.path.join(out_dir, "oracle_check.csv")
-    emit_csv(path, ["check", "alpha", "max_abs_diff", "limit", "status"],
-             table, meta=meta)
-    failed = [row for row in table if row[4] == "FAIL"]
-    return [path], table, {"failed": len(failed)}
+    tables = [("oracle_check.csv",
+               ["check", "alpha", "max_abs_diff", "limit", "status"], table,
+               [("dim", cfg.dim), ("samples", cfg.samples)])]
+    return tables, [], table, {
+        "failed": sum(row[4] == "FAIL" for row in table)}
 
 
-def _run_sw_check(cfg, m, out_dir, time_scale, _cs):
+def _run_sw_check(cfg, m, _time_scale, _cs):
     reports = [schrieffer_wolff_check(mm, dim=cfg.dim) for mm in
                (m, model_params(m.omega, m.omega_a, 2.0 * m.g, m.theta))]
     base, doubled = reports
@@ -216,11 +206,6 @@ def _run_sw_check(cfg, m, out_dir, time_scale, _cs):
         for b in rep.branches:
             fit_rows.append((rep.gamma, b.k, b.omega_fit, b.lam_fit,
                              b.omega_ref, b.lam_ref, b.omega_dev, b.lam_dev))
-    fit_path = os.path.join(out_dir, "sw_fit.csv")
-    emit_csv(fit_path,
-             ["gamma", "branch", "omega_fit", "lam_fit", "omega_ref",
-              "lam_ref", "omega_dev", "lam_dev"],
-             fit_rows, meta=_meta(cfg, m, [("dim", cfg.dim)]))
     checks = [
         ("omega_dev_monotone", base.gamma,
          base.max_omega_dev - doubled.max_omega_dev, 0.0),
@@ -231,32 +216,32 @@ def _run_sw_check(cfg, m, out_dir, time_scale, _cs):
         checks.append(("omega_dev_tol", base.gamma, base.max_omega_dev, 0.10))
         checks.append(("lam_dev_tol", base.gamma, base.max_lam_dev, 0.15))
     table = _with_status(checks)
-    path = os.path.join(out_dir, "sw_check.csv")
-    emit_csv(path, ["check", "gamma", "value", "limit", "status"], table,
-             meta=_meta(cfg, m, [("dim", cfg.dim)]))
-    return [fit_path, path], table, {
+    tables = [("sw_fit.csv",
+               ["gamma", "branch", "omega_fit", "lam_fit", "omega_ref",
+                "lam_ref", "omega_dev", "lam_dev"], fit_rows,
+               [("dim", cfg.dim)]),
+              ("sw_check.csv", ["check", "gamma", "value", "limit", "status"],
+               table, [("dim", cfg.dim)])]
+    return tables, [], table, {
         "max_omega_dev": base.max_omega_dev,
         "max_lam_dev": base.max_lam_dev,
         "max_omega_dev_2gamma": doubled.max_omega_dev,
         "max_lam_dev_2gamma": doubled.max_lam_dev}
 
 
-def _run_sweep(cfg, m, out_dir, time_scale, _cs):
+def _run_sweep(cfg, m, time_scale, _cs):
     rows = []
     for alpha in cfg.alpha:
         jm = jump_metrics(m, alpha)
         d_gauss_min = float(decoherence_gaussian_oracle(m, alpha, jm.t_min))
         d_approx_min = float(decoherence_approx(m, alpha, jm.t_min))
-        rows.append((alpha,
-                     m.Omega / time_scale if cfg.mode == "si" else m.Omega,
+        rows.append((alpha, m.Omega / time_scale,
                      jm.period * time_scale, jm.t_min * time_scale,
                      jm.d_min, d_approx_min, d_gauss_min))
-    path = os.path.join(out_dir, "sweep.csv")
-    emit_csv(path,
-             ["alpha", "Omega", "period", "t_min", "d_min_exact",
-              "d_min_approx", "d_min_gaussian"],
-             rows, meta=_meta(cfg, m))
-    return [path], [], {"rows": len(rows)}
+    tables = [("sweep.csv",
+               ["alpha", "Omega", "period", "t_min", "d_min_exact",
+                "d_min_approx", "d_min_gaussian"], rows, [])]
+    return tables, [], [], {"rows": len(rows)}
 
 
 def derive_report(cfg):
@@ -314,19 +299,6 @@ def derive_report(cfg):
     return "\n".join(lines) + "\n", csv_rows, echo
 
 
-def _run_derive(cfg, out_dir):
-    text, csv_rows, echo = derive_report(cfg)
-    report_path = os.path.join(out_dir, "derive_report.txt")
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    csv_path = os.path.join(out_dir, "derived.csv")
-    emit_csv(csv_path, ["convention", "quantity", "value"], csv_rows,
-             meta=[("tool", "lcdeco " + VERSION),
-                   ("scenario", cfg.scenario),
-                   ("config_sha256", config_digest(cfg))])
-    return [report_path, csv_path], [], echo, text
-
-
 # ---------------------------------------------------------------------------
 # entry
 
@@ -342,38 +314,47 @@ _SCENARIO_FNS = {
 def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
     """Execute one scenario; returns (manifest dict, derive-report text).
 
-    The manifest is also written to <out>/manifest.json.  Check failures
-    do not raise — they are recorded with status FAIL (the CLI maps them
-    to its exit code).
+    Every table and plot is computed before the first file is written;
+    the manifest is written last, to <out>/manifest.json, and on failure
+    it holds the error instead.  Check failures do not raise — they are
+    recorded with status FAIL (the CLI maps them to its exit code).
     """
     out = default_out_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
     started = time.perf_counter()
+    digest = config_digest(cfg)
+    head = {"tool": "lcdeco", "version": VERSION, "scenario": cfg.scenario,
+            "mode": cfg.mode, "config_sha256": digest}
     report_text = None
+    files = []
     try:
         if cfg.scenario == "derive-params":
-            files, checks, echo, report_text = _run_derive(cfg, out)
-            params_echo = echo
+            report_text, rows, params_echo = derive_report(cfg)
+            tables = [("derived.csv", ["convention", "quantity", "value"],
+                       rows, [])]
+            plots, checks = [], []
+            meta = [("tool", "lcdeco " + VERSION),
+                    ("scenario", cfg.scenario), ("config_sha256", digest)]
+            files.append(os.path.join(out, "derive_report.txt"))
+            with open(files[0], "w", encoding="utf-8", newline="") as fh:
+                fh.write(report_text)
         else:
             m, time_scale, current_scale = resolve_model(cfg)
-            fn = _SCENARIO_FNS[cfg.scenario]
-            files, checks, params_echo = fn(cfg, m, out, time_scale,
-                                            current_scale)
-            params_echo = {"model": m.as_dict(), **params_echo}
+            tables, plots, checks, echo = _SCENARIO_FNS[cfg.scenario](
+                cfg, m, time_scale, current_scale)
+            params_echo = {"model": m.as_dict(), **echo}
+            meta = _meta(cfg, m, digest)
+        for name, columns, rows, extra in tables:
+            files.append(emit_csv(os.path.join(out, name), columns, rows,
+                                  meta=meta + extra))
+        for name, *plot in plots:
+            files.append(emit_svg(os.path.join(out, name), *plot))
     except Exception as exc:
         write_manifest(os.path.join(out, "manifest.json"), {
-            "tool": "lcdeco", "version": VERSION,
-            "scenario": cfg.scenario, "mode": cfg.mode,
-            "config_sha256": config_digest(cfg),
-            "error": "%s: %s" % (type(exc).__name__, exc),
-        })
+            **head, "error": "%s: %s" % (type(exc).__name__, exc)})
         raise
     manifest = {
-        "tool": "lcdeco",
-        "version": VERSION,
-        "scenario": cfg.scenario,
-        "mode": cfg.mode,
-        "config_sha256": config_digest(cfg),
+        **head,
         "config_file_sha256": (sha256_text(config_text)
                                if config_text is not None else None),
         "constants": constants_record(),

@@ -76,6 +76,38 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     assert "model.alpha" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scenario = sweep\n[model]\nomega_a = nan\ng = 0.05\nalpha = 2\n",
+     "model.omega_a"),
+    ("scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\nalpha = 1, inf\n"
+     "samples = 40\n", "model.alpha"),
+    ("scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\nalpha = 2\n"
+     "samples = 40\nt_max = inf\n", "model.t_max"),
+    (DEVICE_SI.replace("l = 5.0e-6", "l = inf"), "device.l"),
+], ids=["omega_a-nan", "alpha-inf", "t_max-inf", "device-inf"])
+def test_run_non_finite_value_exit_two(tmp_path, capsys, text, key):
+    cfg = _write(tmp_path, "nonfinite.cfg", text)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "%s: expected a finite number" % key in err
+    assert not out.exists()
+
+
+def test_run_non_finite_values_all_listed(tmp_path, capsys):
+    cfg = _write(tmp_path, "nonfinite.cfg",
+                 "scenario = fig2\n[model]\nomega_a = inf\ng = nan\n"
+                 "alpha = 2, -inf\n")
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    for line, key, raw in ((3, "model.omega_a", "'inf'"),
+                           (4, "model.g", "'nan'"),
+                           (5, "model.alpha", "'-inf'")):
+        assert ("line %d: %s: expected a finite number, got %s"
+                % (line, key, raw)) in err
+
+
 def test_run_missing_config_file_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert cli.main(["run", "--config", missing]) == cli.EXIT_CONFIG

@@ -194,6 +194,17 @@ def test_qubit_weights_normalized():
     assert isinstance(cfg, RunConfig)
 
 
+@pytest.mark.parametrize("weight", [1e-200, 1e300])
+def test_qubit_weights_normalized_at_extreme_scales(weight):
+    # c0*c0 underflows to 0 at 1e-200 and overflows to inf at 1e300
+    cfg = parse_config("scenario = fig4\n[model]\nomega_a = 1.8\n"
+                       "g = 0.05\nalpha = 2\nc0 = %r\nc1 = %r\n"
+                       % (weight, weight))
+    c0, c1 = cfg.qubit_weights
+    assert abs(c0 - 1.0 / math.sqrt(2.0)) < 1e-15
+    assert abs(c1 - 1.0 / math.sqrt(2.0)) < 1e-15
+
+
 _finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
                     allow_infinity=False)
 

@@ -21,7 +21,8 @@ def test_csv_read_reemit_byte_identical(tmp_path):
              meta=[("tool", "lcdeco test"), ("n", 17)])
     meta_lines, columns, body = read_csv(str(p1))
     p2 = tmp_path / "b.csv"
-    emit_csv(str(p2), columns, body, meta_lines=meta_lines)
+    emit_csv(str(p2), columns, body,
+             meta=[tuple(line[2:].split(" = ", 1)) for line in meta_lines])
     assert p1.read_bytes() == p2.read_bytes()
 
 

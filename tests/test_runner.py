@@ -9,7 +9,7 @@ import pytest
 
 from lcdeco.config import parse_config
 from lcdeco.emit import read_csv, sha256_file
-from lcdeco.errors import TruncationError
+from lcdeco.errors import RegimeError, TruncationError
 from lcdeco.runner import (BUILTIN_ORACLE_CONFIG, BUILTIN_SW_CONFIG,
                            config_digest, derive_report, failed_checks,
                            run_scenario)
@@ -208,18 +208,43 @@ def test_derive_report_is_pure(tmp_path):
     assert text.startswith("circuit inputs:")
 
 
-def test_error_manifest_written(tmp_path):
-    # alpha = 5 cannot fit in dim = 32: the failure must be recorded, and
-    # the curve of alpha = 2, computed first, must not be written
-    cfg = parse_config("scenario = fig2\n[model]\nomega_a = 8.0\n"
-                       "g = 0.35\nalpha = 2, 5\ndim = 32\nsamples = 40\n")
-    with pytest.raises(TruncationError):
+@pytest.mark.parametrize("text, exc", [
+    # alpha = 5 cannot fit in dim = 32; alpha = 2 is computed first
+    ("scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"
+     "alpha = 2, 5\ndim = 32\nsamples = 40\n", TruncationError),
+    ("scenario = oracle-check\n[model]\nomega_a = 8.0\ng = 0.35\n"
+     "alpha = 2, 5\ndim = 32\nsamples = 40\n", TruncationError),
+    # gamma = 0.1 passes, the doubled-g model (gamma = 0.2) does not
+    ("scenario = sw-check\n[model]\nomega_a = 10.0\ngamma = 0.1\n",
+     RegimeError),
+], ids=["fig2", "oracle-check", "sw-check"])
+def test_error_manifest_written(tmp_path, text, exc):
+    # the failure must be recorded, and nothing computed before it written
+    cfg = parse_config(text)
+    with pytest.raises(exc):
         run_scenario(cfg, out_dir=str(tmp_path))
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert "error" in on_disk
-    assert on_disk["error"].startswith("TruncationError")
-    assert on_disk["scenario"] == "fig2"
+    assert on_disk["error"].startswith(exc.__name__)
+    assert on_disk["scenario"] == cfg.scenario
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("text", [
+    FIG2_SMALL, FIG4_UNCOUPLED, BUILTIN_ORACLE_CONFIG, BUILTIN_SW_CONFIG,
+    "scenario = sweep\n[model]\nomega_a = 1.8\ng = 0.05\nalpha = 2, 30\n",
+], ids=["fig2", "fig4", "oracle-check", "sw-check", "sweep"])
+def test_every_csv_starts_with_meta_head(tmp_path, text):
+    manifest, _ = run_scenario(parse_config(text), out_dir=str(tmp_path))
+    names = [name for name in manifest["files"] if name.endswith(".csv")]
+    assert names
+    for name in names:
+        meta_lines, _, _ = read_csv(str(tmp_path / name))
+        meta = [line[2:].split(" = ", 1) for line in meta_lines]
+        assert [key for key, _ in meta[:9]] == [
+            "tool", "scenario", "mode", "config_sha256", "omega", "omega_a",
+            "g", "Omega", "gamma"], name
+        assert meta[3][1] == manifest["config_sha256"], name
 
 
 def test_config_digest_thread_invariant():
