@@ -60,8 +60,8 @@ def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):
     states = []
     for k in (0, 1):
         prop = SpectralPropagator(build_effective_hamiltonian(k, m, dim))
-        grid = prop.evolve_grid(psi0, ts)
-        assert_leakage(grid, pruned=prop.pruned_weight(psi0))
+        grid, pruned = prop.evolve_grid(psi0, ts)
+        assert_leakage(grid, pruned=pruned)
         states.append(grid)
     d = np.abs(np.sum(np.conj(states[1]) * states[0], axis=0))
     return float(d[0]) if t.ndim == 0 else d
@@ -118,8 +118,8 @@ def full_model_coherence(m: ModelParams, c0, c1, alpha, t, dim):
     ts = np.atleast_1d(t)
     psi = joint_state(c0, c1, coherent_state(alpha, dim))
     prop = SpectralPropagator(build_full_hamiltonian(m, dim))
-    grid = prop.evolve_grid(psi, ts)
-    assert_leakage(grid, osc_dim=dim, pruned=prop.pruned_weight(psi))
+    grid, pruned = prop.evolve_grid(psi, ts)
+    assert_leakage(grid, osc_dim=dim, pruned=pruned)
     rho01 = np.sum(grid[:dim, :] * np.conj(grid[dim:, :]), axis=0)
     out = np.abs(rho01) / abs(c0 * np.conj(c1))
     return float(out[0]) if t.ndim == 0 else out

@@ -12,11 +12,11 @@ Evolution works on sectors: a Hamiltonian is handed over as a
 SectorHamiltonian, invariant blocks that are each a real symmetric
 tridiagonal matrix in their own basis order (the parity sectors of the
 model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
-each block with a tridiagonal eigensolver and propagates in real
-arithmetic; the initial state's smallest eigencomponents, at most
-PRUNE_TOL of its weight, are dropped.  hermitian_eig diagonalizes a
-dense Hermitian matrix; only the Schrieffer-Wolff check uses it, on
-SectorHamiltonian.dense().
+each block with hermitian_eig and propagates in real arithmetic; the
+initial state's smallest eigencomponents, at most PRUNE_TOL of its
+weight, are dropped.  hermitian_eig, the tridiagonal eigensolver of one
+sector, is the package's only eigensolver: the Schrieffer-Wolff check
+calls it on the full Hamiltonian's two sectors too.
 """
 
 import math
@@ -44,27 +44,15 @@ PRUNE_TOL = 1e-26
 
 
 # ---------------------------------------------------------------------------
-# dense matrices
+# eigensolver
 
-def check_hermitian(M):
-    """Return the hermiticity defect max|M − M†|; raise if above 1e-12
-    (scaled by max(1, max|M|) so O(10) dimensionless matrices are not
-    penalized for representation rounding)."""
-    M = np.asarray(M)
-    defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if defect > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian (defect %.3e)" % defect)
-    return defect
+def hermitian_eig(diag, offdiag):
+    """Eigendecomposition of one real symmetric tridiagonal sector
+    (a Sector's diag and offdiag).
 
-
-def hermitian_eig(M):
-    """Eigendecomposition of a certified-Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns).
+    Returns (eigenvalues ascending, real eigenvector columns).
     """
-    check_hermitian(M)
-    return np.linalg.eigh(np.asarray(M, dtype=complex))
+    return eigh_tridiagonal(diag, offdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +132,10 @@ def assert_leakage(states, osc_dim=None, pruned=0.0):
     LEAK_LEVELS levels every level counts as a top level.
 
     `pruned` is the weight a propagator dropped from the evolved state
-    (SpectralPropagator.pruned_weight).  The dropped part has norm √pruned,
-    so the unpruned state's top-level population is at most
-    (√leak + √pruned)²; the guard tests and returns that bound, so pruning
-    can never turn a trip into a pass.
+    (the second value SpectralPropagator.evolve_grid returns).  The
+    dropped part has norm √pruned, so the unpruned state's top-level
+    population is at most (√leak + √pruned)²; the guard tests and returns
+    that bound, so pruning can never turn a trip into a pass.
     """
     arr = np.asarray(states)
     vecs = arr[:, None] if arr.ndim == 1 else arr
@@ -221,27 +209,19 @@ class SectorHamiltonian:
             raise ValueError("sector indices must partition range(%d)"
                              % self.size)
 
-    def dense(self):
-        """The full real matrix; for checks and small orders only."""
-        M = np.zeros((self.size, self.size))
-        for s in self.sectors:
-            M[s.index, s.index] = s.diag
-            M[s.index[:-1], s.index[1:]] = s.offdiag
-            M[s.index[1:], s.index[:-1]] = s.offdiag
-        return M
-
 
 class SpectralPropagator:
     """exp(−iHt) applied through a one-time eigendecomposition of H.
 
-    H is a SectorHamiltonian; each sector is diagonalized with the real
-    tridiagonal eigensolver, so the cost is O(n²) per sector instead of a
-    dense O(n³) complex eigh.  A state is projected onto the real
-    eigenvectors and the smallest eigencomponents are dropped, up to
-    PRUNE_TOL of its total weight: the evolved state is then off by a norm
-    of at most √PRUNE_TOL·‖ψ‖ at every t, and pruned_weight reports the
-    dropped weight for the leakage guard.  Rows are formed as real
-    eigenvector block × float view of the complex phase array.
+    H is a SectorHamiltonian; each sector is diagonalized with
+    hermitian_eig, so the cost is O(n²) per sector instead of a dense
+    O(n³) complex eigh.  A state is projected onto the real eigenvectors
+    once per evolve_grid call and the smallest eigencomponents are
+    dropped, up to PRUNE_TOL of its total weight: the evolved state is
+    then off by a norm of at most √PRUNE_TOL·‖ψ‖ at every t, and
+    evolve_grid returns the dropped weight for the leakage guard.  Rows
+    are formed as real eigenvector block × float view of the complex
+    phase array.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).  The spectral data is computed once at
@@ -256,13 +236,14 @@ class SpectralPropagator:
         self.size = H.size
         self._sectors = []
         for s in H.sectors:
-            w, Q = eigh_tridiagonal(s.diag, s.offdiag)
+            w, Q = hermitian_eig(s.diag, s.offdiag)
             self._sectors.append((s.index, w, Q))
         self.eigenvalues = np.concatenate([w for _, w, _ in self._sectors])
 
-    def _project(self, psi):
-        """([(index, kept eigenvalues, kept eigenvectors, kept
-        coefficients)] per sector, pruned weight)."""
+    def evolve_grid(self, psi, ts):
+        """(grid, pruned): the column-per-time array of states at each t in
+        ts (one time t: ts = [t], column 0), and the weight of psi's
+        eigencomponents dropped from it, at most PRUNE_TOL·‖psi‖²."""
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.size,):
             raise ValueError("state of length %d expected, got %r"
@@ -278,32 +259,19 @@ class SpectralPropagator:
         keep = np.ones(len(weight), dtype=bool)
         keep[order[:n_drop]] = False
         pruned = float(cum[n_drop - 1]) if n_drop else 0.0
-        kept = []
+        ts = np.asarray(ts, dtype=float).ravel()
+        out = np.empty((self.size, len(ts)), dtype=complex)
         start = 0
         for (index, w, Q), c in zip(self._sectors, coeffs):
             k = keep[start:start + len(w)]
             start += len(w)
-            kept.append((index, w[k], Q[:, k], c[k]))
-        return kept, pruned
-
-    def pruned_weight(self, psi):
-        """Weight of psi's eigencomponents dropped by evolve_grid; at most
-        PRUNE_TOL·‖psi‖²."""
-        return self._project(psi)[1]
-
-    def evolve_grid(self, psi, ts):
-        """Column-per-time array of states at each t in ts (one time t:
-        ts = [t], column 0)."""
-        ts = np.asarray(ts, dtype=float).ravel()
-        out = np.empty((self.size, len(ts)), dtype=complex)
-        for index, w, Q, c in self._project(psi)[0]:
-            arg = np.outer(w, -ts)
+            arg = np.outer(w[k], -ts)
             phases = np.empty(arg.shape, dtype=complex)
             np.cos(arg, out=phases.real)
             np.sin(arg, out=phases.imag)
-            phases *= c[:, None]
-            out[index] = (Q @ phases.view(float)).view(complex)
-        return out
+            phases *= c[k][:, None]
+            out[index] = (Q[:, k] @ phases.view(float)).view(complex)
+        return out, pruned
 
 
 def _check_dim(dim):

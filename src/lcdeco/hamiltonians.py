@@ -19,8 +19,9 @@ is a real symmetric tridiagonal chain.  H_k couples n ↔ n ± 2, so its even
 and odd levels are the two chains.
 
 A numerical effective-block extraction (direct-rotation block
-diagonalization of the full H) is provided to quantify how well the
-dispersive effective model approximates the full one.
+diagonalization of the full H, from the eigendecompositions of its two
+sectors) is provided to quantify how well the dispersive effective model
+approximates the full one.
 """
 
 import math
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ModelParams
-from .errors import RegimeError
+from .errors import RegimeError, TruncationError
 from .fock import Sector, SectorHamiltonian, _check_dim, hermitian_eig
 
 
@@ -135,6 +136,8 @@ def predicted_moments(k, m: ModelParams, alpha, t):
 # them that the (frequency, squeeze) fit averages over
 SW_LEVELS = 24
 SW_FIT_LEVELS = 10
+# largest γ at which the dispersive fit is meaningful
+SW_GAMMA_MAX = 0.15
 
 @dataclass(frozen=True)
 class BranchFit:
@@ -172,8 +175,10 @@ class SWReport:
 def effective_block(w, V, k, n_levels):
     """Direct-rotation effective Hamiltonian of branch k.
 
-    (w, V) is the eigendecomposition of the full H (hermitian_eig of its
-    dense matrix, order 2·dim).  Classifies eigenvectors by qubit
+    (w, V) is the eigendecomposition of the full H, order 2·dim, with
+    eigenvalues ascending: schrieffer_wolff_check assembles it from the
+    hermitian_eig solves of the two parity sectors, so V is real and each
+    eigenvector lies in one sector.  Classifies eigenvectors by qubit
     population, takes the n_levels lowest of branch k, and rotates them
     onto the bare |k, n⟩ subspace with the polar (least-distortion)
     unitary of the overlap matrix.  Returns an (n_levels × n_levels)
@@ -186,7 +191,7 @@ def effective_block(w, V, k, n_levels):
         raise RegimeError("branch %d classification found only %d states "
                           "(%d requested): branches too strongly mixed"
                           % (k, len(sel), n_levels))
-    sel = sel[:n_levels]   # eigh is ascending, so these are the lowest
+    sel = sel[:n_levels]   # w is ascending, so these are the lowest
     # overlap of selected eigenvectors with bare |k, n⟩, n < n_levels
     T = V[k * dim:k * dim + n_levels, sel]
     wm, s, qh = np.linalg.svd(T)
@@ -213,11 +218,27 @@ def schrieffer_wolff_check(m: ModelParams, dim=64):
     """Compare numerically extracted branch coefficients against the
     modeled (ω̃, (−1)^k λ), fitted over the SW_FIT_LEVELS lowest of the
     SW_LEVELS lowest levels of each branch.  Report-only; see SWReport."""
-    if m.gamma > 0.15:
-        raise RegimeError("gamma = %.3g above 0.15: effective-model check "
-                          "not meaningful" % m.gamma)
-    # one eigendecomposition of the full H serves both branches
-    w, V = hermitian_eig(build_full_hamiltonian(m, dim).dense())
+    if m.gamma > SW_GAMMA_MAX:
+        raise RegimeError("gamma = %.3g above %g: effective-model check "
+                          "not meaningful" % (m.gamma, SW_GAMMA_MAX))
+    if dim < SW_LEVELS:
+        raise TruncationError("dispersive fit needs %d levels per branch, "
+                              "got dim = %d" % (SW_LEVELS, dim),
+                              suggested_dim=SW_LEVELS)
+    # the two sector solves of the full H serve both branches: each
+    # sector's eigenvectors fill its rows, then all are sorted by energy
+    H = build_full_hamiltonian(m, dim)
+    w = np.empty(H.size)
+    V = np.zeros((H.size, H.size))
+    start = 0
+    for s in H.sectors:
+        ws, Q = hermitian_eig(s.diag, s.offdiag)
+        cols = slice(start, start + len(ws))
+        w[cols] = ws
+        V[s.index, cols] = Q
+        start += len(ws)
+    order = np.argsort(w, kind="stable")
+    w, V = w[order], V[:, order]
     branches = []
     for k in (0, 1):
         block = effective_block(w, V, k, SW_LEVELS)

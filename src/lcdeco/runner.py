@@ -25,7 +25,8 @@ from .decoherence import (decoherence_approx, decoherence_exact,
                           decoherence_gaussian_oracle, jump_metrics)
 from .emit import (emit_csv, emit_svg, format_float, sha256_file,
                    sha256_text, write_manifest)
-from .hamiltonians import schrieffer_wolff_check
+from .errors import RegimeError
+from .hamiltonians import SW_GAMMA_MAX, schrieffer_wolff_check
 from .observables import current_analytic, current_numeric, envelope_metrics
 from .version import VERSION
 
@@ -198,6 +199,11 @@ def _run_oracle_check(cfg, m, time_scale, _cs):
 
 
 def _run_sw_check(cfg, m, _time_scale, _cs):
+    if 2.0 * m.gamma > SW_GAMMA_MAX:
+        raise RegimeError(
+            "gamma = %g: sw-check also fits the doubled coupling "
+            "2*gamma = %g, so it needs gamma <= %g"
+            % (m.gamma, 2.0 * m.gamma, 0.5 * SW_GAMMA_MAX))
     reports = [schrieffer_wolff_check(mm, dim=cfg.dim) for mm in
                (m, model_params(m.omega, m.omega_a, 2.0 * m.g, m.theta))]
     base, doubled = reports

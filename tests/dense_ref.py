@@ -19,6 +19,16 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PROJECTOR_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
+def dense(H):
+    """The full real matrix of a SectorHamiltonian."""
+    M = np.zeros((H.size, H.size))
+    for s in H.sectors:
+        M[s.index, s.index] = s.diag
+        M[s.index[:-1], s.index[1:]] = s.offdiag
+        M[s.index[1:], s.index[:-1]] = s.offdiag
+    return M
+
+
 def annihilation_op(dim):
     """a on dim levels: ⟨n|a|n+1⟩ = √(n+1)."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)

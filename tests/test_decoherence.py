@@ -117,7 +117,7 @@ def test_fock_oracle_branch_symmetry():
     ts = _grid(M_REF, periods=1.0, n=50)
     psi0 = coherent_state(2.0, dim)
     grids = [SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
-             .evolve_grid(psi0, ts) for k in (0, 1)]
+             .evolve_grid(psi0, ts)[0] for k in (0, 1)]
     d01 = np.abs(np.sum(np.conj(grids[1]) * grids[0], axis=0))
     d10 = np.abs(np.sum(np.conj(grids[0]) * grids[1], axis=0))
     assert np.max(np.abs(d01 - d10)) < 1e-12

@@ -1,20 +1,23 @@
 """Truncated-Fock-space basics: coherent and joint states, the leakage
 guard, evolution."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 
 from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                       annihilation_op, fock_state, number_op,
+                       annihilation_op, dense, fock_state, number_op,
                        partial_trace_qubit, position_quad)
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (LEAK_LEVELS, LEAK_TOL, PRUNE_TOL, Sector,
                          SectorHamiltonian, SpectralPropagator,
-                         assert_leakage, check_hermitian, coherent_state,
-                         coherent_tail_mass, hermitian_eig, joint_state,
-                         min_adequate_dim)
+                         assert_leakage, coherent_state, coherent_tail_mass,
+                         hermitian_eig, joint_state, min_adequate_dim)
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lcdeco")
 
 
 def _one_sector(dim, diag, offdiag):
@@ -127,30 +130,28 @@ def test_tensor_sigma_z_balanced_superposition():
 
 
 def test_hermitian_eig_diagonal():
-    w, _ = hermitian_eig(np.diag([3.0, -1.0, 2.0]).astype(complex))
+    w, _ = hermitian_eig([3.0, -1.0, 2.0], [0.0, 0.0])
     assert np.allclose(w, [-1.0, 2.0, 3.0])
 
 
 def test_hermitian_eig_number_op():
-    w, _ = hermitian_eig(number_op(8))
+    # a†a is diagonal: its chain has no couplings
+    w, V = hermitian_eig(np.diag(number_op(8)).real, np.zeros(7))
     assert np.allclose(w, np.arange(8.0), atol=1e-12)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_eig(M)
+    assert np.allclose(np.abs(V), np.eye(8), atol=1e-12)
 
 
 def test_hermitian_eig_residuals_random():
     rng = np.random.default_rng(7)
-    A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    H = A + A.conj().T
-    w, V = hermitian_eig(H)
+    diag, offdiag = rng.normal(size=40), rng.normal(size=39)
+    H = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    w, V = hermitian_eig(diag, offdiag)
+    assert not np.iscomplexobj(V)
+    assert np.all(np.diff(w) >= 0.0)
     scale = np.linalg.norm(H)
     for i in range(40):
         assert np.linalg.norm(H @ V[:, i] - w[i] * V[:, i]) <= 1e-10 * scale
-    assert np.max(np.abs(V.conj().T @ V - np.eye(40))) < 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(40))) < 1e-10
 
 
 def test_quadratic_oscillator_interior_gap():
@@ -159,21 +160,25 @@ def test_quadratic_oscillator_interior_gap():
     dim = 128
     wt, lam = 1.1, 0.05
     a = annihilation_op(dim)
-    H = wt * number_op(dim) + lam * (a @ a + a.conj().T @ a.conj().T)
-    w, _ = hermitian_eig(H)
+    H = (wt * number_op(dim) + lam * (a @ a + a.conj().T @ a.conj().T)).real
+    # a² couples n to n + 2, so the even and odd levels are two chains
+    w = np.sort(np.concatenate([
+        hermitian_eig(np.diag(H)[n], H[n[:-1], n[1:]])[0]
+        for n in (np.arange(0, dim, 2), np.arange(1, dim, 2))]))
     gap_ref = math.sqrt(wt * wt - 4.0 * lam * lam)
     interior = np.diff(w[: dim // 2])   # lowest half is edge-clean
     assert np.max(np.abs(interior - gap_ref)) < 1e-9
 
 
 def test_position_quad_is_hermitian():
-    check_hermitian(position_quad(32))
+    P = position_quad(32)
+    assert np.array_equal(P, P.conj().T)
 
 
 def test_evolve_t0_identity():
     psi = coherent_state(1.0, 32)
     out = SpectralPropagator(_number_hamiltonian(32)).evolve_grid(
-        psi, [0.0])[:, 0]
+        psi, [0.0])[0][:, 0]
     assert np.max(np.abs(out - psi)) < 1e-12
 
 
@@ -182,7 +187,7 @@ def test_evolve_rotating_coherent_state():
     dim = 48
     omega, t, alpha = 1.3, 2.1, 1.5
     out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve_grid(
-        coherent_state(alpha, dim), [t])[:, 0]
+        coherent_state(alpha, dim), [t])[0][:, 0]
     ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
     fidelity = abs(np.vdot(ref, out))
     assert fidelity >= 1.0 - 1e-10
@@ -194,8 +199,9 @@ def test_evolve_composition():
     prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
                                           rng.normal(size=dim - 1)))
     psi = coherent_state(0.8, dim)
-    one = prop.evolve_grid(prop.evolve_grid(psi, [0.7])[:, 0], [1.9])[:, 0]
-    two = prop.evolve_grid(psi, [2.6])[:, 0]
+    mid = prop.evolve_grid(psi, [0.7])[0][:, 0]
+    one = prop.evolve_grid(mid, [1.9])[0][:, 0]
+    two = prop.evolve_grid(psi, [2.6])[0][:, 0]
     assert np.linalg.norm(one - two) < 1e-10
 
 
@@ -211,10 +217,10 @@ def test_evolve_full_model_unitarity():
     psi = joint_state(1.0, 1.0, coherent_state(2.0, dim))
     prop = SpectralPropagator(H)
     ts = np.linspace(0.0, math.pi / m.Omega, 40)
-    grid = prop.evolve_grid(psi, ts)
+    grid, _ = prop.evolve_grid(psi, ts)
     norms = np.linalg.norm(grid, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    Hd = H.dense()
+    Hd = dense(H)
     e0 = np.vdot(psi, Hd @ psi).real
     energies = np.real(np.sum(np.conj(grid) * (Hd @ grid), axis=0))
     assert np.max(np.abs(energies - e0)) <= 1e-10 * max(abs(e0), 1.0)
@@ -223,7 +229,7 @@ def test_evolve_full_model_unitarity():
 def test_sector_dense_layout():
     H = SectorHamiltonian(4, [Sector([0, 3], [1.0, 2.0], [5.0]),
                               Sector([2, 1], [3.0, 4.0], [6.0])])
-    assert np.array_equal(H.dense(), [[1.0, 0.0, 0.0, 5.0],
+    assert np.array_equal(dense(H), [[1.0, 0.0, 0.0, 5.0],
                                       [0.0, 4.0, 6.0, 0.0],
                                       [0.0, 6.0, 3.0, 0.0],
                                       [5.0, 0.0, 0.0, 2.0]])
@@ -258,14 +264,12 @@ def test_pruned_weight_bounded_and_reproduced():
     H = _one_sector(dim, np.arange(dim) + 0.1 * rng.normal(size=dim),
                     0.3 * np.sqrt(np.arange(1.0, dim)))
     psi = coherent_state(7.0, dim)
-    prop = SpectralPropagator(H)
-    pruned = prop.pruned_weight(psi)
-    assert 0.0 < pruned <= PRUNE_TOL
     ts = np.linspace(0.0, 5.0, 7)
-    w, V = np.linalg.eigh(H.dense())
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts)
+    assert 0.0 < pruned <= PRUNE_TOL
+    w, V = np.linalg.eigh(dense(H))
     ref = V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
-    assert np.max(np.abs(prop.evolve_grid(psi, ts) - ref)) \
-        <= math.sqrt(PRUNE_TOL) + 1e-13
+    assert np.max(np.abs(grid - ref)) <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
 def test_leakage_guard_adds_pruned_weight():
@@ -333,3 +337,30 @@ def test_partial_trace_orthogonal_branches():
     rho = partial_trace_qubit(psi, dim)
     assert abs(rho[0, 1]) == 0.0
     assert abs(rho[0, 0] - 0.5) < 1e-12
+
+
+def test_hermitian_eig_is_the_only_eigensolver():
+    """No code in lcdeco calls an eigensolver except fock.hermitian_eig,
+    so every spectrum the package uses comes from one tridiagonal
+    solve per sector."""
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh", "eigh_tridiagonal",
+               "eigvalsh_tridiagonal"}
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = set()
+        if name == "fock.py":
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "hermitian_eig"):
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if used in solvers and id(node) not in allowed:
+                found.append("%s:%d %s" % (name, node.lineno, used))
+    assert found == []

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dense_ref import (SIGMA_Y, SIGMA_Z, annihilation_op, number_op,
+from dense_ref import (SIGMA_Y, SIGMA_Z, annihilation_op, dense, number_op,
                        position_quad)
 from lcdeco.circuit import model_params, params_from_dimensionless
-from lcdeco.errors import RegimeError
-from lcdeco.fock import (SpectralPropagator, check_hermitian, coherent_state,
-                         hermitian_eig, joint_state)
-from lcdeco.hamiltonians import (branch_sign, build_effective_hamiltonian,
-                                 build_full_hamiltonian,
-                                 evolution_coefficients, predicted_moments,
+from lcdeco.errors import RegimeError, TruncationError
+from lcdeco.fock import (SpectralPropagator, coherent_state, hermitian_eig,
+                         joint_state)
+from lcdeco.hamiltonians import (SW_FIT_LEVELS, SW_LEVELS, branch_sign,
+                                 build_effective_hamiltonian,
+                                 build_full_hamiltonian, effective_block,
+                                 evolution_coefficients,
+                                 fit_branch_coefficients, predicted_moments,
                                  schrieffer_wolff_check,
                                  squeeze_coefficients)
 
@@ -36,6 +38,12 @@ def _dense_effective(k, m, dim):
             + eps * np.eye(dim, dtype=complex))
 
 
+def _spectrum(H):
+    """Every eigenvalue of a SectorHamiltonian, ascending."""
+    return np.sort(np.concatenate([hermitian_eig(s.diag, s.offdiag)[0]
+                                   for s in H.sectors]))
+
+
 def _random_regimes(seed, count):
     """(model, dim) over omega_a in [1.2, 12], gamma <= 0.15, odd and even
     dim."""
@@ -49,11 +57,11 @@ def _random_regimes(seed, count):
 
 def test_sector_builders_match_dense_reference_exactly():
     for m, dim in _random_regimes(41, 20):
-        assert np.array_equal(build_full_hamiltonian(m, dim).dense(),
+        assert np.array_equal(dense(build_full_hamiltonian(m, dim)),
                               _kron_full(m, dim))
         for k in (0, 1):
             assert np.array_equal(
-                build_effective_hamiltonian(k, m, dim).dense(),
+                dense(build_effective_hamiltonian(k, m, dim)),
                 _dense_effective(k, m, dim))
 
 
@@ -70,13 +78,13 @@ def test_sector_propagation_matches_dense_eigh():
         alpha = 1.5 * np.exp(0.7j * (i + 1))
         osc = coherent_state(alpha, dim)
         psi = joint_state(0.6, 0.8j, osc)
-        got = SpectralPropagator(build_full_hamiltonian(m, dim)) \
+        got, _ = SpectralPropagator(build_full_hamiltonian(m, dim)) \
             .evolve_grid(psi, ts)
         ref = _eigh_grid(_kron_full(m, dim), psi, ts)
         assert np.max(np.abs(got - ref)) <= 1e-12
         for k in (0, 1):
-            got = SpectralPropagator(build_effective_hamiltonian(k, m, dim)) \
-                .evolve_grid(osc, ts)
+            got, _ = SpectralPropagator(
+                build_effective_hamiltonian(k, m, dim)).evolve_grid(osc, ts)
             ref = _eigh_grid(_dense_effective(k, m, dim), osc, ts)
             assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -84,7 +92,7 @@ def test_sector_propagation_matches_dense_eigh():
 def test_full_hamiltonian_uncoupled_spectrum():
     m = params_from_dimensionless(1.8, 0.0)
     dim = 12
-    w, _ = hermitian_eig(build_full_hamiltonian(m, dim).dense())
+    w = _spectrum(build_full_hamiltonian(m, dim))
     expected = np.sort(np.concatenate(
         [np.arange(dim) * m.omega - 0.5 * m.omega_a,
          np.arange(dim) * m.omega + 0.5 * m.omega_a]))
@@ -92,11 +100,15 @@ def test_full_hamiltonian_uncoupled_spectrum():
 
 
 def test_full_hamiltonian_hermitian_random_params():
+    # the operator-defined H is real and symmetric, which is what lets
+    # the builder hand it over as real tridiagonal sectors
     rng = np.random.default_rng(5)
     for _ in range(20):
         m = params_from_dimensionless(rng.uniform(1.2, 4.0),
                                       rng.uniform(0.0, 0.15))
-        check_hermitian(build_full_hamiltonian(m, 24).dense())
+        K = _kron_full(m, 24)
+        assert not np.any(K.imag)
+        assert np.array_equal(K, K.T)
 
 
 def test_full_hamiltonian_ground_energy_dispersive_shift():
@@ -107,7 +119,7 @@ def test_full_hamiltonian_ground_energy_dispersive_shift():
     -omega_a/2 by that amount.  Note the denominator: the sum frequency,
     not the detuning."""
     m = M_REF
-    w, _ = hermitian_eig(build_full_hamiltonian(m, 64).dense())
+    w = _spectrum(build_full_hamiltonian(m, 64))
     shift = w[0] - (-0.5 * m.omega_a)
     shift_ref = -m.g ** 2 / (m.omega_a + m.omega)
     assert abs(shift - shift_ref) <= 2e-3 * abs(shift_ref)
@@ -117,8 +129,8 @@ def test_full_hamiltonian_ground_energy_dispersive_shift():
 def test_effective_hamiltonian_uncoupled():
     m = params_from_dimensionless(1.8, 0.0)
     dim = 10
-    h0 = build_effective_hamiltonian(0, m, dim).dense()
-    h1 = build_effective_hamiltonian(1, m, dim).dense()
+    h0 = dense(build_effective_hamiltonian(0, m, dim))
+    h1 = dense(build_effective_hamiltonian(1, m, dim))
     ref = m.omega * number_op(dim)
     assert np.max(np.abs(h0 - (ref - 0.5 * m.omega_a * np.eye(dim)))) < 1e-12
     assert np.max(np.abs(h1 - (ref + 0.5 * m.omega_a * np.eye(dim)))) < 1e-12
@@ -126,8 +138,8 @@ def test_effective_hamiltonian_uncoupled():
 
 def test_effective_hamiltonian_branch_swap():
     dim = 16
-    h0 = build_effective_hamiltonian(0, M_REF, dim).dense()
-    h1 = build_effective_hamiltonian(1, M_REF, dim).dense()
+    h0 = dense(build_effective_hamiltonian(0, M_REF, dim))
+    h1 = dense(build_effective_hamiltonian(1, M_REF, dim))
     diff = h1 - h0
     # constant offset on the diagonal...
     assert np.max(np.abs(np.diag(diff) - (M_REF.eps1 - M_REF.eps0))) < 1e-12
@@ -141,8 +153,7 @@ def test_effective_hamiltonian_branch_swap():
 def test_effective_hamiltonian_interior_gap():
     dim = 128
     for k in (0, 1):
-        w, _ = hermitian_eig(
-            build_effective_hamiltonian(k, M_REF, dim).dense())
+        w = _spectrum(build_effective_hamiltonian(k, M_REF, dim))
         gaps = np.diff(w[: int(0.9 * dim)])   # top 10% excluded
         assert np.max(np.abs(gaps - M_REF.Omega)) <= 1e-9 * M_REF.Omega
 
@@ -190,7 +201,7 @@ def test_moments_match_fock_evolution():
     for k in (0, 1):
         prop = SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
         for t in (0.0, 0.3, math.pi / (2 * M_REF.Omega), 2.7):
-            psi = prop.evolve_grid(psi0, [t])[:, 0]
+            psi = prop.evolve_grid(psi0, [t])[0][:, 0]
             ma, m2, mn = predicted_moments(k, M_REF, alpha, t)
             assert abs(np.vdot(psi, a @ psi) - ma) < 1e-6
             assert abs(np.vdot(psi, a2 @ psi) - m2) < 1e-6
@@ -225,16 +236,63 @@ def test_sw_check_monotone_in_gamma():
     assert r1.max_lam_dev < r2.max_lam_dev
 
 
-def test_sw_check_one_eigendecomposition_per_model(monkeypatch):
+def test_sw_check_two_sector_solves_per_model(monkeypatch):
     calls = []
 
-    def counted(M):
-        calls.append(M.shape)
-        return hermitian_eig(M)
+    def counted(diag, offdiag):
+        calls.append(len(diag))
+        return hermitian_eig(diag, offdiag)
+
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
 
     monkeypatch.setattr("lcdeco.hamiltonians.hermitian_eig", counted)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense_solve)
     schrieffer_wolff_check(model_params(1.0, 10.0, 0.45), dim=32)
-    assert calls == [(64, 64)]
+    assert calls == [32, 32]
+
+
+def _dense_fit(m, dim):
+    """The sw-check fits from a dense eigh of the whole full H."""
+    w, V = np.linalg.eigh(dense(build_full_hamiltonian(m, dim)))
+    return [fit_branch_coefficients(effective_block(w, V, k, SW_LEVELS),
+                                    SW_FIT_LEVELS) for k in (0, 1)]
+
+
+def test_sw_check_sector_extraction_matches_dense_eigh():
+    """The sector solves give the dense solve's fitted (omega, lambda),
+    and fail with the same error where the extraction is ill-conditioned,
+    over random regimes up to the gamma = 0.15 limit (plus omega_a = 10,
+    gamma = 0.15, where the extraction is ill-conditioned)."""
+    rng = np.random.default_rng(61)
+    regimes = [params_from_dimensionless(10.0, 0.15 * 9.0)]
+    for _ in range(40):
+        omega_a = rng.uniform(1.5, 12.0)
+        regimes.append(params_from_dimensionless(
+            omega_a, rng.uniform(0.0, 0.15) * (omega_a - 1.0)))
+    failed = 0
+    for m in regimes:
+        for dim in (32, 64):
+            try:
+                ref = _dense_fit(m, dim)
+            except RegimeError as exc:
+                failed += 1
+                with pytest.raises(type(exc)):
+                    schrieffer_wolff_check(m, dim=dim)
+                continue
+            rep = schrieffer_wolff_check(m, dim=dim)
+            for b, (omega_fit, lam_fit) in zip(rep.branches, ref):
+                assert abs(b.omega_fit - omega_fit) <= 1e-12
+                assert abs(b.lam_fit - lam_fit) <= 1e-12
+    assert failed > 0
+
+
+def test_sw_check_rejects_dim_below_extracted_levels():
+    m = model_params(1.0, 10.0, 0.45)
+    with pytest.raises(TruncationError) as err:
+        schrieffer_wolff_check(m, dim=SW_LEVELS - 4)
+    assert err.value.suggested_dim == SW_LEVELS
+    assert schrieffer_wolff_check(m, dim=SW_LEVELS).dim == SW_LEVELS
 
 
 def test_sw_check_rejects_strong_coupling():

@@ -230,6 +230,17 @@ def test_error_manifest_written(tmp_path, text, exc):
     assert os.listdir(tmp_path) == ["manifest.json"]
 
 
+def test_sw_check_names_the_doubled_gamma(tmp_path):
+    # gamma = 0.1 is valid; it is the doubled-coupling model that is not
+    cfg = parse_config("scenario = sw-check\n[model]\nomega_a = 10.0\n"
+                       "gamma = 0.1\n")
+    with pytest.raises(RegimeError) as err:
+        run_scenario(cfg, out_dir=str(tmp_path))
+    assert str(err.value) == ("gamma = 0.1: sw-check also fits the doubled "
+                              "coupling 2*gamma = 0.2, so it needs "
+                              "gamma <= 0.075")
+
+
 @pytest.mark.parametrize("text", [
     FIG2_SMALL, FIG4_UNCOUPLED, BUILTIN_ORACLE_CONFIG, BUILTIN_SW_CONFIG,
     "scenario = sweep\n[model]\nomega_a = 1.8\ng = 0.05\nalpha = 2, 30\n",
