@@ -14,16 +14,21 @@ tridiagonal matrix in their own basis order (the parity sectors of the
 model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
 each block with hermitian_eig and propagates in real arithmetic; the
 initial state's smallest eigencomponents, at most PRUNE_TOL of its
-weight, are dropped.  hermitian_eig, the tridiagonal eigensolver of one
+weight, are dropped.  Evolution is streamed: the time grid is walked in
+chunks of at most CHUNK_SAMPLES samples, and the caller's reduction
+turns each chunk of states into its observable before the next chunk is
+built, so memory per call is O(size·CHUNK_SAMPLES) plus the eigenvectors,
+not size × samples.  hermitian_eig, the tridiagonal eigensolver of one
 sector, is the package's only eigensolver: the Schrieffer-Wolff check
 calls it on the full Hamiltonian's two sectors too.
+
+scipy is imported inside the three functions that use it, so importing
+lcdeco, and every command that builds no Fock state, loads no scipy.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc, gammaln
 
 from .errors import TruncationError
 
@@ -42,6 +47,11 @@ LEAK_TOL = 1e-8
 # an order below the 1e-12 agreement the propagation tests demand
 PRUNE_TOL = 1e-26
 
+# most time samples SpectralPropagator.evolve_grid builds at once; a
+# chunk of the fig4 joint space (2·1200 states) is then ~10 MB, and
+# smaller chunks save little more memory for more BLAS calls
+CHUNK_SAMPLES = 256
+
 
 # ---------------------------------------------------------------------------
 # eigensolver
@@ -52,6 +62,7 @@ def hermitian_eig(diag, offdiag):
 
     Returns (eigenvalues ascending, real eigenvector columns).
     """
+    from scipy.linalg import eigh_tridiagonal
     return eigh_tridiagonal(diag, offdiag)
 
 
@@ -64,6 +75,7 @@ def coherent_tail_mass(alpha, dim):
     For mean photon number |α|² the tail P(n ≥ dim) is the regularized
     lower incomplete gamma gammainc(dim, |α|²).
     """
+    from scipy.special import gammainc
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
@@ -105,6 +117,7 @@ def coherent_state(alpha, dim):
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
+    from scipy.special import gammaln
     n = np.arange(dim)
     mag = np.exp(n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
                  - 0.5 * abs(alpha) ** 2)
@@ -219,14 +232,16 @@ class SpectralPropagator:
     once per evolve_grid call and the smallest eigencomponents are
     dropped, up to PRUNE_TOL of its total weight: the evolved state is
     then off by a norm of at most √PRUNE_TOL·‖ψ‖ at every t, and
-    evolve_grid returns the dropped weight for the leakage guard.  Rows
-    are formed as real eigenvector block × float view of the complex
-    phase array.
+    evolve_grid returns the dropped weight for the leakage guard.
+
+    The states are never held for the whole grid: evolve_grid builds
+    them CHUNK_SAMPLES samples at a time, as real eigenvector block ×
+    float view of the complex phase array, and hands each chunk to the
+    caller's reduction.  Memory per call is O(size·CHUNK_SAMPLES) plus the kept
+    eigenvectors, whatever the number of samples.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
-    (ascending within each).  The spectral data is computed once at
-    construction and only read afterwards (each call keeps its projection
-    local), so a single instance may be shared across threads.
+    (ascending within each).
     """
 
     def __init__(self, H):
@@ -240,10 +255,17 @@ class SpectralPropagator:
             self._sectors.append((s.index, w, Q))
         self.eigenvalues = np.concatenate([w for _, w, _ in self._sectors])
 
-    def evolve_grid(self, psi, ts):
-        """(grid, pruned): the column-per-time array of states at each t in
-        ts (one time t: ts = [t], column 0), and the weight of psi's
-        eigencomponents dropped from it, at most PRUNE_TOL·‖psi‖²."""
+    def evolve_grid(self, psi, ts, reduce):
+        """(reduced, pruned): psi evolved to every t in ts and reduced
+        chunk by chunk, and the weight of psi's eigencomponents dropped
+        from the evolution, at most PRUNE_TOL·‖psi‖².
+
+        ts is walked in chunks of at most CHUNK_SAMPLES samples.  For each
+        chunk, reduce(block, pruned) gets the (size, chunk) array of states,
+        one column per t, and returns an array whose last axis runs over
+        that chunk's samples; `reduced` is those arrays joined along the
+        last axis.  `lambda block, _: block` returns the states themselves.
+        """
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.size,):
             raise ValueError("state of length %d expected, got %r"
@@ -259,19 +281,26 @@ class SpectralPropagator:
         keep = np.ones(len(weight), dtype=bool)
         keep[order[:n_drop]] = False
         pruned = float(cum[n_drop - 1]) if n_drop else 0.0
-        ts = np.asarray(ts, dtype=float).ravel()
-        out = np.empty((self.size, len(ts)), dtype=complex)
+        kept = []
         start = 0
         for (index, w, Q), c in zip(self._sectors, coeffs):
             k = keep[start:start + len(w)]
             start += len(w)
-            arg = np.outer(w[k], -ts)
-            phases = np.empty(arg.shape, dtype=complex)
-            np.cos(arg, out=phases.real)
-            np.sin(arg, out=phases.imag)
-            phases *= c[k][:, None]
-            out[index] = (Q[:, k] @ phases.view(float)).view(complex)
-        return out, pruned
+            kept.append((index, w[k], Q[:, k], c[k][:, None]))
+        ts = np.asarray(ts, dtype=float).ravel()
+        results = []
+        for lo in range(0, len(ts), CHUNK_SAMPLES):
+            chunk = ts[lo:lo + CHUNK_SAMPLES]
+            block = np.empty((self.size, len(chunk)), dtype=complex)
+            for index, w, Q, c in kept:
+                arg = np.outer(w, -chunk)
+                phases = np.empty(arg.shape, dtype=complex)
+                np.cos(arg, out=phases.real)
+                np.sin(arg, out=phases.imag)
+                phases *= c
+                block[index] = (Q @ phases.view(float)).view(complex)
+            results.append(reduce(block, pruned))
+        return np.concatenate(results, axis=-1), pruned
 
 
 def _check_dim(dim):

@@ -84,9 +84,12 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
             % (dts[0], sampling_limit(m)))
     psi = joint_state(c0, c1, coherent_state(alpha, dim))
     prop = SpectralPropagator(build_full_hamiltonian(m, dim))
-    grid, pruned = prop.evolve_grid(psi, ts)
-    assert_leakage(grid, osc_dim=dim, pruned=pruned)
-    pc = charge_occupation(grid, m.theta)
+
+    def occupation(block, pruned):
+        assert_leakage(block, osc_dim=dim, pruned=pruned)
+        return charge_occupation(block, m.theta)
+
+    pc, _ = prop.evolve_grid(psi, ts, occupation)
     current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 

@@ -109,7 +109,9 @@ def test_fock_oracle_guard_trips_below_leak_levels():
 
 
 def test_fock_oracle_branch_symmetry():
-    """Swapping the two branch Hamiltonians cannot change |<s1|s0>|."""
+    """Swapping the two branch Hamiltonians cannot change |<s1|s0>|, and
+    the oracle's one direct-sum evolution matches the two branches
+    evolved separately, the reference kept here."""
     from lcdeco.fock import SpectralPropagator, coherent_state
     from lcdeco.hamiltonians import build_effective_hamiltonian
 
@@ -117,10 +119,12 @@ def test_fock_oracle_branch_symmetry():
     ts = _grid(M_REF, periods=1.0, n=50)
     psi0 = coherent_state(2.0, dim)
     grids = [SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
-             .evolve_grid(psi0, ts)[0] for k in (0, 1)]
+             .evolve_grid(psi0, ts, lambda b, _: b)[0] for k in (0, 1)]
     d01 = np.abs(np.sum(np.conj(grids[1]) * grids[0], axis=0))
     d10 = np.abs(np.sum(np.conj(grids[0]) * grids[1], axis=0))
     assert np.max(np.abs(d01 - d10)) < 1e-12
+    d_oracle = decoherence_fock_oracle(M_REF, 2.0, ts, dim)
+    assert np.max(np.abs(d_oracle - d01)) < 1e-12
 
 
 def test_gaussian_oracle_trivial_limit():

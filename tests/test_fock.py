@@ -1,5 +1,5 @@
 """Truncated-Fock-space basics: coherent and joint states, the leakage
-guard, evolution."""
+guard, evolution, and the streamed evolution as its callers reduce it."""
 
 import ast
 import math
@@ -178,7 +178,7 @@ def test_position_quad_is_hermitian():
 def test_evolve_t0_identity():
     psi = coherent_state(1.0, 32)
     out = SpectralPropagator(_number_hamiltonian(32)).evolve_grid(
-        psi, [0.0])[0][:, 0]
+        psi, [0.0], lambda b, _: b)[0][:, 0]
     assert np.max(np.abs(out - psi)) < 1e-12
 
 
@@ -187,7 +187,7 @@ def test_evolve_rotating_coherent_state():
     dim = 48
     omega, t, alpha = 1.3, 2.1, 1.5
     out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve_grid(
-        coherent_state(alpha, dim), [t])[0][:, 0]
+        coherent_state(alpha, dim), [t], lambda b, _: b)[0][:, 0]
     ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
     fidelity = abs(np.vdot(ref, out))
     assert fidelity >= 1.0 - 1e-10
@@ -199,9 +199,9 @@ def test_evolve_composition():
     prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
                                           rng.normal(size=dim - 1)))
     psi = coherent_state(0.8, dim)
-    mid = prop.evolve_grid(psi, [0.7])[0][:, 0]
-    one = prop.evolve_grid(mid, [1.9])[0][:, 0]
-    two = prop.evolve_grid(psi, [2.6])[0][:, 0]
+    mid = prop.evolve_grid(psi, [0.7], lambda b, _: b)[0][:, 0]
+    one = prop.evolve_grid(mid, [1.9], lambda b, _: b)[0][:, 0]
+    two = prop.evolve_grid(psi, [2.6], lambda b, _: b)[0][:, 0]
     assert np.linalg.norm(one - two) < 1e-10
 
 
@@ -217,7 +217,7 @@ def test_evolve_full_model_unitarity():
     psi = joint_state(1.0, 1.0, coherent_state(2.0, dim))
     prop = SpectralPropagator(H)
     ts = np.linspace(0.0, math.pi / m.Omega, 40)
-    grid, _ = prop.evolve_grid(psi, ts)
+    grid, _ = prop.evolve_grid(psi, ts, lambda b, _: b)
     norms = np.linalg.norm(grid, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     Hd = dense(H)
@@ -265,7 +265,8 @@ def test_pruned_weight_bounded_and_reproduced():
                     0.3 * np.sqrt(np.arange(1.0, dim)))
     psi = coherent_state(7.0, dim)
     ts = np.linspace(0.0, 5.0, 7)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
+                                                      lambda b, _: b)
     assert 0.0 < pruned <= PRUNE_TOL
     w, V = np.linalg.eigh(dense(H))
     ref = V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
@@ -364,3 +365,99 @@ def test_hermitian_eig_is_the_only_eigensolver():
             if used in solvers and id(node) not in allowed:
                 found.append("%s:%d %s" % (name, node.lineno, used))
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# streamed evolution: every caller reduces chunk by chunk
+
+STREAM_CALLERS = ["current_numeric", "full_model_coherence",
+                  "decoherence_fock_oracle"]
+
+
+def _stream_callers(dim):
+    """{name: run(ts)} for the three callers of evolve_grid at truncation
+    dim, in a regime (ω_a = 4, g = 0.5, α = 3) whose squeezed spread
+    reaches the top of 40 levels within a quarter jump period."""
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.decoherence import (decoherence_fock_oracle,
+                                    full_model_coherence)
+    from lcdeco.observables import current_numeric
+
+    m = params_from_dimensionless(4.0, 0.5)
+    c = math.sqrt(0.5)
+    return m, {
+        "current_numeric":
+            lambda ts: np.concatenate(current_numeric(m, 3.0, ts, dim)),
+        "full_model_coherence":
+            lambda ts: full_model_coherence(m, c, c, 3.0, ts, dim),
+        "decoherence_fock_oracle":
+            lambda ts: decoherence_fock_oracle(m, 3.0, ts, dim),
+    }
+
+
+@pytest.mark.parametrize("caller", STREAM_CALLERS)
+@pytest.mark.parametrize("samples", [1, 7, 8, 23])
+def test_chunked_evolution_matches_one_chunk(monkeypatch, caller, samples):
+    """Chunks of 7 samples give the same reduced trace as one chunk, for
+    sample counts below, at, just above and well above a chunk."""
+    from lcdeco import fock
+    from lcdeco.observables import sampling_limit
+
+    m, callers = _stream_callers(64)
+    run = callers[caller]
+    if caller == "current_numeric":
+        samples = max(samples, 3)   # finite differences need 3 samples
+    ts = np.arange(samples) * sampling_limit(m)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
+    whole = run(ts)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    chunked = run(ts)
+    assert chunked.shape == whole.shape
+    assert np.max(np.abs(chunked - whole)) <= 1e-14
+
+
+@pytest.mark.parametrize("caller", STREAM_CALLERS)
+def test_leakage_only_in_last_chunk_trips(monkeypatch, caller):
+    """The guard runs on every chunk: the shortest grid that trips it
+    reaches LEAK_TOL only at its last sample, beyond the first chunk,
+    and one sample less passes."""
+    from lcdeco import fock
+    from lcdeco.observables import sampling_limit
+
+    m, callers = _stream_callers(40)
+    run = callers[caller]
+    ts = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    passed = 0
+    for n in range(3, len(ts) + 1):
+        try:
+            run(ts[:n])
+        except TruncationError:
+            break
+        passed = n
+    else:
+        pytest.fail("the regime never reached the leakage tolerance")
+    # sample index `passed` trips; index 7 opens the second chunk
+    assert passed >= 7
+
+
+def test_streamed_current_holds_no_state_grid():
+    """current_numeric at the fig4 regime with α = 10, dim = 224 and 4096
+    samples allocates well under one joint state grid: the states exist
+    one chunk at a time."""
+    import tracemalloc
+
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.observables import current_numeric
+
+    m = params_from_dimensionless(8.0, 0.35)
+    dim, samples = 224, 4096
+    ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, samples)
+    grid_bytes = 2 * dim * samples * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        current_numeric(m, 10.0, ts, dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * grid_bytes

@@ -79,12 +79,13 @@ def test_sector_propagation_matches_dense_eigh():
         osc = coherent_state(alpha, dim)
         psi = joint_state(0.6, 0.8j, osc)
         got, _ = SpectralPropagator(build_full_hamiltonian(m, dim)) \
-            .evolve_grid(psi, ts)
+            .evolve_grid(psi, ts, lambda b, _: b)
         ref = _eigh_grid(_kron_full(m, dim), psi, ts)
         assert np.max(np.abs(got - ref)) <= 1e-12
         for k in (0, 1):
             got, _ = SpectralPropagator(
-                build_effective_hamiltonian(k, m, dim)).evolve_grid(osc, ts)
+                build_effective_hamiltonian(k, m, dim)).evolve_grid(osc, ts,
+                                                         lambda b, _: b)
             ref = _eigh_grid(_dense_effective(k, m, dim), osc, ts)
             assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -201,7 +202,7 @@ def test_moments_match_fock_evolution():
     for k in (0, 1):
         prop = SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
         for t in (0.0, 0.3, math.pi / (2 * M_REF.Omega), 2.7):
-            psi = prop.evolve_grid(psi0, [t])[0][:, 0]
+            psi = prop.evolve_grid(psi0, [t], lambda b, _: b)[0][:, 0]
             ma, m2, mn = predicted_moments(k, M_REF, alpha, t)
             assert abs(np.vdot(psi, a @ psi) - ma) < 1e-6
             assert abs(np.vdot(psi, a2 @ psi) - m2) < 1e-6
