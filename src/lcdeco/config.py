@@ -255,6 +255,10 @@ def parse_config(text):
     if scenario == "fig4" and len(alpha) > 1:
         problems.append("model.alpha: scenario fig4 takes exactly one alpha "
                         "(got %d)" % len(alpha))
+    if scenario == "fig4" and samples is not None and samples < 3:
+        problems.append("model.samples: scenario fig4 differentiates the "
+                        "numeric trace, so it needs at least 3 samples "
+                        "(got %d)" % samples)
     if scenario == "fig2":
         # fig2 writes one fig2_alpha<tag>.csv per alpha
         tagged = {}

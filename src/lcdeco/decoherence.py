@@ -6,13 +6,14 @@ the simplified form.
 * simplified form ("approx"): D = exp(−8g⁴sin²Ωt·|α|²/(Δ²Ω²)), the
   closed form without its prefactor and denominator shift, so not an
   independent route,
-* Fock oracle: evolve |α⟩ under both branch Hamiltonians on the truncated
-  space and take |⟨s₁(t)|s₀(t)⟩| directly,
+* Fock oracle: the effective model's joint coherence, |⟨s₁(t)|s₀(t)⟩|
+  from |α⟩ evolved under both branch Hamiltonians on the truncated space,
 * Gaussian oracle: the analytic overlap of the two squeezed coherent
   states, evaluated in the log domain so |α| = 30 costs the same as
   |α| = 2.
 
 All evaluators accept scalar or array t and return matching shape.
+Both Fock routes and observables.current_numeric share evolve_joint.
 """
 
 from dataclasses import dataclass
@@ -46,34 +47,42 @@ def decoherence_approx(m: ModelParams, alpha, t):
     return float(out) if out.ndim == 0 else out
 
 
+def evolve_joint(H, psi, ts, reduce):
+    """reduce(block) of psi evolved under the joint-space H to every t in
+    ts, chunk by chunk (SpectralPropagator.evolve_grid), each block
+    leakage-guarded with the pruned weight before reduce sees it."""
+    def guarded(block, pruned):
+        assert_leakage(block, pruned=pruned)
+        return reduce(block)
+
+    return SpectralPropagator(H).evolve_grid(psi, ts, guarded)[0]
+
+
+def _coherence(H, psi, t, weight):
+    """|ρ_01(t)| / weight of psi evolved under H; float for scalar t."""
+    t = np.asarray(t, dtype=float)
+    dim = H.size // 2
+    rho01 = evolve_joint(H, psi, np.atleast_1d(t), lambda block: np.sum(
+        block[:dim] * np.conj(block[dim:]), axis=0))
+    out = np.abs(rho01) / weight
+    return float(out[0]) if t.ndim == 0 else out
+
+
 def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):
     """|⟨s₁(t)|s₀(t)⟩| by direct truncated-space evolution.
 
-    The branch constants ε_k drop out of the modulus.  Leakage-guarded.
-    Both branches are evolved in one pass, as the unnormalized state
-    |α⟩ ⊕ |α⟩ under the direct sum H₀ ⊕ H₁; each H_k is two tridiagonal
-    sectors, so the cost grows only quadratically with the needed
-    truncation: |α| = 30 at dim = 1200 takes a fraction of a second.
-    Each branch is guarded with the weight pruned from both, which is
-    never less than its own.
+    The joint coherence of the effective model: the unnormalized state
+    |α⟩ ⊕ |α⟩ evolved under the direct sum H₀ ⊕ H₁ has ρ_01 = ⟨s₁|s₀⟩.
+    The branch constants ε_k drop out of the modulus.  Each H_k is two
+    tridiagonal sectors, so |α| = 30 at dim = 1200 takes a fraction of a
+    second.  Unnormalized, the guarded top-level population is the sum of
+    both branches' own, never less than either.
     """
-    t = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t)
     psi0 = coherent_state(alpha, dim)
     h0, h1 = (build_effective_hamiltonian(k, m, dim) for k in (0, 1))
     h = SectorHamiltonian(2 * dim, h0.sectors + tuple(
         Sector(s.index + dim, s.diag, s.offdiag) for s in h1.sectors))
-
-    def overlap(block, pruned):
-        s0, s1 = block[:dim], block[dim:]
-        assert_leakage(s0, pruned=pruned)
-        assert_leakage(s1, pruned=pruned)
-        return np.sum(np.conj(s1) * s0, axis=0)
-
-    ov, _ = SpectralPropagator(h).evolve_grid(
-        np.concatenate([psi0, psi0]), ts, overlap)
-    d = np.abs(ov)
-    return float(d[0]) if t.ndim == 0 else d
+    return _coherence(h, np.concatenate([psi0, psi0]), t, 1.0)
 
 
 def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
@@ -123,18 +132,9 @@ def full_model_coherence(m: ModelParams, c0, c1, alpha, t, dim):
         raise ValueError("qubit weights must satisfy |c0|^2+|c1|^2 = 1")
     if c0 == 0 or c1 == 0:
         raise ValueError("normalized coherence undefined for c0*c1 = 0")
-    t = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t)
     psi = joint_state(c0, c1, coherent_state(alpha, dim))
-    prop = SpectralPropagator(build_full_hamiltonian(m, dim))
-
-    def coherence(block, pruned):
-        assert_leakage(block, osc_dim=dim, pruned=pruned)
-        return np.sum(block[:dim, :] * np.conj(block[dim:, :]), axis=0)
-
-    rho01, _ = prop.evolve_grid(psi, ts, coherence)
-    out = np.abs(rho01) / abs(c0 * np.conj(c1))
-    return float(out[0]) if t.ndim == 0 else out
+    return _coherence(build_full_hamiltonian(m, dim), psi, t,
+                      abs(c0 * np.conj(c1)))
 
 
 @dataclass(frozen=True)

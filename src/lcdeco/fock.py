@@ -37,7 +37,7 @@ from .errors import TruncationError
 COHERENT_TAIL_TOL = 1e-12
 
 # evolution leakage guard: population allowed in the top LEAK_LEVELS
-# oscillator levels of an accepted run
+# oscillator levels of both qubit branches together in an accepted run
 LEAK_LEVELS = 5
 LEAK_TOL = 1e-8
 
@@ -136,13 +136,13 @@ def joint_state(c0, c1, osc):
     return v / nrm
 
 
-def assert_leakage(states, osc_dim=None, pruned=0.0):
+def assert_leakage(states, pruned=0.0):
     """Raise TruncationError when the top LEAK_LEVELS oscillator levels
     hold LEAK_TOL or more of the population; return that population.
 
-    `states` is one state vector or a (N, nt) array of column states.
-    For joint states pass osc_dim; both qubit branches are summed.  Below
-    LEAK_LEVELS levels every level counts as a top level.
+    `states` is one joint state vector (2·dim,) or a (2·dim, nt) array of
+    column states; the top levels of both qubit branches are summed.
+    Below LEAK_LEVELS levels every level counts as a top level.
 
     `pruned` is the weight a propagator dropped from the evolved state
     (the second value SpectralPropagator.evolve_grid returns).  The
@@ -152,13 +152,10 @@ def assert_leakage(states, osc_dim=None, pruned=0.0):
     """
     arr = np.asarray(states)
     vecs = arr[:, None] if arr.ndim == 1 else arr
-    d = vecs.shape[0] if osc_dim is None else osc_dim
-    if osc_dim is not None and vecs.shape[0] != 2 * osc_dim:
-        raise ValueError("joint states of length %d expected" % (2 * osc_dim))
+    d = vecs.shape[0] // 2
     lo = max(d - LEAK_LEVELS, 0)
-    top = (np.abs(vecs[lo:d]) ** 2).sum(axis=0)
-    if osc_dim is not None:
-        top = top + (np.abs(vecs[d + lo:]) ** 2).sum(axis=0)
+    top = ((np.abs(vecs[lo:d]) ** 2).sum(axis=0)
+           + (np.abs(vecs[d + lo:]) ** 2).sum(axis=0))
     leak = float(np.max(top))
     if pruned:
         leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2

@@ -179,19 +179,34 @@ def effective_block(w, V, k, n_levels):
     eigenvalues ascending: schrieffer_wolff_check assembles it from the
     hermitian_eig solves of the two parity sectors, so V is real and each
     eigenvector lies in one sector.  Classifies eigenvectors by qubit
-    population, takes the n_levels lowest of branch k, and rotates them
-    onto the bare |k, n⟩ subspace with the polar (least-distortion)
+    population and by parity sector (the sector {|q, n⟩ : q + n ≡ p}
+    holding most of their weight) and takes, per sector, as many of
+    branch k's lowest states as the bare rows |k, n < n_levels⟩ have of
+    that parity.  The overlap matrix with those rows is then
+    block-diagonal by sector, so it stays nonsingular where the branch's
+    lowest n_levels states split unevenly between the sectors.  Rotates
+    them onto the bare subspace with the polar (least-distortion)
     unitary of the overlap matrix.  Returns an (n_levels × n_levels)
     Hermitian block whose spectrum is exactly the selected eigenvalues.
     """
     dim = len(w) // 2
     pop0 = np.sum(np.abs(V[:dim, :]) ** 2, axis=0)
-    sel = np.flatnonzero(pop0 > 0.5 if k == 0 else pop0 <= 0.5)
-    if len(sel) < n_levels:
-        raise RegimeError("branch %d classification found only %d states "
-                          "(%d requested): branches too strongly mixed"
-                          % (k, len(sel), n_levels))
-    sel = sel[:n_levels]   # w is ascending, so these are the lowest
+    in_branch = pop0 > 0.5 if k == 0 else pop0 <= 0.5
+    n = np.arange(dim)
+    parity = np.concatenate([n % 2, (n + 1) % 2])   # q + n mod 2, by row
+    odd = np.sum(np.abs(V[parity == 1, :]) ** 2, axis=0) > 0.5
+    bare = parity[k * dim:k * dim + n_levels]
+    sel = []
+    for p in (0, 1):
+        found = np.flatnonzero(in_branch & (odd == p))
+        want = int(np.sum(bare == p))
+        if len(found) < want:
+            raise RegimeError(
+                "branch %d classification found only %d states of parity "
+                "%d (%d requested): branches too strongly mixed"
+                % (k, len(found), p, want))
+        sel.append(found[:want])   # w is ascending, so these are the lowest
+    sel = np.sort(np.concatenate(sel))
     # overlap of selected eigenvectors with bare |k, n⟩, n < n_levels
     T = V[k * dim:k * dim + n_levels, sel]
     wm, s, qh = np.linalg.svd(T)

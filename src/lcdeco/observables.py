@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ModelParams
-# decoherence_exact is not called here, but perfbench/spans.py patches it
-# at this module, so it stays importable from it
-from .decoherence import decoherence_approx, decoherence_exact  # noqa: F401
-from .fock import (SpectralPropagator, assert_leakage, coherent_state,
-                   joint_state)
+# decoherence_exact and assert_leakage (evolve_joint guards) are not
+# called here, but perfbench/spans.py patches them at this module, so
+# they stay importable from it
+from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
+                          evolve_joint)
+from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401
 from .hamiltonians import build_full_hamiltonian
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -82,14 +83,9 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
         raise ValueError(
             "grid spacing %.3g violates the sampling criterion %.3g"
             % (dts[0], sampling_limit(m)))
-    psi = joint_state(c0, c1, coherent_state(alpha, dim))
-    prop = SpectralPropagator(build_full_hamiltonian(m, dim))
-
-    def occupation(block, pruned):
-        assert_leakage(block, osc_dim=dim, pruned=pruned)
-        return charge_occupation(block, m.theta)
-
-    pc, _ = prop.evolve_grid(psi, ts, occupation)
+    pc = evolve_joint(build_full_hamiltonian(m, dim),
+                      joint_state(c0, c1, coherent_state(alpha, dim)), ts,
+                      lambda block: charge_occupation(block, m.theta))
     current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 

@@ -124,6 +124,16 @@ def test_run_regime_error_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_sw_check_at_its_gamma_bound_exit_zero(tmp_path):
+    # the doubled coupling 2*gamma = 0.15 puts branch 1's lowest 24
+    # states 11/13 across the parity sectors
+    cfg = _write(tmp_path, "sw.cfg",
+                 "scenario = sw-check\n[model]\nomega_a = 10.0\n"
+                 "gamma = 0.075\ndim = 64\n")
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+
+
 def test_run_truncation_error_exit_three(tmp_path, capsys):
     cfg = _write(tmp_path, "trunc.cfg",
                  "scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"

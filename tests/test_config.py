@@ -149,6 +149,16 @@ def test_fig4_single_alpha():
     assert any("exactly one alpha" in p for p in err.value.problems)
 
 
+def test_fig4_needs_three_samples():
+    text = ("scenario = fig4\n[model]\nomega_a = 1.8\ng = 0.05\n"
+            "alpha = 2\nsamples = 2\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any("at least 3 samples" in p for p in err.value.problems)
+    assert parse_config(text.replace("samples = 2", "samples = 3")) \
+        .samples == 3
+
+
 def test_numeric_bounds():
     text = ("scenario = fig2\n[model]\nomega_a = -1\ng = -0.1\nalpha = 2\n"
             "dim = 1\nsamples = 1\nt_max = 0\n[run]\nthreads = 0\n")

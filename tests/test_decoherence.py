@@ -127,6 +127,30 @@ def test_fock_oracle_branch_symmetry():
     assert np.max(np.abs(d_oracle - d01)) < 1e-12
 
 
+def test_fock_oracle_joint_guard_trips_no_later_than_either_branch():
+    """The oracle guards both branches' top levels summed: at the regime
+    of test_fock's streamed callers (omega_a = 4, g = 0.5, alpha = 3,
+    dim = 40) it trips by the first sample at which either branch,
+    evolved on its own, holds LEAK_TOL in its top LEAK_LEVELS levels."""
+    from lcdeco.fock import (LEAK_LEVELS, LEAK_TOL, SpectralPropagator,
+                             coherent_state)
+    from lcdeco.hamiltonians import build_effective_hamiltonian
+    from lcdeco.observables import sampling_limit
+
+    m = params_from_dimensionless(4.0, 0.5)
+    dim = 40
+    ts = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
+    psi0 = coherent_state(3.0, dim)
+    top = [np.sum(np.abs(SpectralPropagator(
+        build_effective_hamiltonian(k, m, dim)).evolve_grid(
+            psi0, ts, lambda b, _: b)[0][dim - LEAK_LEVELS:]) ** 2, axis=0)
+        for k in (0, 1)]
+    reached = np.flatnonzero(np.maximum(*top) >= LEAK_TOL)
+    assert len(reached) > 0, "the regime never reached the leakage tolerance"
+    with pytest.raises(TruncationError):
+        decoherence_fock_oracle(m, 3.0, ts[:reached[0] + 1], dim)
+
+
 def test_gaussian_oracle_trivial_limit():
     m0 = params_from_dimensionless(1.8, 0.0)
     ts = np.linspace(0.0, 10.0, 32)

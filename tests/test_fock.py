@@ -287,15 +287,32 @@ def test_leakage_guard_adds_pruned_weight():
     assert assert_leakage(psi, pruned=PRUNE_TOL) > leak
 
 
-@pytest.mark.parametrize("dim, osc_dim", [(4, None), (3, 3)])
-def test_leakage_guard_counts_every_level_below_leak_levels(dim, osc_dim):
+def test_leakage_guard_counts_every_level_below_leak_levels():
     # with fewer than LEAK_LEVELS levels all of them are top levels, so
-    # the vacuum (of the qubit-0 branch, for a joint state) trips
+    # the vacuum of the qubit-0 branch trips
+    dim = 3
     assert dim < LEAK_LEVELS
-    psi = np.zeros(dim if osc_dim is None else 2 * dim, dtype=complex)
+    psi = np.zeros(2 * dim, dtype=complex)
     psi[0] = 1.0
     with pytest.raises(TruncationError):
-        assert_leakage(psi, osc_dim=osc_dim)
+        assert_leakage(psi)
+
+
+def test_leakage_guard_sums_both_branches():
+    """Each branch's top levels hold 0.6·LEAK_TOL: either branch alone
+    passes, the joint state does not."""
+    dim = 16
+    branch = np.zeros(dim, dtype=complex)
+    branch[0] = 1.0
+    branch[-1] = math.sqrt(0.6 * LEAK_TOL)
+    empty = np.zeros(dim, dtype=complex)
+    empty[0] = 1.0
+    for one in (np.concatenate([branch, empty]),
+                np.concatenate([empty, branch])):
+        assert assert_leakage(one) == pytest.approx(0.6 * LEAK_TOL,
+                                                    rel=1e-12)
+    with pytest.raises(TruncationError):
+        assert_leakage(np.concatenate([branch, branch]))
 
 
 def test_overlap_basics():
@@ -364,6 +381,34 @@ def test_hermitian_eig_is_the_only_eigensolver():
                     else None)
             if used in solvers and id(node) not in allowed:
                 found.append("%s:%d %s" % (name, node.lineno, used))
+    assert found == []
+
+
+def test_evolve_joint_is_the_only_propagation():
+    """No code in lcdeco builds a SpectralPropagator or calls the leakage
+    guard except decoherence.evolve_joint, so every evolution is guarded
+    the same way."""
+    names = {"SpectralPropagator", "assert_leakage"}
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = set()
+        if name == "decoherence.py":
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "evolve_joint"):
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            called = (node.func.id if isinstance(node.func, ast.Name)
+                      else node.func.attr
+                      if isinstance(node.func, ast.Attribute) else None)
+            if called in names:
+                found.append("%s:%d %s" % (name, node.lineno, called))
     assert found == []
 
 
