@@ -70,14 +70,16 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
     with P_c at θ = m.theta and I in units of e·ω.
 
     I is the second-order finite difference of −2·P_c (central in the
-    interior, one-sided at the ends).  The grid must satisfy the
-    sampling criterion dt ≤ 2π/(20·max(ω_a, Ω)).
+    interior, one-sided at the ends).  The grid must be uniform with a
+    positive step dt ≤ 2π/(20·max(ω_a, Ω)), the sampling criterion.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
         raise ValueError("need a 1-D grid of at least 3 samples")
     dts = np.diff(ts)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(dts[0]), 1e-300):
+    if not dts[0] > 0.0:
+        raise ValueError("time grid must have a positive step")
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise ValueError("time grid must be uniform")
     if dts[0] > sampling_limit(m):
         raise ValueError(

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                        annihilation_op, dense, fock_state, number_op,
@@ -255,6 +257,20 @@ def test_sector_hamiltonian_rejects_bad_partition():
         SpectralPropagator(np.eye(3))
 
 
+def _full_model(omega_a, g, alpha, dim):
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.hamiltonians import build_full_hamiltonian
+
+    m = params_from_dimensionless(omega_a, g)
+    return m, build_full_hamiltonian(m, dim), joint_state(
+        1.0, 1.0, coherent_state(alpha, dim))
+
+
+def _dense_evolution(H, psi, ts):
+    w, V = np.linalg.eigh(dense(H))
+    return V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
+
+
 def test_pruned_weight_bounded_and_reproduced():
     """A coherent state far from the vacuum has eigencomponents of weight
     far below PRUNE_TOL; the dropped weight stays within PRUNE_TOL and
@@ -268,9 +284,89 @@ def test_pruned_weight_bounded_and_reproduced():
     grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
                                                       lambda b, _: b)
     assert 0.0 < pruned <= PRUNE_TOL
-    w, V = np.linalg.eigh(dense(H))
-    ref = V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
-    assert np.max(np.abs(grid - ref)) <= math.sqrt(PRUNE_TOL) + 1e-13
+    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+        <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+def test_window_drops_unreachable_rows(monkeypatch):
+    """Full H at α = 10 on 240 levels: n̄ = 100 ± 10 never reaches the
+    lowest or the highest levels, so the window leaves rows at both ends
+    of the chains zero in every chunk, and the grid still matches the
+    dense reference to √PRUNE_TOL."""
+    from lcdeco import fock
+
+    dim = 240
+    m, H, psi = _full_model(8.0, 0.35, 10.0, dim)
+    ts = np.linspace(0.0, math.pi / m.Omega, 10)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 3)
+    zero_rows = []
+
+    def reduce(block, _):
+        zero_rows.append(np.flatnonzero(np.all(block == 0.0, axis=1)))
+        return block
+
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, reduce)
+    assert len(zero_rows) == 4
+    for rows in zero_rows:
+        assert np.array_equal(rows, zero_rows[0])
+    assert {0, dim - 1, dim, 2 * dim - 1} <= set(zero_rows[0])
+    assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
+    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+        <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+def test_leakage_guard_sees_window_rows():
+    """At α = 6 on 160 levels the window ends below the top LEAK_LEVELS
+    levels: the guard finds them zero and tests the combined dropped
+    weight alone, which passes."""
+    from lcdeco.decoherence import evolve_joint
+
+    dim = 160
+    m, H, psi = _full_model(8.0, 0.35, 6.0, dim)
+    ts = np.linspace(0.0, math.pi / m.Omega, 9)
+    seen = []
+
+    def reduce(block, pruned):
+        top = np.r_[dim - LEAK_LEVELS:dim, 2 * dim - LEAK_LEVELS:2 * dim]
+        assert np.all(block[top] == 0.0)
+        seen.append((assert_leakage(block, pruned), pruned))
+        return block
+
+    _, pruned = SpectralPropagator(H).evolve_grid(psi, ts, reduce)
+    assert 0.0 < pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
+    assert seen == [(pytest.approx(pruned, rel=1e-12), pruned)]
+    evolve_joint(H, psi, ts, lambda block: block)   # the guard passes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.5, 12.0), st.floats(0.0, 0.15), st.floats(0.0, 6.0),
+       st.integers(0, 48), st.lists(st.floats(0.0, 4.0), min_size=1,
+                                    max_size=8))
+def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
+                                                 extra, ts):
+    """Random valid regimes of the full H, with truncations from tight to
+    roomy: the windowed evolution stays within √PRUNE_TOL of the dense
+    reference, and the dropped weight within its budget.  t stays below
+    4, where the dense reference itself holds ~1e-13."""
+    dim = min_adequate_dim(alpha) + extra
+    _, H, psi = _full_model(omega_a, gamma * (omega_a - 1.0), alpha, dim)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
+                                                     lambda b, _: b)
+    assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
+    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+        <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_evolve_grid_rejects_non_finite_times(t):
+    with pytest.raises(ValueError):
+        SpectralPropagator(_number_hamiltonian(16)).evolve_grid(
+            coherent_state(0.5, 16), [0.0, t, 1.0], lambda b, _: b)
+
+
+def test_leakage_guard_trips_on_nan():
+    with pytest.raises(TruncationError):
+        assert_leakage(np.full(8, np.nan))
 
 
 def test_leakage_guard_adds_pruned_weight():

@@ -142,6 +142,15 @@ def test_numeric_current_grid_validation():
         current_numeric(m, 1.0, np.array([0.0, 0.1, 0.3]), 24)
 
 
+@pytest.mark.parametrize("ts", [np.zeros(5), np.linspace(10.0, 0.0, 5)],
+                         ids=["zero-step", "descending"])
+def test_numeric_current_needs_positive_step(ts):
+    # the descending grid's |step| 2.5 is far above the limit (0.079)
+    m = params_from_dimensionless(8.0, 0.0)
+    with pytest.raises(ValueError, match="positive step"):
+        current_numeric(m, 1.0, ts, 24)
+
+
 def test_bounded_charge():
     # |integral of I over a carrier period| <= 2q * max P_c excursion
     m = params_from_dimensionless(8.0, 0.35)
