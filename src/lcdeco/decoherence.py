@@ -9,7 +9,8 @@ the simplified form.
 * Fock oracle: the effective model's joint coherence, |⟨s₁(t)|s₀(t)⟩|
   from |α⟩ evolved under both branch Hamiltonians on the truncated space,
 * Gaussian oracle: the analytic overlap of the two squeezed coherent
-  states, evaluated in the log domain so |α| = 30 costs the same as
+  states, |⟨α|U₁†U₀|α⟩| from the one relative Bogoliubov pair of the
+  branches, evaluated in the log domain so |α| = 30 costs the same as
   |α| = 2.
 
 All evaluators accept scalar or array t and return matching shape.
@@ -86,38 +87,37 @@ def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):
 
 
 def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
-    """|⟨s₁(t)|s₀(t)⟩| from the analytic two-squeezed-state overlap.
+    """|⟨s₁(t)|s₀(t)⟩| = |⟨α|W|α⟩| in closed form, W = U₁†U₀ (Yuen,
+    PRA 13, 2226 (1976)).
 
-    Each evolved branch state is characterized by the pair
-    (M_k, V_k) = (conj(u_k), v_k) of its Heisenberg coefficients
-    (hamiltonians.evolution_coefficients), a composed Bogoliubov
-    transformation with |M|² − |V|² = 1.  With
-    c_k = V_k/M_k and d_k = α/M_k the log-magnitude of the overlap is a
-    closed expression; everything is evaluated in the log domain so the
-    e^{−|α|²}-scale intermediate factors never underflow.
+    U_k = e^{−iH_k t} maps a to U_k†aU_k = u_k a + v_k a†
+    (hamiltonians.evolution_coefficients); inverting the first,
+    U₁aU₁† = ū₁a − v₁a†, so W is the Gaussian unitary with
+
+        W†aW = p a + q a†,  p = ū₁u₀ − v₁v̄₀,  q = ū₁v₀ − v₁ū₀,
+
+    and |p|² − |q|² = 1.  The constants ε_k only add a phase.  Then
+    W D(α) = D(β) W with β = pα + qᾱ, so up to a phase
+    ⟨α|W|α⟩ = ⟨γ|W|0⟩ with γ = α − β = α(1 − p) − ᾱq.  W|0⟩ is
+    annihilated by WaW† = p̄a − qa†, so W|0⟩ = N exp(½(q/p̄)a†²)|0⟩ with
+    |N|² = 1/|p|, and ⟨γ| = ⟨0|e^{γ̄a}e^{−|γ|²/2} gives
+
+        ln D = −½ ln|p| − ½|γ|² + ½ Re(q γ̄²/p̄).
+
+    −½ ln|p| is taken as −¼ log1p(|q|²), exact for small q, so g = 0
+    (q = 0) gives D = 1.  All in the log domain: the e^{−|α|²}-scale
+    factors never underflow.
     """
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
-    c = []
-    d = []
+    u0, v0 = evolution_coefficients(0, m, ts)
+    u1, v1 = evolution_coefficients(1, m, ts)
+    p = np.conj(u1) * u0 - v1 * np.conj(v0)
+    q = np.conj(u1) * v0 - v1 * np.conj(u0)
     al = complex(alpha)
-    for k in (0, 1):
-        u, v = evolution_coefficients(k, m, ts)
-        mk = np.conj(u)
-        c.append(v / mk)
-        d.append(al / mk)
-    c0, c1 = c[0], c[1]
-    d0, d1 = d[0], d[1]
-    cross = 1.0 - np.conj(c1) * c0
-    log_mag = (0.25 * np.log1p(-np.abs(c1) ** 2)
-               + 0.25 * np.log1p(-np.abs(c0) ** 2)
-               - 0.5 * np.log(np.abs(cross))
-               + np.real((np.conj(d1) ** 2 * c0 + d0 ** 2 * np.conj(c1)
-                          + 2.0 * np.conj(d1) * d0) / (2.0 * cross))
-               - (np.real(np.conj(c1) * d1 ** 2) + np.abs(d1) ** 2)
-               / (2.0 * (1.0 - np.abs(c1) ** 2))
-               - (np.real(np.conj(c0) * d0 ** 2) + np.abs(d0) ** 2)
-               / (2.0 * (1.0 - np.abs(c0) ** 2)))
+    gam = al * (1.0 - p) - np.conj(al) * q
+    log_mag = (-0.25 * np.log1p(np.abs(q) ** 2) - 0.5 * np.abs(gam) ** 2
+               + 0.5 * np.real(q * np.conj(gam) ** 2 / np.conj(p)))
     out = np.exp(log_mag)
     return float(out[0]) if t.ndim == 0 else out
 

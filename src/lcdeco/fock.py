@@ -26,8 +26,10 @@ hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
 
-scipy is imported inside the three functions that use it, so importing
-lcdeco, and every command that builds no Fock state, loads no scipy.
+scipy is imported inside hermitian_eig, the one function that uses it,
+so importing lcdeco, and every command that diagonalizes no sector,
+loads no scipy.  The coherent-state weights come from one log-domain
+Poisson pmf built on math.lgamma.
 """
 
 import math
@@ -74,42 +76,63 @@ def hermitian_eig(diag, offdiag):
 # ---------------------------------------------------------------------------
 # states
 
-def coherent_tail_mass(alpha, dim):
-    """Poisson mass of the untruncated coherent state above level dim−1.
+def _poisson_log_pmf(alpha, lo, hi):
+    """ln P(n) = ln(e^{−|α|²}|α|^{2n}/n!), the log Poisson weight of level
+    n in |α⟩ (α ≠ 0), for lo ≤ n < hi.  ln n! is math.lgamma(n + 1): a
+    cumulative sum of ln n drifts, 1.2e-11 off by n = 1400."""
+    n = np.arange(lo, hi)
+    log_fact = np.fromiter(map(math.lgamma, range(lo + 1, hi + 1)), float,
+                           hi - lo)
+    return 2.0 * n * math.log(abs(alpha)) - log_fact - abs(alpha) ** 2
 
-    For mean photon number |α|² the tail P(n ≥ dim) is the regularized
-    lower incomplete gamma gammainc(dim, |α|²).
-    """
-    from scipy.special import gammainc
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
+
+def _poisson_reach(alpha):
+    """12 standard deviations and 40 levels: the Poisson weight of |α⟩
+    farther than this from the mean |α|², on either side, is below
+    e^{−60}."""
+    return 12.0 * abs(alpha) + 40.0
+
+
+def coherent_tail_mass(alpha, dim):
+    """Poisson mass of the untruncated coherent state above level dim−1,
+    P(n ≥ dim): the pmf summed directly over the _poisson_reach levels
+    above max(dim, |α|²), or 1 when dim lies that far below the mean."""
+    if alpha == 0:
         return 0.0
-    return float(gammainc(dim, lam))
+    lam, reach = abs(alpha) ** 2, _poisson_reach(alpha)
+    if dim <= lam - reach:
+        return 1.0
+    top = int(max(dim, lam) + reach)
+    return float(np.sum(np.exp(_poisson_log_pmf(alpha, dim, top))))
 
 
 def min_adequate_dim(alpha):
-    """Smallest truncation with coherent tail mass below
-    COHERENT_TAIL_TOL."""
-    lo = 2
-    hi = max(4, int(abs(alpha) ** 2) + 2)
-    while coherent_tail_mass(alpha, hi) >= COHERENT_TAIL_TOL:
-        lo = hi
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(hi, 2)
+    """Smallest truncation (at least 2) with coherent tail mass below
+    COHERENT_TAIL_TOL: the first level where the reverse cumulative sum
+    of the pmf falls below it.  The sum starts _poisson_reach above the
+    mean and runs down 512 levels at a time, so memory stays bounded
+    however large |α| is."""
+    if alpha == 0:
+        return 2
+    top = int(abs(alpha) ** 2 + _poisson_reach(alpha)) + 1
+    tail = 0.0
+    while top > 2:
+        lo = max(top - 512, 2)
+        run = tail + np.cumsum(np.exp(_poisson_log_pmf(alpha, lo, top))[::-1])
+        reached = np.flatnonzero(run >= COHERENT_TAIL_TOL)
+        if len(reached):
+            return top - int(reached[0])
+        tail, top = run[-1], lo
+    return 2
 
 
 def coherent_state(alpha, dim):
     """Coherent state |α⟩ truncated to dim levels, renormalized.
 
-    Amplitudes are built in the log domain so large |α| does not overflow.
-    Raises TruncationError (with a suggested dimension) when the analytic
-    tail mass at the requested truncation is not below COHERENT_TAIL_TOL.
+    Amplitudes are e^{½ ln P(n) + inφ}, built in the log domain so large
+    |α| does not overflow.  Raises TruncationError (with a suggested
+    dimension) when the tail mass at the requested truncation is not
+    below COHERENT_TAIL_TOL.
     """
     dim = _check_dim(dim)
     tail = coherent_tail_mass(alpha, dim)
@@ -122,11 +145,8 @@ def coherent_state(alpha, dim):
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
-    from scipy.special import gammaln
-    n = np.arange(dim)
-    mag = np.exp(n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-                 - 0.5 * abs(alpha) ** 2)
-    phase = np.exp(1j * n * np.angle(alpha))
+    mag = np.exp(0.5 * _poisson_log_pmf(alpha, 0, dim))
+    phase = np.exp(1j * np.arange(dim) * np.angle(alpha))
     v = mag * phase
     return v / np.linalg.norm(v)
 

@@ -8,8 +8,8 @@ its qubit-conditioned effective oscillator Hamiltonians,
 
     H_k = ω̃ a†a + (−1)^k λ (a² + a†²) + ε_k ,
 
-and the analytic Bogoliubov (squeeze) coefficients of the conditioned
-evolution.
+the paper's squeeze pair (μ_k, ν_k), and the Heisenberg coefficients
+(u_k, v_k) of the conditioned evolution, solved from H_k directly.
 
 Both Hamiltonians are built as their two parity sectors
 (fock.SectorHamiltonian).  The full H commutes with the Rabi-model parity
@@ -97,17 +97,21 @@ def squeeze_coefficients(k, m: ModelParams, t):
 
 def evolution_coefficients(k, m: ModelParams, t):
     """Heisenberg coefficients (u, v) with a(t) = u·a(0) + v·a†(0)
-    under H_k, composed from the squeeze pair at times 0 and t.
+    under H_k, solved from da/dt = −i(ω̃a + 2(−1)^k λ a†):
 
-    u(0) = 1, v(0) = 0, and |u|² − |v|² = 1 for all t.
+        u = cos Ωt − i(ω̃/Ω) sin Ωt,   v = −i(−1)^k (2λ/Ω) sin Ωt,
+
+    with Ω² = ω̃² − 4λ².  u(0) = 1, v(0) = 0, and |u|² − |v|² = 1 for
+    all t.  The paper's squeeze pair composes to the same (u, v):
+    u = conj(μ_tμ_0 − ν_tν_0), v = μ_tν_0 − μ_0ν_t.
     Accepts scalar or array t.
     """
-    mu_0, nu_0 = squeeze_coefficients(k, m, 0.0)
-    mu_t, nu_t = squeeze_coefficients(k, m, np.atleast_1d(t))
-    u = np.conj(mu_t * mu_0 - nu_t * nu_0)
-    v = mu_t * nu_0 - mu_0 * nu_t
+    phase = m.Omega * np.asarray(t, dtype=float)
+    sin = np.sin(phase)
+    u = np.cos(phase) - 1j * (m.omega_tilde / m.Omega) * sin
+    v = -1j * branch_sign(k) * (2.0 * m.lam / m.Omega) * sin
     if np.ndim(t) == 0:
-        return complex(u[0]), complex(v[0])
+        return complex(u), complex(v)
     return u, v
 
 

@@ -184,8 +184,8 @@ def test_run_numeric_failure_exit_three(exc, message, tmp_path, capsys,
 
 def test_cli_import_skips_scipy():
     """Importing the CLI must load no scipy module: scipy is imported only
-    where a Fock state is built or a sector diagonalized, so --version,
-    derive, sweep and device_si never pay for loading it."""
+    where a sector is diagonalized, so --version, derive, sweep and
+    device_si never pay for loading it."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import lcdeco.cli, sys; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
@@ -193,6 +193,27 @@ def test_cli_import_skips_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_fock_run_skips_scipy_special(tmp_path):
+    """A fig2 run that writes a D_fock column loads scipy.linalg for the
+    sector eigensolver and nothing from scipy.special: the coherent-state
+    weights are built from math.lgamma."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cfg = _write(tmp_path, "fig2.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 1.8\ng = 0.05\n"
+                 "alpha = 2\ndim = 40\nsamples = 40\n")
+    out = str(tmp_path / "out")
+    code = ("import lcdeco.cli, sys; "
+            "code = lcdeco.cli.main(['run', '--config', %r, '--out', %r]); "
+            "print(code, 'scipy.linalg' in sys.modules, "
+            "'scipy.special' in sys.modules)" % (cfg, out))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 True False"
+    _, columns, _ = read_csv(os.path.join(out, "fig2_alpha2.csv"))
+    assert "D_fock" in columns
 
 
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])

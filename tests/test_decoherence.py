@@ -14,7 +14,7 @@ from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 full_model_coherence, jump_metrics)
 from lcdeco.errors import TruncationError
 from lcdeco.fock import min_adequate_dim
-from lcdeco.hamiltonians import evolution_coefficients
+from lcdeco.hamiltonians import evolution_coefficients, squeeze_coefficients
 from lcdeco.runner import FOCK_ALPHA_MAX
 
 M_REF = params_from_dimensionless(1.8, 0.05)
@@ -158,6 +158,13 @@ def test_gaussian_oracle_trivial_limit():
         < 1e-12
 
 
+def test_gaussian_oracle_uncoupled_is_exactly_one():
+    """g = 0: the relative pair has q = 0 exactly, so D is exactly 1."""
+    m0 = params_from_dimensionless(1.8, 0.0)
+    ts = np.linspace(0.0, 50.0, 401)
+    assert np.all(decoherence_gaussian_oracle(m0, 30.0 - 4.0j, ts) == 1.0)
+
+
 def test_gaussian_oracle_matches_fock_small_alpha():
     ts = _grid(M_REF, periods=1.0, n=200)
     d_g = decoherence_gaussian_oracle(M_REF, 2.0, ts)
@@ -192,7 +199,7 @@ def _regime(omega_a, gamma, r, phase, ts):
 def test_gaussian_oracle_matches_exact_random(regime):
     m, alpha, ts = _regime(*regime)
     d_g = decoherence_gaussian_oracle(m, alpha, ts)
-    assert np.max(np.abs(d_g - decoherence_exact(m, alpha, ts))) <= 1e-8
+    assert np.max(np.abs(d_g - decoherence_exact(m, alpha, ts))) <= 1e-13
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,6 +223,19 @@ def test_evolution_coefficients_canonical_random(regime, k):
     m, _, ts = _regime(*regime)
     u, v = evolution_coefficients(k, m, ts)
     assert np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regimes(30.0), st.sampled_from((0, 1)))
+def test_squeeze_pair_composes_to_evolution_coefficients_random(regime, k):
+    """The paper's squeeze pair (mu_k, nu_k), composed at 0 and t, is the
+    Heisenberg solution of H_k that evolution_coefficients returns."""
+    m, _, ts = _regime(*regime)
+    mu_0, nu_0 = squeeze_coefficients(k, m, 0.0)
+    mu_t, nu_t = squeeze_coefficients(k, m, ts)
+    u, v = evolution_coefficients(k, m, ts)
+    assert np.max(np.abs(np.conj(mu_t * mu_0 - nu_t * nu_0) - u)) <= 1e-12
+    assert np.max(np.abs(mu_t * nu_0 - mu_0 * nu_t - v)) <= 1e-12
 
 
 def test_phase_insensitivity():

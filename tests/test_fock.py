@@ -14,8 +14,8 @@ from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                        annihilation_op, dense, fock_state, number_op,
                        partial_trace_qubit, position_quad)
 from lcdeco.errors import TruncationError
-from lcdeco.fock import (LEAK_LEVELS, LEAK_TOL, PRUNE_TOL, Sector,
-                         SectorHamiltonian, SpectralPropagator,
+from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
+                         Sector, SectorHamiltonian, SpectralPropagator,
                          assert_leakage, coherent_state, coherent_tail_mass,
                          hermitian_eig, joint_state, min_adequate_dim)
 
@@ -94,6 +94,43 @@ def test_min_adequate_dim_is_minimal():
     d = min_adequate_dim(3.0)
     assert coherent_tail_mass(3.0, d) < 1e-12
     assert coherent_tail_mass(3.0, d - 1) >= 1e-12
+
+
+def test_coherent_amplitudes_match_gammaln_at_alpha_30():
+    """The math.lgamma pmf against scipy's gammaln, the test-only
+    reference, at the paper's largest amplitude."""
+    from scipy.special import gammaln
+    n = np.arange(1200)
+    ref = np.exp(n * math.log(30.0) - 0.5 * gammaln(n + 1.0) - 450.0)
+    ref /= np.linalg.norm(ref)
+    assert np.max(np.abs(coherent_state(30.0, 1200) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.7, 3.0 - 1.0j, 10.0, 30.0, 35.0])
+def test_coherent_tail_mass_matches_gammainc(alpha):
+    """P(n >= dim) = gammainc(dim, |alpha|^2), from below the mean to far
+    out in the tail (wherever the reference is a normal double)."""
+    from scipy.special import gammainc
+    lam = abs(alpha) ** 2
+    for dim in (2, int(lam) + 1, int(lam + 3 * abs(alpha)) + 2,
+                min_adequate_dim(alpha),
+                min_adequate_dim(alpha) + int(8 * abs(alpha)) + 20):
+        ref = gammainc(dim, lam)
+        assert ref > 1e-300
+        assert abs(coherent_tail_mass(alpha, dim) - ref) <= 1e-10 * ref
+
+
+def test_min_adequate_dim_matches_gammainc_scan():
+    """The first dim >= 2 with gammainc(dim, |alpha|^2) below
+    COHERENT_TAIL_TOL, scanned level by level, for alpha = 0 ... 35, and
+    at alpha = 100 and 300, where the crossing lies more than one
+    512-level block below where min_adequate_dim starts its sum."""
+    from scipy.special import gammainc
+    grid = np.round(np.arange(0.0, 35.0 + 1e-9, 0.05), 2)
+    for alpha in np.concatenate([grid, [100.0, 300.0]]):
+        dims = np.arange(2, int(alpha ** 2 + 12 * alpha) + 60)
+        below = gammainc(dims, alpha ** 2) < COHERENT_TAIL_TOL
+        assert min_adequate_dim(alpha) == dims[np.argmax(below)], alpha
 
 
 def test_qubit_conventions():
