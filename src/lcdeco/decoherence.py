@@ -60,13 +60,14 @@ def evolve_joint(H, psi, ts, reduce):
 
 
 def _coherence(H, psi, t, weight):
-    """|ρ_01(t)| / weight of psi evolved under H; float for scalar t."""
+    """|ρ_01(t)| / weight of psi evolved under H, in t's shape; float for
+    scalar t."""
     t = np.asarray(t, dtype=float)
     dim = H.size // 2
-    rho01 = evolve_joint(H, psi, np.atleast_1d(t), lambda block: np.sum(
+    rho01 = evolve_joint(H, psi, t.ravel(), lambda block: np.sum(
         block[:dim] * np.conj(block[dim:]), axis=0))
-    out = np.abs(rho01) / weight
-    return float(out[0]) if t.ndim == 0 else out
+    out = (np.abs(rho01) / weight).reshape(t.shape)
+    return float(out) if t.ndim == 0 else out
 
 
 def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):

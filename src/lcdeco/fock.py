@@ -21,7 +21,11 @@ state never reaches; only the window's rows are built.  Evolution is
 streamed: the time grid is walked in chunks of at most CHUNK_SAMPLES
 samples, and the caller's reduction turns each chunk of states into its
 observable before the next chunk is built, so memory per call is
-O(size·CHUNK_SAMPLES) plus the eigenvectors, not size × samples.
+O(size·CHUNK_SAMPLES) plus the eigenvectors, not size × samples.  The
+phases e^{−iwt} come from one table of e^{−iwτ} per sector, τ a time's
+offset from its chunk's first time, reused by every chunk whose offsets
+match it to rounding: a uniform grid takes cos/sin for its first chunk
+only.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
@@ -182,7 +186,7 @@ def assert_leakage(states, pruned=0.0):
     lo = max(d - LEAK_LEVELS, 0)
     top = ((np.abs(vecs[lo:d]) ** 2).sum(axis=0)
            + (np.abs(vecs[d + lo:]) ** 2).sum(axis=0))
-    leak = float(np.max(top))
+    leak = float(np.max(top, initial=0.0))
     if pruned:
         leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
     if not leak < LEAK_TOL:     # a NaN population trips too
@@ -269,6 +273,19 @@ class SpectralPropagator:
     O(size·CHUNK_SAMPLES) plus the kept eigenvectors, whatever the number
     of samples.
 
+    Each time is split as t = t_lo + τ, t_lo the first time of its chunk,
+    so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each sector keeps a table of
+    e^{−iwτ} (kept components × chunk) and reuses it for every chunk
+    whose offsets τ match the table's within 2·eps·max|t|, as every
+    later chunk of a linspace grid does (the mismatch measured at most
+    1.1·eps·max|t| on linspace grids of 300 to 10 000 samples, 0.66 on
+    fig4's); the chunk's phases are then the table times
+    c·e^{−iw·t_lo}, one complex multiply and K exponentials for K kept
+    components.  Reuse adds a phase error of at most
+    max|w|·2·eps·max|t|, the order of the rounding of w·t itself.  Any
+    other chunk rebuilds the table with one cos/sin pass, as many passes
+    as computing its phases directly.
+
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).
     """
@@ -289,12 +306,17 @@ class SpectralPropagator:
         chunk by chunk, and the weight dropped from the evolution,
         (√eigencomponents + √window rows)², at most PRUNE_TOL·‖psi‖².
 
-        ts must be finite; it is walked in chunks of at most CHUNK_SAMPLES
-        samples.  For each chunk, reduce(block, pruned) gets the
-        (size, chunk) array of states, one column per t, zero outside the
-        sectors' windows, and returns an array whose last axis runs over
-        that chunk's samples; `reduced` is those arrays joined along the
-        last axis.  `lambda block, _: block` returns the states themselves.
+        ts must be finite; it is flattened and walked in chunks of at most
+        CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
+        chunk, reduce(block, pruned) gets the (size, chunk) array of
+        states, one column per t, zero outside the sectors' windows, and
+        returns an array whose last axis runs over that chunk's samples;
+        `reduced` is those arrays joined along the last axis.
+        `lambda block, _: block` returns the states themselves.  The
+        phases of a chunk whose offsets from its first time match the
+        previous table's within 2·eps·max|t| (every chunk after the first
+        of a uniform grid) reuse that table, at a phase error of at most
+        max|w|·2·eps·max|t|; see the class docstring.
         """
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.size,):
@@ -305,8 +327,11 @@ class SpectralPropagator:
             raise ValueError("evolution times must be finite")
         coeffs = []
         for index, _, Q in self._sectors:
-            pairs = psi[index].view(float).reshape(-1, 2)   # (re, im) rows
-            coeffs.append((Q.T @ pairs).view(complex)[:, 0])
+            # (re, im) rows projected as pairs.T @ Q, which measured 0.75 ms
+            # against 1.0 ms for Q.T @ pairs (1200-level sector, median of
+            # 50, two OpenBLAS threads on two vCPUs)
+            re, im = psi[index].view(float).reshape(-1, 2).T @ Q
+            coeffs.append(re + 1j * im)
         weight = np.abs(np.concatenate(coeffs)) ** 2
         order = np.argsort(weight, kind="stable")
         cum = np.cumsum(weight[order])
@@ -341,17 +366,40 @@ class SpectralPropagator:
         outside = np.concatenate(outside)
         if dropped:
             pruned = (math.sqrt(pruned) + math.sqrt(dropped)) ** 2
+        # one e^{−iwτ} table per sector (see the class docstring); the
+        # last chunk multiplies into each table and lets it go, earlier
+        # ones into one shared spare, so a single-chunk call holds no more
+        # than phasing each sector directly would
+        tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
+        tables = [None] * len(kept)
+        spare = np.empty((max(len(w) for _, w, _, _ in kept), CHUNK_SAMPLES),
+                         dtype=complex) if len(ts) > CHUNK_SAMPLES else None
         results = []
-        for lo in range(0, len(ts), CHUNK_SAMPLES):
+        # an empty grid still gets one, empty, chunk: reduce sets the shape
+        for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
             chunk = ts[lo:lo + CHUNK_SAMPLES]
-            block = np.empty((self.size, len(chunk)), dtype=complex)
+            n = len(chunk)
+            offsets = chunk - chunk[:1]
+            rebuild = lo == 0 or np.max(
+                np.abs(offsets - tabulated[:n]), initial=0.0) > tol
+            if rebuild:
+                tabulated = offsets
+            last = lo + n >= len(ts)
+            block = np.empty((self.size, n), dtype=complex)
             block[outside] = 0.0
-            for index, w, Q, c in kept:
-                arg = np.outer(w, -chunk)
-                phases = np.empty(arg.shape, dtype=complex)
-                np.cos(arg, out=phases.real)
-                np.sin(arg, out=phases.imag)
-                phases *= c
+            for i, (index, w, Q, c) in enumerate(kept):
+                if rebuild:
+                    tables[i] = table = np.empty((len(w), n), dtype=complex)
+                    np.outer(w, -offsets, out=table.imag)
+                    np.cos(table.imag, out=table.real)
+                    np.sin(table.imag, out=table.imag)
+                table = tables[i][:, :n]
+                if last:
+                    phases, tables[i] = table, None
+                else:
+                    phases = spare[:len(w), :n]
+                np.multiply(table, c * np.exp(-1j * np.outer(w, chunk[:1])),
+                            out=phases)
                 block[index] = (Q @ phases.view(float)).view(complex)
             results.append(reduce(block, pruned))
         return np.concatenate(results, axis=-1), pruned

@@ -256,6 +256,31 @@ def test_phase_insensitivity():
         == decoherence_exact(M_REF, 2.0, 0.7)
 
 
+D_ROUTES = {
+    "exact": lambda t: decoherence_exact(M_REF, 2.0, t),
+    "approx": lambda t: decoherence_approx(M_REF, 2.0, t),
+    "gaussian_oracle": lambda t: decoherence_gaussian_oracle(M_REF, 2.0, t),
+    "fock_oracle": lambda t: decoherence_fock_oracle(M_REF, 2.0, t, 64),
+    "full_model": lambda t: full_model_coherence(
+        M_REF, math.sqrt(0.5), math.sqrt(0.5), 2.0, t, 64),
+}
+
+
+@pytest.mark.parametrize("route", sorted(D_ROUTES))
+def test_every_route_returns_the_shape_of_t(route):
+    """A float for scalar t, a (2, 3) array for a (2, 3) grid, each entry
+    the value at its own t, and an empty array for an empty t."""
+    run = D_ROUTES[route]
+    t = _grid(M_REF, n=6).reshape(2, 3)
+    grid = run(t)
+    assert grid.shape == (2, 3)
+    assert np.max(np.abs(grid.ravel() - run(t.ravel()))) <= 1e-14
+    scalar = run(t[1, 2])
+    assert isinstance(scalar, float)
+    assert abs(scalar - grid[1, 2]) <= 1e-14
+    assert run(np.empty(0)).shape == (0,)
+
+
 def test_monotone_in_alpha():
     t = 0.5 * math.pi / M_REF.Omega   # sin(Omega t) != 0
     values = [decoherence_exact(M_REF, a, t) for a in (0.0, 5.0, 10.0, 30.0)]

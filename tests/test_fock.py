@@ -394,6 +394,75 @@ def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
+def _fig4_span_grids(m, samples):
+    """fig4's eight jump periods (t up to 24.3 at the display set) sampled
+    uniformly, uniformly with a ±1e-9 jitter (far above the phase
+    table's reuse tolerance, far below the spacing), and geometrically."""
+    t_max = 8.0 * math.pi / m.Omega
+    uniform = np.linspace(0.0, t_max, samples)
+    jitter = np.random.default_rng(13).uniform(-1e-9, 1e-9, samples)
+    return {"uniform": uniform, "jittered": uniform + jitter,
+            "geometric": np.geomspace(1e-3, t_max, samples)}
+
+
+def test_uniform_grid_reuses_phase_table_out_to_fig4_span(monkeypatch):
+    """1025 samples over fig4's span in 147 chunks of 7 (the last one
+    short), all phased from the first chunk's table: within the window
+    test's bound of one chunk and of the dense reference.  α = 1 on 24
+    levels keeps |w|·t, and so the dense reference's own rounding, small
+    at t = 24."""
+    from lcdeco import fock
+
+    m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
+    ts = _fig4_span_grids(m, 1025)["uniform"]
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
+    whole, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b, _: b)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    chunked, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b, _: b)
+    bound = math.sqrt(PRUNE_TOL) + 1e-13
+    assert np.max(np.abs(chunked - whole)) <= bound
+    assert np.max(np.abs(chunked - _dense_evolution(H, psi, ts))) <= bound
+
+
+@pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
+def test_grid_matches_single_sample_evolution(monkeypatch, grid):
+    """In chunks of 7, every sample of the grid is what evolving to its
+    time alone gives; a table reused across the jitter would be ~1e-8
+    off."""
+    from lcdeco import fock
+
+    m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
+    ts = _fig4_span_grids(m, 99)[grid]
+    prop = SpectralPropagator(H)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    states, _ = prop.evolve_grid(psi, ts, lambda b, _: b)
+    single = np.column_stack([prop.evolve_grid(psi, [t], lambda b, _: b)[0]
+                              for t in ts])
+    assert np.max(np.abs(states - single)) <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+@pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
+def test_phase_table_built_once_per_uniform_grid(monkeypatch, grid):
+    """cos runs once per sector on a uniform grid of 3 chunks, and once
+    per sector and chunk on any other."""
+    from lcdeco import fock
+
+    m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
+    ts = _fig4_span_grids(m, 20)[grid]
+    prop = SpectralPropagator(H)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    calls = []
+    cos = np.cos
+
+    def counting_cos(*args, **kwargs):
+        calls.append(None)
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    prop.evolve_grid(psi, ts, lambda b, _: b)
+    assert len(calls) == len(H.sectors) * (1 if grid == "uniform" else 3)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_evolve_grid_rejects_non_finite_times(t):
     with pytest.raises(ValueError):

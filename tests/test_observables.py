@@ -1,6 +1,8 @@
 """Probe current (analytic and numeric) and envelope analysis."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lcdeco.observables import (analytic_signal, charge_occupation,
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 SQ = 1.0 / math.sqrt(2.0)
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def _uniform_grid(m, periods, samples):
@@ -130,6 +133,24 @@ def test_numeric_current_envelope_level():
     dev = env[k:-k] - ref[k:-k]
     rms = math.sqrt(float(np.mean(dev ** 2))) / float(np.max(np.abs(ref)))
     assert rms <= 0.10
+
+
+def test_numeric_current_matches_stored_fig4_alpha_30():
+    """The benchmark's fig4 point (display set, α = 30, dim = 1200, 4096
+    samples over eight jump periods) agrees with the benchmark's stored
+    I_numeric column to its own I_numeric_rel of max|I|."""
+    with open(os.path.join(PERFBENCH, "reference.json"),
+              encoding="utf-8") as fh:
+        reference = json.load(fh)
+    stored = reference["stored_numeric"][
+        "fig4 alpha=30 dim=1200 samples=4096"]
+    with np.load(os.path.join(PERFBENCH, stored["file"])) as data:
+        ref = data[stored["array"]]
+    m = params_from_dimensionless(8.0, 0.35)
+    ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 4096)
+    _, inum = current_numeric(m, 30.0, ts, 1200)
+    tol = reference["tolerances"]["I_numeric_rel"] * np.max(np.abs(ref))
+    assert np.max(np.abs(inum - ref)) <= tol
 
 
 def test_numeric_current_grid_validation():
