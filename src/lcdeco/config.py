@@ -129,9 +129,6 @@ class _Reader:
     def has(self, key):
         return key in self.entries
 
-    def line_of(self, key):
-        return self.entries[key][1]
-
     def reject(self, key, why):
         _, lineno = self.entries.pop(key)
         self.problems.append("line %d: %s: %s" % (lineno, key, why))

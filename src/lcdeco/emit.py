@@ -95,6 +95,8 @@ def _nice_ticks(lo, hi):
     v = first
     while v <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
+        if v + step == v:   # an axis a few ulps wide: v + step rounds to v
+            break
         v += step
     return ticks
 

@@ -19,9 +19,9 @@ is a real symmetric tridiagonal chain.  H_k couples n ↔ n ± 2, so its even
 and odd levels are the two chains.
 
 A numerical effective-block extraction (direct-rotation block
-diagonalization of the full H, from the eigendecompositions of its two
-sectors) is provided to quantify how well the dispersive effective model
-approximates the full one.
+diagonalization of the full H, one parity sector at a time from that
+sector's eigendecomposition) is provided to quantify how well the
+dispersive effective model approximates the full one.
 """
 
 import math
@@ -142,6 +142,10 @@ SW_LEVELS = 24
 SW_FIT_LEVELS = 10
 # largest γ at which the dispersive fit is meaningful
 SW_GAMMA_MAX = 0.15
+# largest γ at which sw-check also holds the fit to the absolute
+# tolerances (ω dev ≤ 0.10, λ dev ≤ 0.15): γ = 0.05, with room for the
+# rounding of a γ derived from (ω, ω_a, g)
+SW_TOL_GAMMA_MAX = 0.0501
 
 @dataclass(frozen=True)
 class BranchFit:
@@ -176,64 +180,59 @@ class SWReport:
         return max(b.lam_dev for b in self.branches)
 
 
-def effective_block(w, V, k, n_levels):
+def effective_block(sectors, k):
     """Direct-rotation effective Hamiltonian of branch k.
 
-    (w, V) is the eigendecomposition of the full H, order 2·dim, with
-    eigenvalues ascending: schrieffer_wolff_check assembles it from the
-    hermitian_eig solves of the two parity sectors, so V is real and each
-    eigenvector lies in one sector.  Classifies eigenvectors by qubit
-    population and by parity sector (the sector {|q, n⟩ : q + n ≡ p}
-    holding most of their weight) and takes, per sector, as many of
-    branch k's lowest states as the bare rows |k, n < n_levels⟩ have of
-    that parity.  The overlap matrix with those rows is then
-    block-diagonal by sector, so it stays nonsingular where the branch's
-    lowest n_levels states split unevenly between the sectors.  Rotates
-    them onto the bare subspace with the polar (least-distortion)
-    unitary of the overlap matrix.  Returns an (n_levels × n_levels)
-    Hermitian block whose spectrum is exactly the selected eigenvalues.
+    `sectors` holds the full H's parity sectors, even then odd, as
+    (index, w, Q): the sector's basis indices, one per level n, and its
+    hermitian_eig eigenvalues (ascending) and eigenvector columns.  The
+    bare rows |k, n < SW_LEVELS⟩ of a sector overlap only its own
+    eigenvectors, so the block is built one sector at a time: branch k's
+    lowest states (most weight on qubit k), as many as the sector has
+    bare rows, are rotated onto those rows with the polar
+    (least-distortion) factor of their overlap.  Selecting per sector
+    keeps the overlap nonsingular where the branch's lowest SW_LEVELS
+    states split unevenly between the sectors.  Returns the real
+    SW_LEVELS × SW_LEVELS block, symmetric, whose spectrum is exactly
+    the selected eigenvalues.
     """
-    dim = len(w) // 2
-    pop0 = np.sum(np.abs(V[:dim, :]) ** 2, axis=0)
-    in_branch = pop0 > 0.5 if k == 0 else pop0 <= 0.5
-    n = np.arange(dim)
-    parity = np.concatenate([n % 2, (n + 1) % 2])   # q + n mod 2, by row
-    odd = np.sum(np.abs(V[parity == 1, :]) ** 2, axis=0) > 0.5
-    bare = parity[k * dim:k * dim + n_levels]
-    sel = []
-    for p in (0, 1):
-        found = np.flatnonzero(in_branch & (odd == p))
-        want = int(np.sum(bare == p))
-        if len(found) < want:
+    block = np.zeros((SW_LEVELS, SW_LEVELS))
+    for p, (index, w, Q) in enumerate(sectors):
+        dim = len(index)            # index < dim: the rows of qubit 0
+        pop0 = np.sum(Q[index < dim] ** 2, axis=0)
+        found = np.flatnonzero(pop0 > 0.5 if k == 0 else pop0 <= 0.5)
+        n = index - k * dim
+        rows = np.flatnonzero((n >= 0) & (n < SW_LEVELS))
+        if len(found) < len(rows):
             raise RegimeError(
                 "branch %d classification found only %d states of parity "
                 "%d (%d requested): branches too strongly mixed"
-                % (k, len(found), p, want))
-        sel.append(found[:want])   # w is ascending, so these are the lowest
-    sel = np.sort(np.concatenate(sel))
-    # overlap of selected eigenvectors with bare |k, n⟩, n < n_levels
-    T = V[k * dim:k * dim + n_levels, sel]
-    wm, s, qh = np.linalg.svd(T)
-    if s[-1] < 1e-6:
-        raise RegimeError("effective block extraction ill-conditioned "
-                          "(smallest overlap singular value %.2e)" % s[-1])
-    rot = wm @ qh
-    return rot @ np.diag(w[sel]) @ rot.conj().T
+                % (k, len(found), p, len(rows)))
+        found = found[:len(rows)]     # w is ascending: the lowest
+        wm, s, qh = np.linalg.svd(Q[np.ix_(rows, found)])
+        if s[-1] < 1e-6:
+            raise RegimeError("effective block extraction ill-conditioned "
+                              "(smallest overlap singular value %.2e)"
+                              % s[-1])
+        rot = wm @ qh
+        block[np.ix_(n[rows], n[rows])] = rot @ np.diag(w[found]) @ rot.T
+    return block
 
 
-def fit_branch_coefficients(block, n_fit):
+def fit_branch_coefficients(block):
     """Least-structure fit of (frequency, squeeze coefficient) from an
     effective oscillator block: mean adjacent-diagonal spacing and mean
-    normalized two-off-diagonal element over the lowest n_fit levels."""
-    d = np.real(np.diag(block))
-    omega_fit = float(np.mean(d[1:n_fit + 1] - d[:n_fit]))
-    n = np.arange(n_fit)
-    offd = np.real(np.diag(block, 2))[:n_fit]
+    normalized two-off-diagonal element over the lowest SW_FIT_LEVELS
+    levels."""
+    d = np.diag(block)
+    omega_fit = float(np.mean(d[1:SW_FIT_LEVELS + 1] - d[:SW_FIT_LEVELS]))
+    n = np.arange(SW_FIT_LEVELS)
+    offd = np.diag(block, 2)[:SW_FIT_LEVELS]
     lam_fit = float(np.mean(offd / np.sqrt((n + 1.0) * (n + 2.0))))
     return omega_fit, lam_fit
 
 
-def schrieffer_wolff_check(m: ModelParams, dim=64):
+def schrieffer_wolff_check(m: ModelParams, dim):
     """Compare numerically extracted branch coefficients against the
     modeled (ω̃, (−1)^k λ), fitted over the SW_FIT_LEVELS lowest of the
     SW_LEVELS lowest levels of each branch.  Report-only; see SWReport."""
@@ -244,24 +243,14 @@ def schrieffer_wolff_check(m: ModelParams, dim=64):
         raise TruncationError("dispersive fit needs %d levels per branch, "
                               "got dim = %d" % (SW_LEVELS, dim),
                               suggested_dim=SW_LEVELS)
-    # the two sector solves of the full H serve both branches: each
-    # sector's eigenvectors fill its rows, then all are sorted by energy
+    # the two sector solves of the full H serve both branches
     H = build_full_hamiltonian(m, dim)
-    w = np.empty(H.size)
-    V = np.zeros((H.size, H.size))
-    start = 0
-    for s in H.sectors:
-        ws, Q = hermitian_eig(s.diag, s.offdiag)
-        cols = slice(start, start + len(ws))
-        w[cols] = ws
-        V[s.index, cols] = Q
-        start += len(ws)
-    order = np.argsort(w, kind="stable")
-    w, V = w[order], V[:, order]
+    sectors = [(s.index, *hermitian_eig(s.diag, s.offdiag))
+               for s in H.sectors]
     branches = []
     for k in (0, 1):
-        block = effective_block(w, V, k, SW_LEVELS)
-        omega_fit, lam_fit = fit_branch_coefficients(block, SW_FIT_LEVELS)
+        omega_fit, lam_fit = fit_branch_coefficients(
+            effective_block(sectors, k))
         branches.append(BranchFit(
             k=k, omega_fit=omega_fit, lam_fit=lam_fit,
             omega_ref=m.omega_tilde,

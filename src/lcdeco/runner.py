@@ -26,7 +26,8 @@ from .decoherence import (decoherence_approx, decoherence_exact,
 from .emit import (emit_csv, emit_svg, format_float, sha256_file,
                    sha256_text, write_manifest)
 from .errors import RegimeError
-from .hamiltonians import SW_GAMMA_MAX, schrieffer_wolff_check
+from .hamiltonians import (SW_GAMMA_MAX, SW_TOL_GAMMA_MAX,
+                           schrieffer_wolff_check)
 from .observables import current_analytic, current_numeric, envelope_metrics
 from .version import VERSION
 
@@ -218,7 +219,7 @@ def _run_sw_check(cfg, m, _time_scale, _cs):
         ("lam_dev_monotone", base.gamma,
          base.max_lam_dev - doubled.max_lam_dev, 0.0),
     ]
-    if base.gamma <= 0.0501:
+    if base.gamma <= SW_TOL_GAMMA_MAX:
         checks.append(("omega_dev_tol", base.gamma, base.max_omega_dev, 0.10))
         checks.append(("lam_dev_tol", base.gamma, base.max_lam_dev, 0.15))
     table = _with_status(checks)

@@ -216,6 +216,23 @@ def test_fock_run_skips_scipy_special(tmp_path):
     assert "D_fock" in columns
 
 
+def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):
+    """At g = 1.5e-4, D(t) spans 0.9999999999999998 to 1.0; the run must
+    still draw its SVG axis and exit 0, not loop on the axis ticks."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    cfg = _write(tmp_path, "fig2.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 8\ng = 1.5e-4\n"
+                 "alpha = 1\ndim = 40\nsamples = 50\n")
+    out = str(tmp_path / "out")
+    code = ("import lcdeco.cli, sys; "
+            "sys.exit(lcdeco.cli.main(['run', '--config', %r, '--out', %r]))"
+            % (cfg, out))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, timeout=60)
+    assert os.path.exists(os.path.join(out, "fig2_overlay.svg"))
+
+
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])
 def test_threads_option_rejected(command, capsys):
     with pytest.raises(SystemExit) as exc:

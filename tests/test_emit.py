@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from lcdeco.emit import (emit_csv, emit_svg, format_float, read_csv,
-                         sha256_file, sha256_text)
+from lcdeco.emit import (_nice_ticks, emit_csv, emit_svg, format_float,
+                         read_csv, sha256_file, sha256_text)
 
 
 def test_three_point_csv_is_four_lines(tmp_path):
@@ -64,6 +64,19 @@ def test_svg_determinism(tmp_path):
     assert text.count("<polyline") == 2
     assert "sin" in text and "cos" in text
     assert "<svg" in text.splitlines()[0]
+
+
+def test_nice_ticks_end_on_an_axis_a_few_ulps_wide():
+    """An axis a few ulps wide has a tick step below the ulp of its
+    values, so adding the step leaves a tick where it is; the ticks must
+    still end.  D(t) of a weakly coupled fig2 run spans such an axis,
+    0.9999999999999998 to 1.0."""
+    for lo, hi in [(0.9999999999999998, 1.0), (-1.0000000000000002, -1.0),
+                   (5.0, 5.000000000000002), (1e300, 1.0000000000000004e300)]:
+        ticks = _nice_ticks(lo, hi)
+        assert 1 <= len(ticks) <= 12
+        assert all(abs(t - lo) <= 2.0 * (hi - lo) for t in ticks)
+        assert ticks == sorted(ticks)
 
 
 def test_svg_escapes_markup(tmp_path):

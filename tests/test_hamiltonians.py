@@ -11,7 +11,7 @@ from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.errors import RegimeError, TruncationError
 from lcdeco.fock import (SpectralPropagator, coherent_state, hermitian_eig,
                          joint_state)
-from lcdeco.hamiltonians import (SW_FIT_LEVELS, SW_LEVELS, branch_sign,
+from lcdeco.hamiltonians import (SW_LEVELS, branch_sign,
                                  build_effective_hamiltonian,
                                  build_full_hamiltonian, effective_block,
                                  evolution_coefficients,
@@ -253,31 +253,66 @@ def test_sw_check_two_sector_solves_per_model(monkeypatch):
     assert calls == [32, 32]
 
 
-def _dense_fit(m, dim):
-    """The sw-check fits from a dense eigh of the whole full H."""
+def _dense_block(m, dim, k):
+    """Branch k's effective block from a dense eigh of the whole full H,
+    with every eigenvector classified by its weights: on qubit 0 for the
+    branch, on the rows |q, n⟩ with q + n odd for the parity sector.
+    Per sector it takes as many of the branch's lowest states as the bare
+    rows |k, n < SW_LEVELS⟩ have of that parity and rotates them onto
+    those rows with the polar factor of their overlap.  Returns the block
+    and the selected eigenvalues."""
     w, V = np.linalg.eigh(dense(build_full_hamiltonian(m, dim)))
-    return [fit_branch_coefficients(effective_block(w, V, k, SW_LEVELS),
-                                    SW_FIT_LEVELS) for k in (0, 1)]
+    pop0 = np.sum(V[:dim, :] ** 2, axis=0)
+    in_branch = pop0 > 0.5 if k == 0 else pop0 <= 0.5
+    n = np.arange(dim)
+    parity = np.concatenate([n % 2, (n + 1) % 2])   # q + n mod 2, by row
+    odd = np.sum(V[parity == 1, :] ** 2, axis=0) > 0.5
+    bare = parity[k * dim:k * dim + SW_LEVELS]
+    sel = []
+    for p in (0, 1):
+        found = np.flatnonzero(in_branch & (odd == p))
+        want = int(np.sum(bare == p))
+        if len(found) < want:
+            raise RegimeError("branch %d: %d states of parity %d, %d wanted"
+                              % (k, len(found), p, want))
+        sel.append(found[:want])
+    sel = np.sort(np.concatenate(sel))
+    wm, s, qh = np.linalg.svd(V[k * dim:k * dim + SW_LEVELS, sel])
+    if s[-1] < 1e-6:
+        raise RegimeError("smallest overlap singular value %.2e" % s[-1])
+    rot = wm @ qh
+    return rot @ np.diag(w[sel]) @ rot.T, w[sel]
 
 
-def test_sw_check_sector_extraction_matches_dense_eigh():
-    """The sector solves give the dense solve's fitted (omega, lambda),
-    and fail with the same error where the extraction is ill-conditioned,
-    over random regimes up to the gamma = 0.15 limit.  The pinned regime
-    omega_a = 10, gamma = 0.15 (dim 64) has the lowest 24 states of
-    branch 1 split 11/13 across the parity sectors; selecting per sector,
-    both paths extract it."""
+def _sector_solves(m, dim):
+    return [(s.index, *hermitian_eig(s.diag, s.offdiag))
+            for s in build_full_hamiltonian(m, dim).sectors]
+
+
+def _sw_regimes():
+    """Random regimes up to the gamma = 0.15 limit, after the pinned regime
+    omega_a = 10, gamma = 0.15, whose lowest 24 states of branch 1 split
+    11/13 across the parity sectors at dim 64."""
     rng = np.random.default_rng(61)
     regimes = [params_from_dimensionless(10.0, 0.15 * 9.0)]
     for _ in range(40):
         omega_a = rng.uniform(1.5, 12.0)
         regimes.append(params_from_dimensionless(
             omega_a, rng.uniform(0.0, 0.15) * (omega_a - 1.0)))
+    return regimes
+
+
+def test_sw_check_sector_extraction_matches_dense_eigh():
+    """The sector solves give the dense solve's fitted (omega, lambda),
+    and fail with the same error where the extraction is ill-conditioned,
+    over random regimes up to the gamma = 0.15 limit, at even and odd
+    dims.  Selecting per sector, both paths extract the pinned regime."""
     failed = []
-    for i, m in enumerate(regimes):
-        for dim in (32, 64):
+    for i, m in enumerate(_sw_regimes()):
+        for dim in (32, 33, 64):
             try:
-                ref = _dense_fit(m, dim)
+                ref = [fit_branch_coefficients(_dense_block(m, dim, k)[0])
+                       for k in (0, 1)]
             except RegimeError as exc:
                 failed.append((i, dim))
                 with pytest.raises(type(exc)):
@@ -290,6 +325,28 @@ def test_sw_check_sector_extraction_matches_dense_eigh():
     assert [f for f in failed if f[0] == 0] == []
 
 
+def test_effective_block_selects_the_dense_states():
+    """Per branch, the block built from the sector solves has the dense
+    path's selected eigenvalues as its spectrum, and the dense path's
+    entries to 1e-12 of the spectral scale, with exact zeros between
+    levels of opposite parity.  (Near a resonance the polar factor of a
+    poorly conditioned overlap moves far entries by up to 5.6e-12 at
+    |w| = 28 while the fitted entries agree to 1e-14.)"""
+    odd = (np.arange(SW_LEVELS)[:, None] + np.arange(SW_LEVELS)) % 2 == 1
+    for m in _sw_regimes():
+        for dim in (32, 33, 64):
+            sectors = _sector_solves(m, dim)
+            for k in (0, 1):
+                ref, w_sel = _dense_block(m, dim, k)
+                block = effective_block(sectors, k)
+                scale = np.max(np.abs(w_sel))
+                assert np.max(np.abs(np.linalg.eigvalsh(block) - w_sel)) \
+                    <= 1e-12 * scale
+                assert np.max(np.abs(block - ref)) <= 1e-12 * scale
+                assert np.max(np.abs(block - block.T)) <= 1e-12 * scale
+                assert np.all(block[odd] == 0.0)
+
+
 def test_sw_check_rejects_dim_below_extracted_levels():
     m = model_params(1.0, 10.0, 0.45)
     with pytest.raises(TruncationError) as err:
@@ -300,4 +357,4 @@ def test_sw_check_rejects_dim_below_extracted_levels():
 
 def test_sw_check_rejects_strong_coupling():
     with pytest.raises(RegimeError):
-        schrieffer_wolff_check(model_params(1.0, 2.0, 0.2))
+        schrieffer_wolff_check(model_params(1.0, 2.0, 0.2), dim=64)
