@@ -21,6 +21,10 @@ from .errors import RegimeError
 
 CAP_CONVENTIONS = ("junction_C", "series_C")
 
+# largest γ at which the dispersive elimination, and with it the effective
+# model and its Schrieffer-Wolff check, is valid
+GAMMA_MAX = 0.15
+
 
 # ---------------------------------------------------------------------------
 # model parameters (dimensionless-friendly)
@@ -208,8 +212,8 @@ def derive_params(c: CircuitParams, convention="junction_C"):
 @dataclass(frozen=True)
 class RegimeReport:
     gamma: float
-    gamma_pass: bool          # γ ≤ 0.15
-    gamma_warn: bool          # 0.1 < γ ≤ 0.15
+    gamma_pass: bool          # γ ≤ GAMMA_MAX
+    gamma_warn: bool          # 0.1 < γ ≤ GAMMA_MAX
     coupling_param: float     # (C/C_J)·√⟨φ²⟩·(2π/φ_0); nan when unknown
     coupling_pass: bool
     notes: tuple
@@ -222,16 +226,17 @@ class RegimeReport:
 def validate_regime(m: ModelParams, phi_rms_estimate=None, cap_ratio=None):
     """Report-only regime validation.
 
-    γ must stay ≤ 0.15 (warn above 0.1).  When a flux RMS estimate and
-    the capacitance ratio C/C_J are supplied (SI path), the linear-coupling
-    expansion parameter (C/C_J)·√⟨φ²⟩·(2π/φ_0) is checked against 0.1.
+    γ must stay ≤ GAMMA_MAX = 0.15 (warn above 0.1).  When a flux RMS
+    estimate and the capacitance ratio C/C_J are supplied (SI path), the
+    linear-coupling expansion parameter (C/C_J)·√⟨φ²⟩·(2π/φ_0) is checked
+    against 0.1.
     """
     notes = []
-    gamma_pass = m.gamma <= 0.15
-    gamma_warn = 0.1 < m.gamma <= 0.15
+    gamma_pass = m.gamma <= GAMMA_MAX
+    gamma_warn = 0.1 < m.gamma <= GAMMA_MAX
     if not gamma_pass:
-        notes.append("gamma=%.4g exceeds 0.15: dispersive elimination "
-                     "unreliable" % m.gamma)
+        notes.append("gamma=%.4g exceeds %g: dispersive elimination "
+                     "unreliable" % (m.gamma, GAMMA_MAX))
     elif gamma_warn:
         notes.append("gamma=%.4g above 0.1: effective-model accuracy "
                      "degrades" % m.gamma)

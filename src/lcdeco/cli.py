@@ -12,7 +12,6 @@ Exit codes:
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import parse_config
 from .errors import ConfigError, RegimeError, TruncationError
@@ -107,8 +106,6 @@ def _cmd_derive(args):
     if cfg.device is None:
         raise ConfigError(["derive needs a [device] section in %s"
                            % args.config])
-    if cfg.scenario != "derive-params":
-        cfg = replace(cfg, scenario="derive-params")
     text, _, _ = derive_report(cfg)
     sys.stdout.write(text)
     return 0

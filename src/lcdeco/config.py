@@ -6,11 +6,15 @@ the keys that follow; a key that already contains a dot is taken as a
 full dotted path regardless of the current section.  Validation collects
 every problem (with line numbers where known) before failing, so a bad
 file is reported once, completely.
+
+`RunConfig` and `DeviceConfig` are the one field list: each default lives
+in its record (the parser leaves absent keys to it), and the canonical
+text walks the records' fields in declaration order.
 """
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .circuit import CAP_CONVENTIONS
 from .errors import ConfigError
@@ -25,6 +29,10 @@ CURVE_SCENARIOS = ("fig2", "fig4", "oracle-check", "sweep")
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
+
+# the section of each RunConfig field that is not a [model] key ("" is the
+# head of the file); DeviceConfig's fields are the [device] keys
+_SECTION_OF = {"scenario": "", "mode": "", "out": "run"}
 
 
 def alpha_tag(alpha):
@@ -47,6 +55,9 @@ class DeviceConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A resolved run configuration.  Its field order, with DeviceConfig's
+    in place of `device`, is the order of the canonical text, so it
+    enters every config_sha256."""
     scenario: str
     mode: str = "dimensionless"
     # dimensionless model block (None in si mode)
@@ -133,6 +144,13 @@ class _Reader:
         _, lineno = self.entries.pop(key)
         self.problems.append("line %d: %s: %s" % (lineno, key, why))
 
+    def either(self, key, alt):
+        """Two exclusive keys: when both are given, `alt` is rejected and
+        `key` kept.  Returns whether `alt` is the one given."""
+        if self.has(key) and self.has(alt):
+            self.reject(alt, "give either %s or %s, not both" % (key, alt))
+        return self.has(alt)
+
     def leftovers(self):
         for key, (_, lineno) in sorted(self.entries.items(),
                                        key=lambda kv: kv[1][1]):
@@ -183,6 +201,12 @@ def _string(raw):
 # ---------------------------------------------------------------------------
 # validation
 
+def _given(record, **values):
+    """`record` built from the values read; an absent key (None) takes the
+    record's default."""
+    return record(**{k: v for k, v in values.items() if v is not None})
+
+
 def parse_config(text):
     """Parse and validate; raises ConfigError carrying ALL problems."""
     entries, problems = _scan(text)
@@ -195,31 +219,24 @@ def parse_config(text):
             problems.append("scenario derive-params works on a [device] "
                             "block; set mode = si (or omit mode)")
         mode = "si"
-    elif mode is None:
-        mode = "dimensionless"
 
-    needs_device = mode == "si"
-    device = _read_device(r) if needs_device else None
-    if not needs_device:
+    device = omega_a = g = theta = None
+    if mode == "si":
+        device = _read_device(r)
+        for key in ("model.omega_a", "model.g", "model.gamma", "model.theta"):
+            if r.has(key):
+                r.reject(key, "derived from the device block in si mode")
+    else:
         for key in [k for k in list(r.entries) if k.startswith("device.")]:
             r.reject(key, "device block is only read in si mode")
-
-    omega_a = g = theta = None
-    if mode == "dimensionless":
         omega_a = r.take("model.omega_a", _float, required=True)
-        g_given = r.has("model.g")
-        gamma_given = r.has("model.gamma")
-        if g_given and gamma_given:
-            r.reject("model.gamma", "give either model.g or model.gamma, "
-                                    "not both")
-            g = r.take("model.g", _float)
-        elif gamma_given:
+        if r.either("model.g", "model.gamma"):
             gamma = r.take("model.gamma", _float)
             if gamma is not None and gamma < 0:
                 problems.append("model.gamma must be nonnegative")
             elif gamma is not None and omega_a is not None:
                 g = gamma * abs(omega_a - 1.0)
-        elif g_given:
+        elif r.has("model.g"):
             g = r.take("model.g", _float)
         else:
             problems.append("missing required key 'model.g' (or "
@@ -229,34 +246,26 @@ def parse_config(text):
             problems.append("model.omega_a must be positive")
         if g is not None and g < 0:
             problems.append("model.g must be nonnegative")
-    else:
-        for key in ("model.omega_a", "model.g", "model.gamma", "model.theta"):
-            if r.has(key):
-                r.reject(key, "derived from the device block in si mode")
 
-    alpha = r.take("model.alpha", _float_list, default=())
-    dim = r.take("model.dim", _int, default=64)
-    samples = r.take("model.samples", _int, default=400)
+    alpha = r.take("model.alpha", _float_list)
+    dim = r.take("model.dim", _int)
+    samples = r.take("model.samples", _int)
     t_max = r.take("model.t_max", _float)
-    c0 = r.take("model.c0", _float, default=SQRT_HALF)
-    c1 = r.take("model.c1", _float, default=SQRT_HALF)
+    c0 = r.take("model.c0", _float)
+    c1 = r.take("model.c1", _float)
     # run.threads has no effect (scenarios run serially); it is still
     # validated so that existing configs that set it keep parsing
-    threads = r.take("run.threads", _int, default=1)
+    threads = r.take("run.threads", _int)
     out = r.take("run.out", _string)
     r.leftovers()
 
     if scenario in CURVE_SCENARIOS and not alpha:
         problems.append("model.alpha: scenario %s needs a nonempty alpha "
                         "list" % scenario)
-    if scenario == "fig4" and len(alpha) > 1:
+    elif scenario == "fig4" and len(alpha) > 1:
         problems.append("model.alpha: scenario fig4 takes exactly one alpha "
                         "(got %d)" % len(alpha))
-    if scenario == "fig4" and samples is not None and samples < 3:
-        problems.append("model.samples: scenario fig4 differentiates the "
-                        "numeric trace, so it needs at least 3 samples "
-                        "(got %d)" % samples)
-    if scenario == "fig2":
+    elif scenario == "fig2":
         # fig2 writes one fig2_alpha<tag>.csv per alpha
         tagged = {}
         for a in alpha:
@@ -267,6 +276,10 @@ def parse_config(text):
                                 % (tagged[tag], a, tag))
             else:
                 tagged[tag] = a
+    if scenario == "fig4" and samples is not None and samples < 3:
+        problems.append("model.samples: scenario fig4 differentiates the "
+                        "numeric trace, so it needs at least 3 samples "
+                        "(got %d)" % samples)
     if dim is not None and dim < 2:
         problems.append("model.dim must be >= 2")
     if samples is not None and samples < 2:
@@ -275,17 +288,16 @@ def parse_config(text):
         problems.append("model.t_max must be positive")
     if threads is not None and threads < 1:
         problems.append("run.threads must be >= 1")
-    if c0 is not None and c1 is not None and (c0 <= 0 or c1 <= 0):
+    if any(c is not None and c <= 0 for c in (c0, c1)):
         problems.append("model.c0 and model.c1 must be positive "
                         "(weights of the qubit superposition)")
 
     if problems:
         raise ConfigError(problems)
 
-    return RunConfig(
-        scenario=scenario, mode=mode, omega_a=omega_a, g=g, theta=theta,
-        alpha=tuple(alpha), dim=dim, samples=samples, t_max=t_max,
-        c0=c0, c1=c1, device=device, out=out)
+    return _given(RunConfig, scenario=scenario, mode=mode, omega_a=omega_a,
+                  g=g, theta=theta, alpha=alpha, dim=dim, samples=samples,
+                  t_max=t_max, c0=c0, c1=c1, device=device, out=out)
 
 
 def _read_device(r):
@@ -293,17 +305,11 @@ def _read_device(r):
     c_g = r.take("device.c_g", _float, required=True)
     l = r.take("device.l", _float, required=True)
     e_j0 = r.take("device.e_j0_kelvin", _float, required=True)
-    has_vg = r.has("device.v_g")
-    has_ng = r.has("device.n_g")
-    if has_vg and has_ng:
-        r.reject("device.v_g", "give either device.n_g or device.v_g, "
-                               "not both")
-        has_vg = False
-    n_g = r.take("device.n_g", _float, default=None if has_vg else 0.5)
-    v_g = r.take("device.v_g", _float) if has_vg else None
-    phi_x = r.take("device.phi_x", _float, default=0.0)
-    convention = r.take("device.convention", _choice(CAP_CONVENTIONS),
-                        default="junction_C")
+    v_given = r.either("device.n_g", "device.v_g")
+    n_g = r.take("device.n_g", _float)
+    v_g = r.take("device.v_g", _float)
+    phi_x = r.take("device.phi_x", _float)
+    convention = r.take("device.convention", _choice(CAP_CONVENTIONS))
     for name, val in (("device.c_j", c_j), ("device.c_g", c_g),
                       ("device.l", l)):
         if val is not None and val <= 0:
@@ -312,47 +318,41 @@ def _read_device(r):
         r.problems.append("device.e_j0_kelvin must be nonnegative")
     if None in (c_j, c_g, l, e_j0):
         return None
-    return DeviceConfig(c_j=c_j, c_g=c_g, l=l, e_j0_kelvin=e_j0, n_g=n_g,
-                        v_g=v_g, phi_x=phi_x, convention=convention)
+    device = _given(DeviceConfig, c_j=c_j, c_g=c_g, l=l, e_j0_kelvin=e_j0,
+                    n_g=n_g, v_g=v_g, phi_x=phi_x, convention=convention)
+    # a given v_g stands in for n_g, so n_g takes no default
+    return replace(device, n_g=None) if v_given else device
 
 
 # ---------------------------------------------------------------------------
 # canonical emission (round-trip: parse(canonical(parse(t))) == parse(t))
 
+def _set_fields(record, section=None):
+    """(section, field, value) of each set field (not None, not an empty
+    alpha), in declaration order; a nested record is walked in place under
+    its field's name as the section."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            yield from _set_fields(value, f.name)
+        elif value is not None and value != ():
+            yield section or _SECTION_OF.get(f.name, "model"), f, value
+
+
 def canonical_config(cfg: RunConfig):
-    """Resolved configuration as canonical config text."""
+    """Resolved configuration as canonical config text: the set fields of
+    `RunConfig`, and of its `DeviceConfig` in its place, in the records'
+    field order, each under its section; floats at 17 significant digits,
+    alpha comma-joined."""
     from .emit import format_float   # deferred: emit imports nothing of ours
-    lines = ["scenario = %s" % cfg.scenario, "mode = %s" % cfg.mode]
-    model = []
-    if cfg.mode == "dimensionless":
-        model.append(("omega_a", format_float(cfg.omega_a)))
-        model.append(("g", format_float(cfg.g)))
-        model.append(("theta", format_float(cfg.theta)))
-    if cfg.alpha:
-        model.append(("alpha", ", ".join(format_float(a)
-                                         for a in cfg.alpha)))
-    model.append(("dim", str(cfg.dim)))
-    model.append(("samples", str(cfg.samples)))
-    if cfg.t_max is not None:
-        model.append(("t_max", format_float(cfg.t_max)))
-    model.append(("c0", format_float(cfg.c0)))
-    model.append(("c1", format_float(cfg.c1)))
-    lines.append("[model]")
-    lines.extend("%s = %s" % kv for kv in model)
-    if cfg.device is not None:
-        d = cfg.device
-        lines.append("[device]")
-        lines.append("c_j = %s" % format_float(d.c_j))
-        lines.append("c_g = %s" % format_float(d.c_g))
-        lines.append("l = %s" % format_float(d.l))
-        lines.append("e_j0_kelvin = %s" % format_float(d.e_j0_kelvin))
-        if d.v_g is not None:
-            lines.append("v_g = %s" % format_float(d.v_g))
-        else:
-            lines.append("n_g = %s" % format_float(d.n_g))
-        lines.append("phi_x = %s" % format_float(d.phi_x))
-        lines.append("convention = %s" % d.convention)
-    if cfg.out is not None:
-        lines.append("[run]")
-        lines.append("out = %s" % cfg.out)
+    lines, current = [], ""
+    for section, f, value in _set_fields(cfg):
+        if section != current:
+            lines.append("[%s]" % section)
+            current = section
+        if f.type is float:
+            value = format_float(value)
+        elif f.type is tuple:
+            value = ", ".join(format_float(a) for a in value)
+        lines.append("%s = %s" % (f.name, value))
     return "\n".join(lines) + "\n"

@@ -90,10 +90,13 @@ def _nice_ticks(lo, hi):
         if raw <= mult * mag:
             step = mult * mag
             break
+    slack = 1e-9 * span
     first = math.ceil(lo / step - 1e-9) * step
+    if not lo - slack <= first <= hi + slack:
+        first = lo   # an axis a few ulps wide: the multiple rounds off it
     ticks = []
     v = first
-    while v <= hi + 1e-9 * span:
+    while v <= hi + slack:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
         if v + step == v:   # an axis a few ulps wide: v + step rounds to v
             break

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ModelParams
+from .circuit import GAMMA_MAX, ModelParams
 from .errors import RegimeError, TruncationError
 from .fock import Sector, SectorHamiltonian, _check_dim, hermitian_eig
 
@@ -140,8 +140,6 @@ def predicted_moments(k, m: ModelParams, alpha, t):
 # them that the (frequency, squeeze) fit averages over
 SW_LEVELS = 24
 SW_FIT_LEVELS = 10
-# largest γ at which the dispersive fit is meaningful
-SW_GAMMA_MAX = 0.15
 # largest γ at which sw-check also holds the fit to the absolute
 # tolerances (ω dev ≤ 0.10, λ dev ≤ 0.15): γ = 0.05, with room for the
 # rounding of a γ derived from (ω, ω_a, g)
@@ -236,9 +234,9 @@ def schrieffer_wolff_check(m: ModelParams, dim):
     """Compare numerically extracted branch coefficients against the
     modeled (ω̃, (−1)^k λ), fitted over the SW_FIT_LEVELS lowest of the
     SW_LEVELS lowest levels of each branch.  Report-only; see SWReport."""
-    if m.gamma > SW_GAMMA_MAX:
+    if m.gamma > GAMMA_MAX:
         raise RegimeError("gamma = %.3g above %g: effective-model check "
-                          "not meaningful" % (m.gamma, SW_GAMMA_MAX))
+                          "not meaningful" % (m.gamma, GAMMA_MAX))
     if dim < SW_LEVELS:
         raise TruncationError("dispersive fit needs %d levels per branch, "
                               "got dim = %d" % (SW_LEVELS, dim),

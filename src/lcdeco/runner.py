@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from .circuit import (CAP_CONVENTIONS, CircuitParams, ModelParams,
-                      charging_energy, circuit_from_kelvin,
+from .circuit import (CAP_CONVENTIONS, GAMMA_MAX, CircuitParams,
+                      ModelParams, charging_energy, circuit_from_kelvin,
                       coherent_flux_rms, derive_params,
                       effective_capacitance, flux_zero_point,
                       gate_charge_from_voltage, josephson_energy,
@@ -26,8 +26,7 @@ from .decoherence import (decoherence_approx, decoherence_exact,
 from .emit import (emit_csv, emit_svg, format_float, sha256_file,
                    sha256_text, write_manifest)
 from .errors import RegimeError
-from .hamiltonians import (SW_GAMMA_MAX, SW_TOL_GAMMA_MAX,
-                           schrieffer_wolff_check)
+from .hamiltonians import SW_TOL_GAMMA_MAX, schrieffer_wolff_check
 from .observables import current_analytic, current_numeric, envelope_metrics
 from .version import VERSION
 
@@ -74,14 +73,18 @@ def config_digest(cfg: RunConfig):
     return sha256_text(canonical_config(cfg))
 
 
-def _meta(cfg, m: ModelParams, digest):
-    """The meta head every scenario CSV starts with, in this order."""
-    return [("tool", "lcdeco " + VERSION),
+def _meta(cfg, m: ModelParams, digest, time_scale):
+    """The meta head every scenario CSV starts with, in this order.  Its
+    frequencies are in units of omega; an SI run adds omega in rad/s."""
+    meta = [("tool", "lcdeco " + VERSION),
             ("scenario", cfg.scenario),
             ("mode", cfg.mode),
             ("config_sha256", digest),
             ("omega", m.omega), ("omega_a", m.omega_a), ("g", m.g),
             ("Omega", m.Omega), ("gamma", m.gamma)]
+    if cfg.mode == "si":
+        meta.append(("omega_rad_per_s", 1.0 / time_scale))
+    return meta
 
 
 def _time_grid(cfg, m: ModelParams, default_periods, time_scale):
@@ -200,11 +203,11 @@ def _run_oracle_check(cfg, m, time_scale, _cs):
 
 
 def _run_sw_check(cfg, m, _time_scale, _cs):
-    if 2.0 * m.gamma > SW_GAMMA_MAX:
+    if 2.0 * m.gamma > GAMMA_MAX:
         raise RegimeError(
             "gamma = %g: sw-check also fits the doubled coupling "
             "2*gamma = %g, so it needs gamma <= %g"
-            % (m.gamma, 2.0 * m.gamma, 0.5 * SW_GAMMA_MAX))
+            % (m.gamma, 2.0 * m.gamma, 0.5 * GAMMA_MAX))
     reports = [schrieffer_wolff_check(mm, dim=cfg.dim) for mm in
                (m, model_params(m.omega, m.omega_a, 2.0 * m.g, m.theta))]
     base, doubled = reports
@@ -350,7 +353,7 @@ def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
             tables, plots, checks, echo = _SCENARIO_FNS[cfg.scenario](
                 cfg, m, time_scale, current_scale)
             params_echo = {"model": m.as_dict(), **echo}
-            meta = _meta(cfg, m, digest)
+            meta = _meta(cfg, m, digest, time_scale)
         for name, columns, rows, extra in tables:
             files.append(emit_csv(os.path.join(out, name), columns, rows,
                                   meta=meta + extra))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -218,7 +219,8 @@ def test_fock_run_skips_scipy_special(tmp_path):
 
 def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):
     """At g = 1.5e-4, D(t) spans 0.9999999999999998 to 1.0; the run must
-    still draw its SVG axis and exit 0, not loop on the axis ticks."""
+    still draw its SVG axis and exit 0, not loop on the axis ticks, and
+    every tick must stay inside the 560 px view box."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     cfg = _write(tmp_path, "fig2.cfg",
                  "scenario = fig2\n[model]\nomega_a = 8\ng = 1.5e-4\n"
@@ -230,7 +232,9 @@ def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    capture_output=True, timeout=60)
-    assert os.path.exists(os.path.join(out, "fig2_overlay.svg"))
+    with open(os.path.join(out, "fig2_overlay.svg")) as fh:
+        ys = [float(y) for y in re.findall(r' y1?="([-0-9.]+)"', fh.read())]
+    assert ys and all(0.0 <= y <= 560.0 for y in ys)
 
 
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])

@@ -69,13 +69,15 @@ def test_svg_determinism(tmp_path):
 def test_nice_ticks_end_on_an_axis_a_few_ulps_wide():
     """An axis a few ulps wide has a tick step below the ulp of its
     values, so adding the step leaves a tick where it is; the ticks must
-    still end.  D(t) of a weakly coupled fig2 run spans such an axis,
-    0.9999999999999998 to 1.0."""
+    still end, and on the axis.  D(t) of a weakly coupled fig2 run spans
+    such an axis, 0.9999999999999998 to 1.0."""
     for lo, hi in [(0.9999999999999998, 1.0), (-1.0000000000000002, -1.0),
-                   (5.0, 5.000000000000002), (1e300, 1.0000000000000004e300)]:
+                   (5.0, 5.000000000000002), (1e300, 1.0000000000000004e300),
+                   (1.0, 1.0000000000000002)]:
         ticks = _nice_ticks(lo, hi)
         assert 1 <= len(ticks) <= 12
-        assert all(abs(t - lo) <= 2.0 * (hi - lo) for t in ticks)
+        slack = 1e-9 * (hi - lo)
+        assert all(lo - slack <= t <= hi + slack for t in ticks)
         assert ticks == sorted(ticks)
 
 

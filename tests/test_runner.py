@@ -12,9 +12,10 @@ from lcdeco.emit import read_csv, sha256_file
 from lcdeco.errors import RegimeError, TruncationError
 from lcdeco.runner import (BUILTIN_ORACLE_CONFIG, BUILTIN_SW_CONFIG,
                            config_digest, derive_report, failed_checks,
-                           run_scenario)
+                           resolve_model, run_scenario)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 FIG2_SMALL = """\
 scenario = fig2
@@ -182,6 +183,29 @@ def test_sweep_scenario(tmp_path):
     assert np.max(np.abs(d_min - _floats(rows, 6))) < 1e-8
 
 
+@pytest.mark.parametrize("scenario, name", [("fig2", "fig2_alpha2.csv"),
+                                            ("sweep", "sweep.csv")])
+def test_si_mode_curves_in_seconds(tmp_path, scenario, name):
+    """An SI run's times are the dimensionless grid times the time scale,
+    and its CSV head gives omega in rad/s, which turns the head's
+    frequencies (in units of omega) into the columns' rad/s."""
+    cfg = parse_config(DEVICE_SI.replace("derive-params",
+                                         scenario + "\nmode = si")
+                       + "[model]\nalpha = 2\nsamples = 50\n")
+    m, time_scale, _ = resolve_model(cfg)
+    run_scenario(cfg, out_dir=str(tmp_path))
+    meta_lines, _, rows = read_csv(str(tmp_path / name))
+    meta = dict(line[2:].split(" = ", 1) for line in meta_lines)
+    omega_si = float(meta["omega_rad_per_s"])
+    assert omega_si == 1.0 / time_scale
+    if scenario == "fig2":
+        ts = np.linspace(0.0, math.pi / m.Omega, cfg.samples)
+        assert np.array_equal(_floats(rows, 0), ts * time_scale)
+    else:
+        assert abs(_floats(rows, 1)[0] / (float(meta["Omega"]) * omega_si)
+                   - 1.0) < 1e-15
+
+
 def test_derive_scenario(tmp_path):
     cfg = parse_config(DEVICE_SI)
     manifest, report = run_scenario(cfg, out_dir=str(tmp_path))
@@ -263,3 +287,37 @@ def test_config_digest_thread_invariant():
     cfg4 = parse_config(FIG2_SMALL + "[run]\nthreads = 4\n")
     assert cfg1 == cfg4
     assert config_digest(cfg1) == config_digest(cfg4)
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        return parse_config(fh.read())
+
+
+@pytest.mark.parametrize("name, builtin", [
+    ("oracle_check.cfg", BUILTIN_ORACLE_CONFIG),
+    ("sw_check.cfg", BUILTIN_SW_CONFIG),
+])
+def test_shipped_check_configs_match_the_builtins(name, builtin):
+    # the shipped copies promise the defaults of `lcdeco check`
+    assert _shipped(name) == parse_config(builtin)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("device_si.cfg",
+     "794b883a39ab497281765dc7a0ad08bdd0d7ca732309a851d2118981294af023"),
+    ("fig2.cfg",
+     "dbc027f45ba27c72a207fbd0c3df325c283ceefbb560f4113007b8c227a8bf58"),
+    ("fig4.cfg",
+     "5d0fb408bb4777f9664db3b492fdd9bf90397e0203b49a062f17fe8595fd203b"),
+    ("oracle_check.cfg",
+     "e4eb970f0ab56761da3a9ec3a258ad79b2a98010e284b71bdd8b33d006692398"),
+    ("sw_check.cfg",
+     "e69482d10814876aa3251970ba8ec200f734407b16cde0aeba48d7312f874abb"),
+    ("sweep.cfg",
+     "5bc6b342365e865172671ab0833e7db70582b8e332cbac366d1eb69b32681097"),
+])
+def test_shipped_config_digests_pinned(name, digest):
+    """config_sha256 keys every emitted curve to its configuration, so the
+    canonical text of the shipped configs must not drift."""
+    assert config_digest(_shipped(name)) == digest
