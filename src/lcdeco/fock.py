@@ -12,12 +12,15 @@ Evolution works on sectors: a Hamiltonian is handed over as a
 SectorHamiltonian, invariant blocks that are each a real symmetric
 tridiagonal matrix in their own basis order (the parity sectors of the
 model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
-each block with hermitian_eig and propagates in real arithmetic.  Two
+each block with hermitian_eig and propagates in real arithmetic.  Three
 cuts share one dropped-weight budget of PRUNE_TOL of the initial state's
 weight: its smallest eigencomponents are dropped first, and the rest of
-the budget buys a row window per sector, the rows at either end of the
+the budget buys, per sector, a row window, the rows at either end of the
 chain that a time-independent bound from the kept components shows the
-state never reaches; only the window's rows are built.  Evolution is
+state never reaches, and a band: each eigenvector of a chain is
+localized, so each tile of TILE_ROWS window rows multiplies only the
+range of kept components that reaches it (about a fifth of window ×
+kept at fig4's α = 30).  Only the window's rows are built.  Evolution is
 streamed: the time grid is walked in chunks of at most CHUNK_SAMPLES
 samples, and the caller's reduction turns each chunk of states into its
 observable before the next chunk is built, so memory per call is
@@ -53,15 +56,24 @@ LEAK_TOL = 1e-8
 
 # weight of the initial state, as a fraction of its total, that the
 # propagator may drop: its smallest eigencomponents first, then, with what
-# they leave, the rows outside each sector's level window; the dropped
-# part has norm at most √PRUNE_TOL = 1e-13 relative to the state at every
-# t, an order below the 1e-12 agreement the propagation tests demand
+# they leave, the rows outside each sector's level window and the
+# eigencomponents outside each window tile's band; the dropped part has
+# norm at most √PRUNE_TOL = 1e-13 relative to the state at every t, an
+# order below the 1e-12 agreement the propagation tests demand
 PRUNE_TOL = 1e-26
 
 # most time samples SpectralPropagator.evolve_grid builds at once; a
 # chunk of the fig4 joint space (2·1200 states) is then ~10 MB, and
 # smaller chunks save little more memory for more BLAS calls
 CHUNK_SAMPLES = 256
+
+# rows of a sector's level window that share one range of eigencomponents
+# in evolve_grid's products (see _band_cut); at fig4's α = 30, tiles of
+# 16, 32 and 64 rows multiply 17, 19 and 24 % of window × kept, and 32
+# evolved fastest: evolve + P_c took a median 154–162 ms, against 165–173
+# at 64 rows and ~270 ms as whole-window products (two OpenBLAS threads
+# on two vCPUs)
+TILE_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +270,25 @@ class SpectralPropagator:
     O(n³) complex eigh.  A state is projected onto the real eigenvectors
     once per evolve_grid call and the smallest eigencomponents are
     dropped, up to PRUNE_TOL of its total weight.  What the prune leaves
-    of that budget, split evenly over both ends of every sector's chain,
-    sets a row window: row r's amplitude never exceeds
+    of that budget, split evenly over the sectors, buys each sector's
+    band cut (_band_cut): row r's amplitude never exceeds
     b_r = Σ_j |Q_rj|·|c_j| over the kept eigenvectors Q and components c,
-    so the end rows whose summed b_r² fit an end's share stay zero and
-    are never multiplied.  The evolved state is then off by a norm of at
-    most √PRUNE_TOL·‖ψ‖ at every t, and evolve_grid returns the combined
-    dropped weight for the leakage guard.
+    so half of it sets a row window, the end rows whose summed b_r² fit
+    a quarter each stay zero and are never multiplied; the other half
+    gives each tile of TILE_ROWS window rows the range of kept
+    components it multiplies, dropping on either side the eigenvectors
+    whose summed norms over the tile fit its share.  The evolved state is
+    then off by a norm of at most √PRUNE_TOL·‖ψ‖ at every t, and
+    evolve_grid returns the combined dropped weight for the leakage
+    guard.
 
     The states are never held for the whole grid: evolve_grid builds
-    them CHUNK_SAMPLES samples at a time, as real eigenvector block ×
-    float view of the complex phase array, window rows only, and hands
-    each chunk to the caller's reduction.  Memory per call is
-    O(size·CHUNK_SAMPLES) plus the kept eigenvectors, whatever the number
-    of samples.
+    them CHUNK_SAMPLES samples at a time, window rows only, each tile as
+    its band of the eigenvectors (a view, never a copy) × float view of
+    the band's complex phases, and hands each chunk to the caller's
+    reduction.  Memory per call is O(size·CHUNK_SAMPLES), plus one
+    sector's |Q|·|c| while its cut is chosen, whatever the number of
+    samples.
 
     Each time is split as t = t_lo + τ, t_lo the first time of its chunk,
     so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each sector keeps a table of
@@ -304,7 +321,9 @@ class SpectralPropagator:
     def evolve_grid(self, psi, ts, reduce):
         """(reduced, pruned): psi evolved to every t in ts and reduced
         chunk by chunk, and the weight dropped from the evolution,
-        (√eigencomponents + √window rows)², at most PRUNE_TOL·‖psi‖².
+        (√eigencomponents + √(window rows + bands))², at most
+        PRUNE_TOL·‖psi‖²: the rows outside the windows and the bands
+        left out inside them are disjoint entries, so their weights add.
 
         ts must be finite; it is flattened and walked in chunks of at most
         CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
@@ -340,9 +359,9 @@ class SpectralPropagator:
         keep[order[:n_drop]] = False
         pruned = float(cum[n_drop - 1]) if n_drop else 0.0
         # the budget the prune leaves (norms add, weights do not), shared
-        # evenly by both ends of every sector's chain
-        end_budget = ((math.sqrt(PRUNE_TOL * cum[-1]) - math.sqrt(pruned))
-                      ** 2 / (2 * len(self._sectors)))
+        # evenly by the sectors' cuts
+        budget = ((math.sqrt(PRUNE_TOL * cum[-1]) - math.sqrt(pruned)) ** 2
+                  / len(self._sectors))
         kept = []
         outside = []
         dropped = 0.0
@@ -350,19 +369,19 @@ class SpectralPropagator:
         for (index, w, Q), c in zip(self._sectors, coeffs):
             k = keep[start:start + len(w)]
             start += len(w)
-            # |ψ_r(t)| ≤ b_r at every t, so end rows whose b_r² fit an
-            # end's budget can be left zero; einsum, as a threaded BLAS
-            # matrix-vector product of this shape measured 25× slower
-            # (8 ms against 0.3 ms, 1200 × 600, two OpenBLAS threads on
-            # two vCPUs)
-            Q, c = Q[:, k], c[k]
-            b2 = np.einsum("rj,j->r", np.abs(Q), np.abs(c)) ** 2
-            r0 = int(np.searchsorted(np.cumsum(b2), end_budget, "right"))
-            r1 = max(r0, len(b2) - int(np.searchsorted(
-                np.cumsum(b2[::-1]), end_budget, "right")))
-            dropped += float(b2[:r0].sum() + b2[r1:].sum())
+            # the kept components' span, dropped ones inside it zeroed:
+            # every product below is a view of Q, never a copy
+            span = np.flatnonzero(k)
+            span = slice(span[0], span[-1] + 1) if len(span) else slice(0, 0)
+            c = np.where(k, c, 0.0)[span]
+            r0, r1, band_lo, band_hi, cut = _band_cut(Q[:, span], c, budget)
+            dropped += cut
             outside += [index[:r0], index[r1:]]
-            kept.append((index[r0:r1], w[k], Q[r0:r1], c[:, None]))
+            tiles = [(slice(r, r + TILE_ROWS), a, b) for r, a, b in zip(
+                range(0, r1 - r0, TILE_ROWS), band_lo.tolist(),
+                band_hi.tolist())]
+            kept.append((index[r0:r1], w[span], Q[r0:r1, span], c[:, None],
+                         tiles))
         outside = np.concatenate(outside)
         if dropped:
             pruned = (math.sqrt(pruned) + math.sqrt(dropped)) ** 2
@@ -372,8 +391,12 @@ class SpectralPropagator:
         # than phasing each sector directly would
         tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
         tables = [None] * len(kept)
-        spare = np.empty((max(len(w) for _, w, _, _ in kept), CHUNK_SAMPLES),
+        spare = np.empty((max(len(w) for _, w, *_ in kept), CHUNK_SAMPLES),
                          dtype=complex) if len(ts) > CHUNK_SAMPLES else None
+        # one sector's window rows of a chunk, as (re, im) pairs; every
+        # sector and chunk writes its tiles' products into this one buffer
+        rows_out = np.empty(max(len(rows) for rows, *_ in kept)
+                            * 2 * min(len(ts), CHUNK_SAMPLES))
         results = []
         # an empty grid still gets one, empty, chunk: reduce sets the shape
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
@@ -387,7 +410,7 @@ class SpectralPropagator:
             last = lo + n >= len(ts)
             block = np.empty((self.size, n), dtype=complex)
             block[outside] = 0.0
-            for i, (index, w, Q, c) in enumerate(kept):
+            for i, (rows, w, Q, c, tiles) in enumerate(kept):
                 if rebuild:
                     tables[i] = table = np.empty((len(w), n), dtype=complex)
                     np.outer(w, -offsets, out=table.imag)
@@ -400,9 +423,54 @@ class SpectralPropagator:
                     phases = spare[:len(w), :n]
                 np.multiply(table, c * np.exp(-1j * np.outer(w, chunk[:1])),
                             out=phases)
-                block[index] = (Q @ phases.view(float)).view(complex)
+                phases = phases.view(float)
+                out = rows_out[:len(rows) * 2 * n].reshape(len(rows), 2 * n)
+                for tile, a, b in tiles:
+                    if a < b:
+                        np.matmul(Q[tile, a:b], phases[a:b], out=out[tile])
+                    else:
+                        out[tile] = 0.0
+                block[rows] = out.view(complex)
             results.append(reduce(block, pruned))
         return np.concatenate(results, axis=-1), pruned
+
+
+def _trim(terms, share):
+    """(counts, sums): along the last axis of the nonnegative `terms`, how
+    many leading and how many trailing terms sum to at most `share`, and
+    those two sums, each stacked on a new first axis (leading first)."""
+    sums = np.array([terms, terms[..., ::-1]]).cumsum(axis=-1)
+    fits = sums <= share
+    return fits.sum(axis=-1), (sums * fits).max(axis=-1, initial=0.0)
+
+
+def _band_cut(Q, c, budget):
+    """(r0, r1, lo, hi, dropped): which entries of a sector's product
+    Q @ (c·phases) evolve_grid computes, Q levels × eigencomponents.
+
+    Row r of the product never exceeds b_r = Σ_j |Q_rj|·|c_j|, and
+    leaving out some columns changes a block of rows by a norm of at
+    most those columns' norms over the block, |c_j| times Q's, summed.
+    Half the weight `budget` buys the level window [r0, r1): the most
+    rows at either end whose b_r² sum to a quarter each stay zero.  The
+    other half buys the band: the window is cut into tiles of TILE_ROWS
+    rows, and tile i multiplies only the columns [lo[i], hi[i]) (none
+    when lo[i] ≥ hi[i]), leaving out on either side the most columns
+    whose norms over its rows sum to √(budget / (8·tiles)).  `dropped`,
+    the b_r² of the rows outside the window plus each tile's summed
+    norms squared, bounds the squared norm of the product's error for
+    any phases of modulus one and never exceeds `budget`.
+    """
+    bound = np.abs(Q)
+    bound *= np.abs(c)
+    (r0, n_top), ends = _trim(bound.sum(axis=1) ** 2, budget / 4.0)
+    r0, r1 = int(r0), int(max(r0, len(bound) - n_top))
+    starts = np.arange(0, r1 - r0, TILE_ROWS)
+    norms = np.sqrt(np.add.reduceat(bound[r0:r1] ** 2, starts, axis=0))
+    (lo, n_right), (left, right) = _trim(
+        norms, math.sqrt(budget / (8.0 * max(len(starts), 1))))
+    dropped = float(ends.sum() + ((left + right) ** 2).sum())
+    return r0, r1, lo, bound.shape[1] - n_right, dropped
 
 
 def _check_dim(dim):

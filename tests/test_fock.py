@@ -325,10 +325,28 @@ def test_pruned_weight_bounded_and_reproduced():
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
+def _recorded_cuts(monkeypatch):
+    """The list that every later fock._band_cut call appends its
+    (c, r0, r1, lo, hi) to."""
+    from lcdeco import fock
+
+    cuts = []
+    band_cut = fock._band_cut
+
+    def recording(Q, c, budget):
+        out = band_cut(Q, c, budget)
+        cuts.append((c, *out[:4]))
+        return out
+
+    monkeypatch.setattr(fock, "_band_cut", recording)
+    return cuts
+
+
 def test_window_drops_unreachable_rows(monkeypatch):
     """Full H at α = 10 on 240 levels: n̄ = 100 ± 10 never reaches the
     lowest or the highest levels, so the window leaves rows at both ends
-    of the chains zero in every chunk, and the grid still matches the
+    of the chains zero in every chunk, a tile of the window multiplies
+    fewer than all kept eigencomponents, and the grid still matches the
     dense reference to √PRUNE_TOL."""
     from lcdeco import fock
 
@@ -336,6 +354,7 @@ def test_window_drops_unreachable_rows(monkeypatch):
     m, H, psi = _full_model(8.0, 0.35, 10.0, dim)
     ts = np.linspace(0.0, math.pi / m.Omega, 10)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 3)
+    cuts = _recorded_cuts(monkeypatch)
     zero_rows = []
 
     def reduce(block, _):
@@ -347,9 +366,57 @@ def test_window_drops_unreachable_rows(monkeypatch):
     for rows in zero_rows:
         assert np.array_equal(rows, zero_rows[0])
     assert {0, dim - 1, dim, 2 * dim - 1} <= set(zero_rows[0])
+    assert any(0 < np.count_nonzero(c[a:b]) < np.count_nonzero(c)
+               for c, _, _, lo, hi in cuts for a, b in zip(lo, hi))
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
     assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+def test_fig4_tiles_multiply_at_most_30_percent_of_the_window(monkeypatch):
+    """At fig4's point (α = 30 on 1200 levels) each eigenvector reaches
+    only a band of levels: summed over the tiles, each sector multiplies
+    at most 30 % of window rows × kept eigencomponents (about 19 %
+    measured), so a fall back to whole-window products fails here."""
+    from lcdeco import fock
+
+    _, H, psi = _full_model(8.0, 0.35, 30.0, 1200)
+    cuts = _recorded_cuts(monkeypatch)
+    _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0],
+                                                  lambda b, _: b)
+    assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
+    assert len(cuts) == len(H.sectors)
+    for c, r0, r1, lo, hi in cuts:
+        tile_rows = np.diff(np.r_[np.arange(r0, r1, fock.TILE_ROWS), r1])
+        multiplied = np.sum(tile_rows * np.maximum(hi - lo, 0))
+        assert multiplied <= 0.3 * (r1 - r0) * np.count_nonzero(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2 ** 32 - 1),
+       st.floats(1.0, 40.0), st.floats(-30.0, 0.0))
+def test_band_cut_bounds_the_error_it_reports(n, seed, width, log_budget):
+    """Random real tridiagonal sectors and components spread over a random
+    band of eigenvalues: whatever the phases, the product over the
+    window's tiles and their column ranges differs from the full Q @ P by
+    a squared norm within the weight _band_cut reports (to rounding), and
+    that weight within the budget it was given."""
+    from lcdeco.fock import TILE_ROWS, _band_cut
+
+    rng = np.random.default_rng(seed)
+    _, Q = hermitian_eig(n * rng.normal(size=n), rng.normal(size=n - 1))
+    c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(
+        -((np.arange(n) - rng.uniform(0, n)) / width) ** 2)
+    budget = 10.0 ** log_budget * np.sum(np.abs(c) ** 2)
+    r0, r1, lo, hi, dropped = _band_cut(Q, c, budget)
+    # the entries the tiled product leaves out, multiplied on their own
+    left_out = np.ones((n, n), dtype=bool)
+    for r, a, b in zip(range(r0, r1, TILE_ROWS), lo, hi):
+        left_out[r:min(r + TILE_ROWS, r1), a:max(a, b)] = False
+    P = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    error = np.where(left_out, Q, 0.0) @ P
+    assert np.sum(np.abs(error) ** 2) <= dropped * (1.0 + 1e-12)
+    assert dropped <= budget
 
 
 def test_leakage_guard_sees_window_rows():
@@ -392,6 +459,43 @@ def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
     assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
+
+
+def _edge_case(name):
+    """(H, psi, ts) of an evolution with nothing, or next to nothing, to
+    cut."""
+    _, H, psi = _full_model(8.0, 0.35, 1.0, 24)
+    ts = np.linspace(0.0, 1.0, 5)
+    if name == "zero state":
+        psi = np.zeros_like(psi)
+    elif name == "one sector":
+        psi = np.where(np.isin(np.arange(48), H.sectors[0].index), psi, 0.0)
+        psi /= np.linalg.norm(psi)
+    elif name == "one level":
+        H = SectorHamiltonian(3, [Sector([1], [1.0], []),
+                                  Sector([0, 2], [0.0, 2.0], [0.5])])
+        psi = np.array([0.6, 0.8, 0.0], dtype=complex)
+    else:
+        ts = np.array([])
+    return H, psi, ts
+
+
+@pytest.mark.parametrize("name", ["zero state", "one sector", "one level",
+                                  "empty ts"])
+def test_evolution_with_nothing_to_cut(name):
+    """A zero state, a state in one sector only (the other keeps no
+    eigencomponent), a one-level sector and an empty grid: the states
+    are the dense reference's, of shape (size, samples), and nothing is
+    reported dropped."""
+    H, psi, ts = _edge_case(name)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
+                                                     lambda b, _: b)
+    assert grid.shape == (H.size, len(ts))
+    assert pruned == 0.0
+    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts)),
+                  initial=0.0) <= 1e-13
+    if name == "one sector":
+        assert np.all(grid[H.sectors[1].index] == 0.0)
 
 
 def _fig4_span_grids(m, samples):
