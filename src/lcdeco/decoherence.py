@@ -25,7 +25,8 @@ from .circuit import ModelParams
 from .fock import (Sector, SectorHamiltonian, SpectralPropagator,
                    assert_leakage, coherent_state, joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
-                           build_full_hamiltonian, evolution_coefficients)
+                           build_full_hamiltonian, evolution_coefficients,
+                           lowest_level)
 
 
 def decoherence_exact(m: ModelParams, alpha, t):
@@ -48,24 +49,26 @@ def decoherence_approx(m: ModelParams, alpha, t):
     return float(out) if out.ndim == 0 else out
 
 
-def evolve_joint(H, psi, ts, reduce):
-    """reduce(block) of psi evolved under the joint-space H to every t in
-    ts, chunk by chunk (SpectralPropagator.evolve_grid), each block
-    leakage-guarded with the pruned weight before reduce sees it."""
+def evolve_joint(H, psi, ts, reduce, n_lo=0):
+    """reduce(block) of psi evolved under the joint-space H on the levels
+    from n_lo up to every t in ts, chunk by chunk
+    (SpectralPropagator.evolve_grid), each block leakage-guarded, at the
+    top and, with n_lo > 0, the bottom levels, with the pruned weight
+    before reduce sees it."""
     def guarded(block, pruned):
-        assert_leakage(block, pruned=pruned)
+        assert_leakage(block, pruned=pruned, n_lo=n_lo)
         return reduce(block)
 
     return SpectralPropagator(H).evolve_grid(psi, ts, guarded)[0]
 
 
-def _coherence(H, psi, t, weight):
-    """|ρ_01(t)| / weight of psi evolved under H, in t's shape; float for
-    scalar t."""
+def _coherence(H, psi, t, weight, n_lo):
+    """|ρ_01(t)| / weight of psi evolved under H on the levels from n_lo
+    up, in t's shape; float for scalar t."""
     t = np.asarray(t, dtype=float)
-    dim = H.size // 2
+    levels = H.size // 2
     rho01 = evolve_joint(H, psi, t.ravel(), lambda block: np.sum(
-        block[:dim] * np.conj(block[dim:]), axis=0))
+        block[:levels] * np.conj(block[levels:]), axis=0), n_lo)
     out = (np.abs(rho01) / weight).reshape(t.shape)
     return float(out) if t.ndim == 0 else out
 
@@ -76,15 +79,17 @@ def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):
     The joint coherence of the effective model: the unnormalized state
     |α⟩ ⊕ |α⟩ evolved under the direct sum H₀ ⊕ H₁ has ρ_01 = ⟨s₁|s₀⟩.
     The branch constants ε_k drop out of the modulus.  Each H_k is two
-    tridiagonal sectors, so |α| = 30 at dim = 1200 takes a fraction of a
-    second.  Unnormalized, the guarded top-level population is the sum of
-    both branches' own, never less than either.
+    tridiagonal sectors on the levels from lowest_level(m, α) up, so
+    |α| = 30 at dim = 1200 takes a fraction of a second.  Unnormalized,
+    the guarded population at either edge is the sum of both branches'
+    own, never less than either.
     """
-    psi0 = coherent_state(alpha, dim)
-    h0, h1 = (build_effective_hamiltonian(k, m, dim) for k in (0, 1))
-    h = SectorHamiltonian(2 * dim, h0.sectors + tuple(
-        Sector(s.index + dim, s.diag, s.offdiag) for s in h1.sectors))
-    return _coherence(h, np.concatenate([psi0, psi0]), t, 1.0)
+    n_lo = lowest_level(m, alpha)
+    psi0 = coherent_state(alpha, dim, n_lo)
+    h0, h1 = (build_effective_hamiltonian(k, m, dim, n_lo) for k in (0, 1))
+    h = SectorHamiltonian(2 * h0.size, h0.sectors + tuple(
+        Sector(s.index + h0.size, s.diag, s.offdiag) for s in h1.sectors))
+    return _coherence(h, np.concatenate([psi0, psi0]), t, 1.0, n_lo)
 
 
 def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
@@ -126,16 +131,18 @@ def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
 def full_model_coherence(m: ModelParams, c0, c1, alpha, t, dim):
     """Normalized off-diagonal coherence of the qubit under the full H.
 
-    Evolves (c0|0⟩ + c1|1⟩)⊗|α⟩ exactly and returns
-    |ρ_01(t)| / |c0·c1|, so 1 means undamped coherence.
+    Evolves (c0|0⟩ + c1|1⟩)⊗|α⟩ exactly, on the levels from
+    lowest_level(m, α) up, and returns |ρ_01(t)| / |c0·c1|, so 1 means
+    undamped coherence.
     """
     if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-9:
         raise ValueError("qubit weights must satisfy |c0|^2+|c1|^2 = 1")
     if c0 == 0 or c1 == 0:
         raise ValueError("normalized coherence undefined for c0*c1 = 0")
-    psi = joint_state(c0, c1, coherent_state(alpha, dim))
-    return _coherence(build_full_hamiltonian(m, dim), psi, t,
-                      abs(c0 * np.conj(c1)))
+    n_lo = lowest_level(m, alpha)
+    psi = joint_state(c0, c1, coherent_state(alpha, dim, n_lo))
+    return _coherence(build_full_hamiltonian(m, dim, n_lo), psi, t,
+                      abs(c0 * np.conj(c1)), n_lo)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ time evolution of time-independent Hamiltonians.  Everything here is
 dimensionless and O(1)-scaled; SI inputs are converted at the package
 boundary (see circuit / runner).
 
+A state or Hamiltonian may start at a lowest oscillator level n_lo
+(hamiltonians.lowest_level) and then holds only levels [n_lo, dim).
 Basis ordering for joint qubit+oscillator vectors is fixed as
-qubit-slow / oscillator-fast: amplitude of |k⟩⊗|n⟩ sits at index k*dim + n.
+qubit-slow / oscillator-fast: amplitude of |k⟩⊗|n⟩ sits at index
+k·(dim − n_lo) + n − n_lo, k·dim + n when n_lo = 0.
 
 Evolution works on sectors: a Hamiltonian is handed over as a
 SectorHamiltonian, invariant blocks that are each a real symmetric
@@ -50,7 +53,8 @@ from .errors import TruncationError
 COHERENT_TAIL_TOL = 1e-12
 
 # evolution leakage guard: population allowed in the top LEAK_LEVELS
-# oscillator levels of both qubit branches together in an accepted run
+# oscillator levels of both qubit branches together in an accepted run,
+# and, when the levels start at n_lo > 0, in the bottom LEAK_LEVELS too
 LEAK_LEVELS = 5
 LEAK_TOL = 1e-8
 
@@ -122,6 +126,20 @@ def coherent_tail_mass(alpha, dim):
     return float(np.sum(np.exp(_poisson_log_pmf(alpha, dim, top))))
 
 
+def coherent_mass_below(alpha, n_lo):
+    """Poisson mass of the untruncated coherent state below level n_lo,
+    P(n < n_lo): the pmf summed directly over the _poisson_reach levels
+    below min(n_lo, |α|²), or 1 when n_lo lies that far above the
+    mean."""
+    if n_lo <= 0:
+        return 0.0
+    lam, reach = abs(alpha) ** 2, _poisson_reach(alpha)
+    if alpha == 0 or n_lo >= lam + reach:
+        return 1.0
+    bottom = int(max(min(n_lo, lam) - reach, 0))
+    return float(np.sum(np.exp(_poisson_log_pmf(alpha, bottom, n_lo))))
+
+
 def min_adequate_dim(alpha):
     """Smallest truncation (at least 2) with coherent tail mass below
     COHERENT_TAIL_TOL: the first level where the reverse cumulative sum
@@ -142,13 +160,15 @@ def min_adequate_dim(alpha):
     return 2
 
 
-def coherent_state(alpha, dim):
-    """Coherent state |α⟩ truncated to dim levels, renormalized.
+def coherent_state(alpha, dim, n_lo=0):
+    """Coherent state |α⟩ on levels [n_lo, dim), renormalized: entry i is
+    level n_lo + i.
 
     Amplitudes are e^{½ ln P(n) + inφ}, built in the log domain so large
     |α| does not overflow.  Raises TruncationError (with a suggested
     dimension) when the tail mass at the requested truncation is not
-    below COHERENT_TAIL_TOL.
+    below COHERENT_TAIL_TOL, and (without one) when the mass below n_lo
+    is not.
     """
     dim = _check_dim(dim)
     tail = coherent_tail_mass(alpha, dim)
@@ -157,12 +177,18 @@ def coherent_state(alpha, dim):
             "coherent state alpha=%r needs a larger Fock space "
             "(tail mass %.3e at dim=%d)" % (alpha, tail, dim),
             suggested_dim=min_adequate_dim(alpha))
+    _check_dim(dim, n_lo)
+    below = coherent_mass_below(alpha, n_lo)
+    if below >= COHERENT_TAIL_TOL:
+        raise TruncationError(
+            "coherent state alpha=%r needs levels below n_lo=%d (mass "
+            "%.3e below it)" % (alpha, n_lo, below))
     if alpha == 0:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
-    mag = np.exp(0.5 * _poisson_log_pmf(alpha, 0, dim))
-    phase = np.exp(1j * np.arange(dim) * np.angle(alpha))
+    mag = np.exp(0.5 * _poisson_log_pmf(alpha, n_lo, dim))
+    phase = np.exp(1j * np.arange(n_lo, dim) * np.angle(alpha))
     v = mag * phase
     return v / np.linalg.norm(v)
 
@@ -177,18 +203,24 @@ def joint_state(c0, c1, osc):
     return v / nrm
 
 
-def assert_leakage(states, pruned=0.0):
-    """Raise TruncationError when the top LEAK_LEVELS oscillator levels
-    hold LEAK_TOL or more of the population; return that population.
+def assert_leakage(states, pruned=0.0, n_lo=0):
+    """Raise TruncationError when the top LEAK_LEVELS oscillator levels,
+    or with n_lo > 0 the bottom LEAK_LEVELS, hold LEAK_TOL or more of the
+    population; return the larger edge's population.
 
-    `states` is one joint state vector (2·dim,) or a (2·dim, nt) array of
-    column states; the top levels of both qubit branches are summed.
-    Below LEAK_LEVELS levels every level counts as a top level.
+    `states` is one joint state vector (2·levels,) or a (2·levels, nt)
+    array of column states on the levels [n_lo, n_lo + levels); each
+    edge sums its levels of both qubit branches.  Below LEAK_LEVELS
+    levels every level counts as a top level, and below 2·LEAK_LEVELS
+    the bottom edge stops where the top one starts, so each level is
+    counted once.  A top trip suggests twice the true top level,
+    2·(n_lo + levels); a bottom trip suggests no dim, since no larger
+    truncation reaches down.
 
     `pruned` is the weight a propagator dropped from the evolved state
     (the second value SpectralPropagator.evolve_grid returns).  The
-    dropped part has norm √pruned, so the unpruned state's top-level
-    population is at most (√leak + √pruned)²; the guard tests and returns
+    dropped part has norm √pruned, so the unpruned state's population at
+    an edge is at most (√leak + √pruned)²; the guard tests and returns
     that bound, so pruning, eigencomponents and window rows alike, can
     never turn a trip into a pass.
     """
@@ -196,17 +228,23 @@ def assert_leakage(states, pruned=0.0):
     vecs = arr[:, None] if arr.ndim == 1 else arr
     d = vecs.shape[0] // 2
     lo = max(d - LEAK_LEVELS, 0)
-    top = ((np.abs(vecs[lo:d]) ** 2).sum(axis=0)
-           + (np.abs(vecs[d + lo:]) ** 2).sum(axis=0))
-    leak = float(np.max(top, initial=0.0))
-    if pruned:
-        leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
-    if not leak < LEAK_TOL:     # a NaN population trips too
-        raise TruncationError(
-            "leakage guard tripped: top-%d-level population %.3e >= %.1e"
-            % (LEAK_LEVELS, leak, LEAK_TOL),
-            suggested_dim=2 * d)
-    return leak
+    edges = [("top", lo, d)]
+    if n_lo:
+        edges.append(("bottom", 0, min(LEAK_LEVELS, lo)))
+    worst = 0.0
+    for edge, a, b in edges:
+        pop = ((np.abs(vecs[a:b]) ** 2).sum(axis=0)
+               + (np.abs(vecs[d + a:d + b]) ** 2).sum(axis=0))
+        leak = float(np.max(pop, initial=0.0))
+        if pruned:
+            leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
+        if not leak < LEAK_TOL:     # a NaN population trips too
+            raise TruncationError(
+                "leakage guard tripped: %s-%d-level population %.3e >= %.1e"
+                % (edge, LEAK_LEVELS, leak, LEAK_TOL),
+                suggested_dim=2 * (n_lo + d) if edge == "top" else None)
+        worst = max(worst, leak)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +511,14 @@ def _band_cut(Q, c, budget):
     return r0, r1, lo, bound.shape[1] - n_right, dropped
 
 
-def _check_dim(dim):
+def _check_dim(dim, n_lo=0):
+    """dim as an int, checked with the lowest level n_lo: at least two
+    levels [n_lo, dim)."""
     d = int(dim)
     if d != dim or d < 2:
         raise ValueError("Fock truncation dim must be an integer >= 2, got %r"
                          % (dim,))
+    if int(n_lo) != n_lo or not 0 <= n_lo <= d - 2:
+        raise ValueError("lowest level n_lo must be an integer in [0, %d], "
+                         "got %r" % (d - 2, n_lo))
     return d

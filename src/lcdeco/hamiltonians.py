@@ -16,7 +16,9 @@ Both Hamiltonians are built as their two parity sectors
 Π = σ_z ⊗ (−1)^{a†a} and, with this σ_y convention, has only real
 elements; ordered by n, each sector {|n mod 2, n⟩} and {|1 − n mod 2, n⟩}
 is a real symmetric tridiagonal chain.  H_k couples n ↔ n ± 2, so its even
-and odd levels are the two chains.
+and odd levels are the two chains.  Both builders can start at a lowest
+level n_lo, the one lowest_level picks for an evolution of |α⟩, and then
+hold only the levels [n_lo, dim).
 
 A numerical effective-block extraction (direct-rotation block
 diagonalization of the full H, one parity sector at a time from that
@@ -31,7 +33,8 @@ import numpy as np
 
 from .circuit import GAMMA_MAX, ModelParams
 from .errors import RegimeError, TruncationError
-from .fock import Sector, SectorHamiltonian, _check_dim, hermitian_eig
+from .fock import (Sector, SectorHamiltonian, _check_dim, _poisson_reach,
+                   hermitian_eig)
 
 
 def branch_sign(k):
@@ -40,39 +43,44 @@ def branch_sign(k):
     return 1.0 if k == 0 else -1.0
 
 
-def build_full_hamiltonian(m: ModelParams, dim):
-    """Joint-space H (qubit-slow ordering) as its two parity sectors.
+def build_full_hamiltonian(m: ModelParams, dim, n_lo=0):
+    """Joint-space H on the oscillator levels [n_lo, dim) (qubit-slow
+    ordering, |q, n⟩ at index q·(dim − n_lo) + n − n_lo) as its two
+    parity sectors.
 
     Elements: ⟨q,n|H|q,n⟩ = ωn ∓ ω_a/2 (− for q = 0), and the coupling
     ⟨0,n|H|1,n+1⟩ = −g√(n+1), ⟨1,n|H|0,n+1⟩ = +g√(n+1).
     """
-    dim = _check_dim(dim)
-    n = np.arange(dim)
-    root = np.sqrt(np.arange(1.0, dim))     # ⟨n|a|n+1⟩ = √(n+1)
+    dim = _check_dim(dim, n_lo)
+    levels = dim - n_lo
+    n = np.arange(n_lo, dim)
+    root = np.sqrt(np.arange(n_lo + 1.0, dim))     # ⟨n|a|n+1⟩ = √(n+1)
     sectors = []
-    for first in (0, 1):            # qubit state of the n = 0 member
+    for first in (0, 1):            # qubit state of the even levels
         q = (n + first) % 2
         diag = m.omega * n - 0.5 * m.omega_a * (1.0 - 2.0 * q)
         # the link n → n+1 leaves qubit q[n]: −g√(n+1) from 0, +g√(n+1)
         # from 1
         offdiag = (2.0 * q[:-1] - 1.0) * (m.g * root)
-        sectors.append(Sector(q * dim + n, diag, offdiag))
-    return SectorHamiltonian(2 * dim, sectors)
+        sectors.append(Sector(q * levels + n - n_lo, diag, offdiag))
+    return SectorHamiltonian(2 * levels, sectors)
 
 
-def build_effective_hamiltonian(k, m: ModelParams, dim):
-    """Oscillator-space H_k for qubit branch k, as its even- and odd-level
-    sectors."""
-    dim = _check_dim(dim)
+def build_effective_hamiltonian(k, m: ModelParams, dim, n_lo=0):
+    """Oscillator-space H_k for qubit branch k on the levels [n_lo, dim)
+    (level n at index n − n_lo), as its two sectors of one level
+    parity each, n_lo's first."""
+    dim = _check_dim(dim, n_lo)
     eps = m.eps0 if k == 0 else m.eps1
     squeeze = branch_sign(k) * m.lam
     sectors = []
-    for first in (0, 1):
+    for first in (n_lo, n_lo + 1):
         n = np.arange(first, dim, 2)
         # ⟨n|a²|n+2⟩ = √(n+1)·√(n+2)
         root = np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)
-        sectors.append(Sector(n, m.omega_tilde * n + eps, squeeze * root))
-    return SectorHamiltonian(dim, sectors)
+        sectors.append(Sector(n - n_lo, m.omega_tilde * n + eps,
+                              squeeze * root))
+    return SectorHamiltonian(dim - n_lo, sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +121,24 @@ def evolution_coefficients(k, m: ModelParams, t):
     if np.ndim(t) == 0:
         return complex(u), complex(v)
     return u, v
+
+
+def lowest_level(m: ModelParams, alpha):
+    """n_lo = max(0, ⌊(|α|/s)² − R(s|α|)⌋), the lowest oscillator level
+    an evolution of |α⟩ starts at, R = fock._poisson_reach.
+
+    s = (ω̃ + 2|λ|)/Ω = √((ω̃ + 2|λ|)/(ω̃ − 2|λ|)) is the largest
+    stretch |u| + |v| of evolution_coefficients over all t, so either
+    branch's mean amplitude |uα + vᾱ| never falls below |α|/s, and R(s|α|)
+    levels is the reach of a photon-number spread stretched by s
+    (squeezed coherent states, Yuen, PRA 13, 2226 (1976)).  Since
+    n_lo ≤ |α|² − R(|α|), the initial weight left out is below e^{−60}.
+    The edge is a rule, not a bound, so the leakage guard also watches
+    the bottom levels of every evolution that starts above level 0.
+    """
+    s = (m.omega_tilde + 2.0 * abs(m.lam)) / m.Omega
+    reach = _poisson_reach(s * abs(alpha))
+    return max(0, math.floor((abs(alpha) / s) ** 2 - reach))
 
 
 def predicted_moments(k, m: ModelParams, alpha, t):

@@ -20,7 +20,7 @@ from .circuit import ModelParams
 from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
                           evolve_joint)
 from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401
-from .hamiltonians import build_full_hamiltonian
+from .hamiltonians import build_full_hamiltonian, lowest_level
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -67,7 +67,8 @@ def current_analytic(m: ModelParams, alpha, t):
 def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
                     c1=SQRT_HALF):
     """(P_c(t), I(t)) from exact full-model evolution on a uniform grid,
-    with P_c at θ = m.theta and I in units of e·ω.
+    with P_c at θ = m.theta and I in units of e·ω.  The evolution runs on
+    the oscillator levels [lowest_level(m, α), dim).
 
     I is the second-order finite difference of −2·P_c (central in the
     interior, one-sided at the ends).  The grid must be uniform with a
@@ -85,9 +86,10 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
         raise ValueError(
             "grid spacing %.3g violates the sampling criterion %.3g"
             % (dts[0], sampling_limit(m)))
-    pc = evolve_joint(build_full_hamiltonian(m, dim),
-                      joint_state(c0, c1, coherent_state(alpha, dim)), ts,
-                      lambda block: charge_occupation(block, m.theta))
+    n_lo = lowest_level(m, alpha)
+    psi = joint_state(c0, c1, coherent_state(alpha, dim, n_lo))
+    pc = evolve_joint(build_full_hamiltonian(m, dim, n_lo), psi, ts,
+                      lambda block: charge_occupation(block, m.theta), n_lo)
     current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 

@@ -237,6 +237,35 @@ def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):
     assert ys and all(0.0 <= y <= 560.0 for y in ys)
 
 
+def test_fig4_across_blas_thread_counts(tmp_path):
+    """The shipped fig4 config under 1 and 2 BLAS threads: every CSV
+    column but I_numeric is byte-identical, and I_numeric, which sums
+    GEMM products in a thread-dependent order, agrees to 1e-13 of
+    max|I|."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    tables = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        code = ("import lcdeco.cli, sys; sys.exit(lcdeco.cli.main(['run', "
+                "'--config', %r, '--out', %r]))"
+                % (os.path.join(root, "configs", "fig4.cfg"), out))
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(
+            os.path.join(root, "src")), OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True, timeout=300)
+        tables.append(read_csv(os.path.join(out, "fig4.csv")))
+    (meta1, columns, rows1), (meta2, columns2, rows2) = tables
+    assert (meta1, columns) == (meta2, columns2)
+    by_column = [list(zip(*rows)) for rows in (rows1, rows2)]
+    for name, one, two in zip(columns, *by_column):
+        if name != "I_numeric":
+            assert one == two, name
+    i1, i2 = (np.array(cells[columns.index("I_numeric")], dtype=float)
+              for cells in by_column)
+    assert np.max(np.abs(i1 - i2)) <= 1e-13 * np.max(np.abs(i1))
+
+
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])
 def test_threads_option_rejected(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 """Decoherence factor: closed forms, oracles, full-model coherence."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcdeco.circuit import model_params, params_from_dimensionless
@@ -13,8 +14,10 @@ from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_gaussian_oracle,
                                 full_model_coherence, jump_metrics)
 from lcdeco.errors import TruncationError
-from lcdeco.fock import min_adequate_dim
-from lcdeco.hamiltonians import evolution_coefficients, squeeze_coefficients
+from lcdeco.fock import _poisson_reach, hermitian_eig, min_adequate_dim
+from lcdeco.hamiltonians import (evolution_coefficients, lowest_level,
+                                 squeeze_coefficients)
+from lcdeco.observables import current_numeric, sampling_limit
 from lcdeco.runner import FOCK_ALPHA_MAX
 
 M_REF = params_from_dimensionless(1.8, 0.05)
@@ -215,6 +218,112 @@ def test_fock_oracle_matches_gaussian_random(regime):
     d_f = decoherence_fock_oracle(m, alpha, ts, dim)
     assert np.max(np.abs(d_f - decoherence_gaussian_oracle(m, alpha, ts))) \
         <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the lowest level an evolution starts at
+
+def _stretch(m):
+    """(ω̃ + 2|λ|)/Ω, the largest |u| + |v| over all t."""
+    return (m.omega_tilde + 2.0 * abs(m.lam)) / m.Omega
+
+
+def _at_level_zero(run):
+    """run() with every evolution started at level 0, as without
+    lowest_level."""
+    with mock.patch("lcdeco.decoherence.lowest_level", return_value=0), \
+            mock.patch("lcdeco.observables.lowest_level", return_value=0):
+        return run()
+
+
+@settings(max_examples=12, deadline=None)
+@example((8.0, 0.05, 30.0, 0.4, 3.0, 5))      # fig4's point
+@example((4.0, 0.15, 30.0, 2.0, 0.7, 4))      # n_lo = 262 of 1589 levels
+@example((8.0, 0.15, 30.0, 0.0, 1.2, 3))  # s = 1.28: 52, 500 if s were 1
+@given(st.tuples(st.floats(1.5, 12.0), st.floats(0.0, 0.15),
+                 st.floats(15.0, 30.0), st.floats(0.0, 2.0 * math.pi),
+                 st.floats(0.0, 10.0), st.integers(3, 6)))
+def test_evolution_from_lowest_level_matches_level_zero_random(regime):
+    """P_c (full H) and D_fock (H₀ ⊕ H₁) from the windowed evolution agree
+    with the same evolution started at level 0 to 1e-12, at a truncation
+    that holds the stretched state, ⌈(s|α|)² + R(s|α|)⌉ levels.  Grids
+    start by t = 10: two solves of matrices of different order drift
+    apart like t·eps·‖H‖, so by t = 50 a level-0 run and one with a
+    single extra top level already differ by ~1e-12."""
+    omega_a, gamma, r, phase, t0, n = regime
+    m, alpha, _ = _regime(omega_a, gamma, r, phase, [])
+    ts = t0 + np.arange(n) * sampling_limit(m) / 2
+    stretched = _stretch(m) * r
+    dim = math.ceil(stretched ** 2 + _poisson_reach(stretched))
+
+    def both():
+        return (current_numeric(m, alpha, ts, dim)[0],
+                decoherence_fock_oracle(m, alpha, ts, dim))
+
+    for got, ref in zip(both(), _at_level_zero(both)):
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_fig4_solves_two_sectors_of_772_levels(monkeypatch):
+    """At fig4's point (ω_a = 8, g = 0.35, α = 30, dim = 1200) the full H
+    starts at level 428: each parity sector has 1200 − 428 = 772 levels."""
+    from lcdeco import fock
+
+    calls = []
+
+    def counted(diag, offdiag):
+        calls.append(len(diag))
+        return hermitian_eig(diag, offdiag)
+
+    monkeypatch.setattr(fock, "hermitian_eig", counted)
+    m = params_from_dimensionless(8.0, 0.35)
+    assert lowest_level(m, 30.0) == 428
+    current_numeric(m, 30.0, np.arange(3) * sampling_limit(m) / 2, 1200)
+    assert calls == [772, 772]
+
+
+@given(_regimes(FOCK_ALPHA_MAX))
+def test_lowest_level_is_zero_up_to_the_fock_limit(regime):
+    """Every amplitude the runner sends through the Fock routes starts at
+    level 0, so those runs evolve exactly what they did before n_lo."""
+    m, alpha, _ = _regime(*regime)
+    assert lowest_level(m, alpha) == 0
+
+
+def test_lowest_level_is_zero_at_the_alpha_10_fig4_point():
+    # the cli-cold benchmark's fig4 config (perfbench/configs/fig4.cfg)
+    assert lowest_level(params_from_dimensionless(8.0, 0.35), 10.0) == 0
+
+
+@pytest.mark.parametrize("route", ["current", "fock", "full"])
+def test_dim_below_lowest_level_reports_the_coherent_tail(route):
+    """dim = 400 at fig4's point lies below n_lo = 428: every route still
+    raises the coherent state's TruncationError with its suggested dim,
+    as it did before the evolution started above level 0."""
+    m = params_from_dimensionless(8.0, 0.35)
+    ts = np.arange(3) * sampling_limit(m) / 2
+    run = {"current": lambda: current_numeric(m, 30.0, ts, 400),
+           "fock": lambda: decoherence_fock_oracle(m, 30.0, ts, 400),
+           "full": lambda: full_model_coherence(m, 0.6, 0.8, 30.0, ts, 400)}
+    with pytest.raises(TruncationError, match="tail mass") as err:
+        run[route]()
+    assert err.value.suggested_dim > 1000
+
+
+def test_lowest_level_set_too_high_trips_the_bottom_edge(monkeypatch):
+    """At ω_a = 4, γ = 0.15, α = 20 the rule starts at level 4.  Forced to
+    start at level 240 instead, where the initial state holds only 2e-18
+    below it, the Fock oracle trips the guard: H₀'s squeezed branch
+    reaches lower, and the bottom edge trips with no dim suggested."""
+    m = params_from_dimensionless(4.0, 0.45)
+    ts = _grid(m, periods=1.0, n=41)
+    assert lowest_level(m, 20.0) == 4
+    decoherence_fock_oracle(m, 20.0, ts, 820)
+    monkeypatch.setattr("lcdeco.decoherence.lowest_level",
+                        lambda m, alpha: 240)
+    with pytest.raises(TruncationError, match="bottom-") as err:
+        decoherence_fock_oracle(m, 20.0, ts, 820)
+    assert err.value.suggested_dim is None
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,8 +16,9 @@ from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
                          Sector, SectorHamiltonian, SpectralPropagator,
-                         assert_leakage, coherent_state, coherent_tail_mass,
-                         hermitian_eig, joint_state, min_adequate_dim)
+                         assert_leakage, coherent_mass_below, coherent_state,
+                         coherent_tail_mass, hermitian_eig, joint_state,
+                         min_adequate_dim)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lcdeco")
 
@@ -619,6 +620,86 @@ def test_leakage_guard_sums_both_branches():
                                                     rel=1e-12)
     with pytest.raises(TruncationError):
         assert_leakage(np.concatenate([branch, branch]))
+
+
+def test_leakage_guard_watches_the_bottom_edge_above_level_zero():
+    """With n_lo > 0 the bottom LEAK_LEVELS levels of both branches are
+    summed too: each branch's bottom level holds 0.6·LEAK_TOL, so the
+    joint state trips at the bottom edge, with no dim suggested, while
+    the same vector at n_lo = 0 passes.  A top trip suggests twice the
+    true top level, 2·(n_lo + levels), not twice the rows."""
+    levels = 16
+    branch = np.zeros(levels, dtype=complex)
+    branch[levels // 2] = 1.0
+    branch[0] = math.sqrt(0.6 * LEAK_TOL)
+    psi = np.concatenate([branch, branch])
+    assert assert_leakage(psi) == 0.0
+    with pytest.raises(TruncationError, match="bottom-") as err:
+        assert_leakage(psi, n_lo=100)
+    assert err.value.suggested_dim is None
+    one = np.concatenate([branch, np.zeros(levels)])
+    assert assert_leakage(one, n_lo=100) == pytest.approx(0.6 * LEAK_TOL,
+                                                         rel=1e-12)
+    # the same (√leak + √pruned)² bound as at the top
+    with pytest.raises(TruncationError, match="bottom-"):
+        assert_leakage(one, pruned=0.1 * LEAK_TOL, n_lo=100)
+    with pytest.raises(TruncationError, match="top-") as err:
+        assert_leakage(psi[::-1], n_lo=100)
+    assert err.value.suggested_dim == 2 * (100 + levels)
+
+
+def test_leakage_guard_counts_each_level_once_in_a_narrow_window():
+    """A window of 7 levels, narrower than 2·LEAK_LEVELS: the top edge is
+    its top LEAK_LEVELS levels and the bottom edge the 2 below them.
+    Levels 1 and 2 hold 0.6·LEAK_TOL each, one per edge, so the guard
+    passes; a bottom edge of LEAK_LEVELS levels would hold both, 1.2."""
+    levels = 7
+    assert levels < 2 * LEAK_LEVELS
+    psi = np.zeros(2 * levels, dtype=complex)
+    psi[1] = psi[2] = math.sqrt(0.6 * LEAK_TOL)
+    assert assert_leakage(psi, n_lo=3) == pytest.approx(0.6 * LEAK_TOL,
+                                                        rel=1e-12)
+    psi[0] = psi[1]
+    with pytest.raises(TruncationError, match="bottom-"):
+        assert_leakage(psi, n_lo=3)
+
+
+def test_coherent_state_from_n_lo_is_the_full_state_cut():
+    """Levels [n_lo, dim) of |α⟩: the full state's entries from n_lo up,
+    renormalized, while the mass below n_lo stays under
+    COHERENT_TAIL_TOL; one level higher than that is refused."""
+    alpha, dim = 20.0 * np.exp(0.3j), 700
+    full = coherent_state(alpha, dim)
+    n_lo = 180
+    cut = coherent_state(alpha, dim, n_lo)
+    assert cut.shape == (dim - n_lo,)
+    ref = full[n_lo:] / np.linalg.norm(full[n_lo:])
+    assert np.max(np.abs(cut - ref)) <= 1e-15
+    edge = next(n for n in range(n_lo, dim)
+                if coherent_mass_below(alpha, n + 1) >= COHERENT_TAIL_TOL)
+    coherent_state(alpha, dim, edge)
+    with pytest.raises(TruncationError, match="below n_lo"):
+        coherent_state(alpha, dim, edge + 1)
+    with pytest.raises(ValueError):
+        coherent_state(alpha, dim, dim - 1)
+
+
+@pytest.mark.parametrize("alpha, n_lo", [(2.0, 1), (20.0, 150), (20.0, 400),
+                                         (30.0, 428), (30.0, 800),
+                                         (30.0, 1400)])
+def test_coherent_mass_below_matches_gammaincc(alpha, n_lo):
+    """P(n < n_lo) of a Poisson(|α|²) is Q(n_lo, |α|²), the regularized
+    upper incomplete gamma function."""
+    from scipy.special import gammaincc
+
+    ref = gammaincc(n_lo, alpha ** 2)
+    assert coherent_mass_below(alpha, n_lo) == pytest.approx(
+        ref, rel=1e-9, abs=1e-300)
+
+
+def test_coherent_mass_below_edges():
+    assert coherent_mass_below(3.0, 0) == 0.0
+    assert coherent_mass_below(0.0, 1) == 1.0
 
 
 def test_overlap_basics():

@@ -65,6 +65,29 @@ def test_sector_builders_match_dense_reference_exactly():
                 _dense_effective(k, m, dim))
 
 
+def test_builders_from_n_lo_are_the_dense_reference_cut():
+    """Started at level n_lo, odd and even, each builder is its dense
+    reference with the levels below n_lo of every branch deleted, entry
+    for entry."""
+    for i, (m, dim) in enumerate(_random_regimes(47, 12)):
+        n_lo = i % (dim - 1)
+        keep = np.r_[n_lo:dim, dim + n_lo:2 * dim]
+        assert np.array_equal(dense(build_full_hamiltonian(m, dim, n_lo)),
+                              _kron_full(m, dim)[np.ix_(keep, keep)])
+        for k in (0, 1):
+            assert np.array_equal(
+                dense(build_effective_hamiltonian(k, m, dim, n_lo)),
+                _dense_effective(k, m, dim)[n_lo:, n_lo:])
+
+
+def test_builders_reject_windows_below_two_levels():
+    for n_lo in (-1, 31, 1.5):
+        with pytest.raises(ValueError):
+            build_full_hamiltonian(M_REF, 32, n_lo)
+        with pytest.raises(ValueError):
+            build_effective_hamiltonian(0, M_REF, 32, n_lo)
+
+
 def _eigh_grid(H, psi, ts):
     w, V = np.linalg.eigh(H)
     c = V.conj().T @ psi
