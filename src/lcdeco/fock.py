@@ -36,13 +36,26 @@ hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
 
+hermitian_eig and evolve_grid, the caller's reduction included, run
+with every OpenBLAS library in the process on one thread, and give each
+library its thread count back when they return or raise
+(_one_blas_thread).  So their results are the same bits at any BLAS
+thread count the host sets, and fig4 at α = 30 runs about a quarter
+faster than on two threads of two vCPUs.  Where no OpenBLAS is found
+(MKL, Accelerate, a platform without /proc/self/maps) nothing is
+limited, and the bits follow the host's thread count.
+
 scipy is imported inside hermitian_eig, the one function that uses it,
 so importing lcdeco, and every command that diagonalizes no sector,
 loads no scipy.  The coherent-state weights come from one log-domain
 Poisson pmf built on math.lgamma.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -76,8 +89,86 @@ CHUNK_SAMPLES = 256
 # 16, 32 and 64 rows multiply 17, 19 and 24 % of window × kept, and 32
 # evolved fastest: evolve + P_c took a median 154–162 ms, against 165–173
 # at 64 rows and ~270 ms as whole-window products (two OpenBLAS threads
-# on two vCPUs)
+# on two vCPUs); on one thread, as evolve_grid runs, current_numeric
+# took 177 ms against 191 at both 16 and 64 rows (median of 5)
 TILE_ROWS = 32
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+# (get, set) thread-count entry points an OpenBLAS build may export,
+# tried in this order: numpy's scipy-openblas (64-bit integers), scipy's
+# scipy-openblas, a plain OpenBLAS, and the 64-bit-integer OpenBLAS of
+# numpy < 2's wheels
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_",
+     "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into the process, found once, from /proc/self/maps, at the first
+    _one_blas_thread; empty where that file is missing or no mapped
+    library exports them (MKL, Accelerate, another platform)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8",
+                  errors="replace") as fh:
+            paths = {parts[5].strip() for parts in
+                     (line.split(None, 5) for line in fh) if len(parts) == 6}
+    except OSError:
+        return ()
+    calls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+                break
+    return tuple(calls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS library in the process on one
+    thread, and give each its own count back afterwards, also when the
+    block raises.
+
+    Its products and eigensolves then sum in one order whatever the
+    host's thread count, so their bits do not depend on it, and at the
+    sizes lcdeco multiplies a second thread only costs: at fig4's
+    α = 30 on two vCPUs, the tile products took 67–69 ms on one thread
+    against 87–110 ms on two.  The libraries are found at the first
+    entry, so that entry must follow the lazy scipy import in
+    hermitian_eig; a library loaded later is never limited.  The thread
+    count is process-wide, so of two Python threads inside this block at
+    once, the one that leaves last may run its rest on the host's count.
+    """
+    calls = _openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    try:
+        for (_, set_), n in zip(calls, saved):
+            if n != 1:
+                set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(calls, saved):
+            if n != 1:
+                set_(n)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +176,14 @@ TILE_ROWS = 32
 
 def hermitian_eig(diag, offdiag):
     """Eigendecomposition of one real symmetric tridiagonal sector
-    (a Sector's diag and offdiag).
+    (a Sector's diag and offdiag), on one BLAS thread
+    (_one_blas_thread).
 
     Returns (eigenvalues ascending, real eigenvector columns).
     """
     from scipy.linalg import eigh_tridiagonal
-    return eigh_tridiagonal(diag, offdiag)
+    with _one_blas_thread():
+        return eigh_tridiagonal(diag, offdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +449,7 @@ class SpectralPropagator:
             self._sectors.append((s.index, w, Q))
         self.eigenvalues = np.concatenate([w for _, w, _ in self._sectors])
 
+    @_one_blas_thread()
     def evolve_grid(self, psi, ts, reduce):
         """(reduced, pruned): psi evolved to every t in ts and reduced
         chunk by chunk, and the weight dropped from the evolution,
@@ -373,7 +467,8 @@ class SpectralPropagator:
         phases of a chunk whose offsets from its first time match the
         previous table's within 2·eps·max|t| (every chunk after the first
         of a uniform grid) reuse that table, at a phase error of at most
-        max|w|·2·eps·max|t|; see the class docstring.
+        max|w|·2·eps·max|t|; see the class docstring.  The call,
+        reduce included, runs on one BLAS thread (_one_blas_thread).
         """
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.size,):
@@ -384,9 +479,9 @@ class SpectralPropagator:
             raise ValueError("evolution times must be finite")
         coeffs = []
         for index, _, Q in self._sectors:
-            # (re, im) rows projected as pairs.T @ Q, which measured 0.75 ms
-            # against 1.0 ms for Q.T @ pairs (1200-level sector, median of
-            # 50, two OpenBLAS threads on two vCPUs)
+            # (re, im) rows projected as pairs.T @ Q, which measured 0.45 ms
+            # against 0.77–0.93 ms for Q.T @ pairs (772-level sector,
+            # median of 50, one OpenBLAS thread)
             re, im = psi[index].view(float).reshape(-1, 2).T @ Q
             coeffs.append(re + 1j * im)
         weight = np.abs(np.concatenate(coeffs)) ** 2

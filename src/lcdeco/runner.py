@@ -150,20 +150,9 @@ def _run_fig4(cfg, m, time_scale, current_scale):
     i_uncoupled = current_analytic(m0, alpha, ts)
     c0, c1 = cfg.qubit_weights
     _, i_numeric = current_numeric(m, alpha, ts, cfg.dim, c0=c0, c1=c1)
-    echo = {}
-    for name, trace in (("analytic", i_analytic), ("numeric", i_numeric)):
-        try:
-            em = envelope_metrics(ts, trace)
-        except ValueError:
-            continue    # envelope analysis needs carrier >> modulation
-        if not math.isfinite(em.modulation_period):
-            continue    # flat envelope: no modulation to report
-        echo["envelope_" + name] = {
-            "carrier_period": em.carrier_period * time_scale,
-            "modulation_period": em.modulation_period * time_scale,
-            "modulation_depth": em.modulation_depth,
-            "envelope_width_ratio": em.envelope_width_ratio,
-        }
+    echo = {"envelope_" + name: _envelope_echo(ts, trace, time_scale)
+            for name, trace in (("analytic", i_analytic),
+                                ("numeric", i_numeric))}
     unit = "A" if cfg.mode == "si" else "e*omega"
     t = ts * time_scale
     currents = [i_analytic * current_scale, i_numeric * current_scale,
@@ -176,6 +165,21 @@ def _run_fig4(cfg, m, time_scale, current_scale):
               "probe current, alpha=%s" % alpha_tag(alpha),
               "time [%s]" % _t_unit(cfg), "I [%s]" % unit)]
     return tables, plots, [], echo
+
+
+def _envelope_echo(ts, trace, time_scale):
+    """The manifest record of one fig4 trace's envelope metrics, or
+    {"skipped": reason} when the trace has none to report."""
+    try:
+        em = envelope_metrics(ts, trace)
+    except ValueError as exc:   # analysis needs carrier >> modulation
+        return {"skipped": str(exc)}
+    if not math.isfinite(em.modulation_period):
+        return {"skipped": "flat envelope: no modulation to report"}
+    return {"carrier_period": em.carrier_period * time_scale,
+            "modulation_period": em.modulation_period * time_scale,
+            "modulation_depth": em.modulation_depth,
+            "envelope_width_ratio": em.envelope_width_ratio}
 
 
 def _run_oracle_check(cfg, m, time_scale, _cs):

@@ -893,3 +893,139 @@ def test_streamed_current_holds_no_state_grid():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * grid_bytes
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread: every sector eigensolve and evolution
+
+def _blas_threads():
+    """Thread count of every OpenBLAS library the limiter found."""
+    from lcdeco import fock
+    return [get() for get, _ in fock._openblas_thread_calls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS library the limiter finds set to two threads, and
+    its own count back after the test; skipped where it finds none."""
+    from lcdeco import fock
+
+    hermitian_eig(np.zeros(2), np.ones(1))  # scipy's library, then discovery
+    calls = fock._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS library found in this process")
+    saved = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(2)
+    try:
+        yield _blas_threads()
+    finally:
+        for (_, set_), n in zip(calls, saved):
+            set_(n)
+
+
+def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
+                                                          monkeypatch):
+    """Inside hermitian_eig's eigensolver and inside evolve_grid's
+    reduction every found library reports one thread; afterwards each
+    reports its count from before."""
+    import scipy.linalg
+
+    solver = scipy.linalg.eigh_tridiagonal
+    seen = []
+
+    def eigh_tridiagonal(diag, offdiag):
+        seen.append(("eigh", _blas_threads()))
+        return solver(diag, offdiag)
+
+    def reduce(block, _):
+        seen.append(("reduce", _blas_threads()))
+        return block
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+    _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
+    SpectralPropagator(H).evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce)
+    ones = [1] * len(two_blas_threads)
+    assert seen == [("eigh", ones)] * 2 + [("reduce", ones)]
+    assert _blas_threads() == two_blas_threads
+
+
+def test_blas_threads_restored_when_the_leakage_guard_trips(
+        two_blas_threads):
+    """A TruncationError raised inside the evolution, here by the leakage
+    guard on a state at the top level, leaves every library on its
+    count from before."""
+    from lcdeco.decoherence import evolve_joint
+
+    dim = 20
+    psi = np.zeros(2 * dim, dtype=complex)
+    psi[dim - 1] = 1.0
+    with pytest.raises(TruncationError, match="leakage guard tripped"):
+        evolve_joint(_number_hamiltonian(2 * dim), psi, [0.0, 1.0],
+                     lambda block: block)
+    assert _blas_threads() == two_blas_threads
+
+
+def test_evolution_unchanged_when_no_blas_library_is_found(monkeypatch):
+    """With discovery finding nothing, as with MKL or off Linux, the
+    limiter does nothing, and an evolution small enough for OpenBLAS to
+    run on one thread anyway gives the same numbers."""
+    from lcdeco import fock
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.observables import current_numeric, sampling_limit
+
+    m = params_from_dimensionless(4.0, 0.5)
+    ts = np.arange(23) * sampling_limit(m)
+    limited = np.concatenate(current_numeric(m, 3.0, ts, 64))
+    monkeypatch.setattr(fock, "_openblas_thread_calls", lambda: ())
+    assert np.array_equal(np.concatenate(current_numeric(m, 3.0, ts, 64)),
+                          limited)
+
+
+FIRST_EVOLUTION = """\
+import json, sys
+import numpy as np
+from lcdeco import fock
+from lcdeco.decoherence import evolve_joint
+
+scipy_before = "scipy.linalg" in sys.modules
+seen = []
+
+def reduce(block):
+    seen.append([get() for get, _ in fock._openblas_thread_calls()])
+    return block[0]
+
+H = fock.SectorHamiltonian(40, [fock.Sector(np.arange(40), np.arange(40.0),
+                                            np.zeros(39))])
+evolve_joint(H, np.eye(40)[0], [0.0, 1.0], reduce)
+with open("/proc/self/maps") as fh:
+    mapped = {line.split(None, 5)[5].strip() for line in fh
+              if "openblas" in line.rsplit("/", 1)[-1]}
+print(json.dumps({"scipy_before": scipy_before, "seen": seen,
+                  "mapped": len(mapped), "after": [
+                      get() for get, _ in fock._openblas_thread_calls()]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="OpenBLAS libraries are found from /proc/self/maps")
+def test_first_evolution_of_a_process_limits_every_blas_library():
+    """A fresh process whose first lcdeco call is an evolution loads
+    scipy inside it, and the limiter still finds and limits every mapped
+    OpenBLAS library, numpy's and scipy's, and gives each its two
+    threads back."""
+    import json
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(
+        SRC, os.pardir)), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", FIRST_EVOLUTION], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
+    got = json.loads(done.stdout)
+    if not got["mapped"]:
+        pytest.skip("no OpenBLAS library mapped into the process")
+    assert not got["scipy_before"]
+    assert got["seen"] == [[1] * got["mapped"]]
+    assert got["after"] == [2] * got["mapped"]

@@ -130,6 +130,30 @@ def test_fig4_uncoupled_columns(tmp_path):
     assert np.max(np.abs(inum - ia)) <= 0.005 * np.max(np.abs(ia))
 
 
+def test_fig4_flat_envelope_recorded_as_skipped(tmp_path):
+    """Without coupling both envelopes are flat: the manifest says so for
+    each trace instead of leaving its metrics out."""
+    manifest, _ = run_scenario(parse_config(FIG4_UNCOUPLED),
+                               out_dir=str(tmp_path))
+    skipped = {"skipped": "flat envelope: no modulation to report"}
+    assert manifest["params"]["envelope_analytic"] == skipped
+    assert manifest["params"]["envelope_numeric"] == skipped
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["params"]["envelope_numeric"] == skipped
+
+
+def test_fig4_too_short_to_analyse_recorded_as_skipped(tmp_path):
+    """A coupled fig4 run of 8 samples is too short for envelope analysis:
+    the manifest records envelope_metrics' reason for each trace."""
+    cfg = parse_config(FIG4_UNCOUPLED.replace("g = 0.0", "g = 0.35")
+                       .replace("samples = 4096", "samples = 8")
+                       .replace("t_max = 6.283185307179586", "t_max = 0.2"))
+    manifest, _ = run_scenario(cfg, out_dir=str(tmp_path))
+    skipped = {"skipped": "trace too short for envelope analysis"}
+    assert manifest["params"]["envelope_analytic"] == skipped
+    assert manifest["params"]["envelope_numeric"] == skipped
+
+
 def test_oracle_check_scenario(tmp_path):
     cfg = parse_config(BUILTIN_ORACLE_CONFIG)
     manifest, _ = run_scenario(cfg, out_dir=str(tmp_path))
