@@ -14,7 +14,7 @@ stays visible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constants import E_CHARGE, HBAR, K_B, PHI0
 from .errors import RegimeError
@@ -52,13 +52,7 @@ class ModelParams:
     eps1: float
 
     def as_dict(self):
-        return {
-            "omega": self.omega, "omega_a": self.omega_a, "g": self.g,
-            "theta": self.theta, "delta": self.delta, "gamma": self.gamma,
-            "Omega": self.Omega, "n0": self.n0, "n1": self.n1,
-            "omega_tilde": self.omega_tilde, "lam": self.lam,
-            "eps0": self.eps0, "eps1": self.eps1,
-        }
+        return asdict(self)
 
 
 def model_params(omega, omega_a, g, theta=math.pi / 2):

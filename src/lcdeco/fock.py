@@ -15,23 +15,20 @@ Evolution works on sectors: a Hamiltonian is handed over as a
 SectorHamiltonian, invariant blocks that are each a real symmetric
 tridiagonal matrix in their own basis order (the parity sectors of the
 model Hamiltonians, see hamiltonians).  SpectralPropagator diagonalizes
-each block with hermitian_eig and propagates in real arithmetic.  Three
-cuts share one dropped-weight budget of PRUNE_TOL of the initial state's
-weight: its smallest eigencomponents are dropped first, and the rest of
-the budget buys, per sector, a row window, the rows at either end of the
-chain that a time-independent bound from the kept components shows the
-state never reaches, and a band: each eigenvector of a chain is
-localized, so each tile of TILE_ROWS window rows multiplies only the
-range of kept components that reaches it (about a fifth of window ×
-kept at fig4's α = 30).  Only the window's rows are built.  Evolution is
-streamed: the time grid is walked in chunks of at most CHUNK_SAMPLES
-samples, and the caller's reduction turns each chunk of states into its
-observable before the next chunk is built, so memory per call is
-O(size·CHUNK_SAMPLES) plus the eigenvectors, not size × samples.  The
-phases e^{−iwt} come from one table of e^{−iwτ} per sector, τ a time's
-offset from its chunk's first time, reused by every chunk whose offsets
-match it to rounding: a uniform grid takes cos/sin for its first chunk
-only.
+each block with hermitian_eig and propagates in real arithmetic.  It
+makes one cut, the band, with a dropped-weight budget of PRUNE_TOL of
+the initial state's weight: each eigenvector of a chain is localized,
+so each tile of TILE_ROWS levels multiplies only the range of
+eigencomponents that reaches it (about a ninth of levels ×
+eigencomponents at fig4's α = 30), and a tile none reaches is zero.
+Evolution is streamed: the time grid is walked in chunks of at most
+CHUNK_SAMPLES samples, and the caller's reduction turns each chunk of
+states into its observable before the next chunk is built, so memory
+per call is O(size·CHUNK_SAMPLES) plus the eigenvectors, not
+size × samples.  The phases e^{−iwt} come from one table of e^{−iwτ}
+per sector, τ a time's offset from its chunk's first time, reused by
+every chunk whose offsets match it to rounding: a uniform grid takes
+cos/sin for its first chunk only.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
@@ -72,11 +69,10 @@ LEAK_LEVELS = 5
 LEAK_TOL = 1e-8
 
 # weight of the initial state, as a fraction of its total, that the
-# propagator may drop: its smallest eigencomponents first, then, with what
-# they leave, the rows outside each sector's level window and the
-# eigencomponents outside each window tile's band; the dropped part has
-# norm at most √PRUNE_TOL = 1e-13 relative to the state at every t, an
-# order below the 1e-12 agreement the propagation tests demand
+# propagator may drop: the eigencomponents outside each tile's band; the
+# dropped part has norm at most √PRUNE_TOL = 1e-13 relative to the state
+# at every t, an order below the 1e-12 agreement the propagation tests
+# demand
 PRUNE_TOL = 1e-26
 
 # most time samples SpectralPropagator.evolve_grid builds at once; a
@@ -84,13 +80,13 @@ PRUNE_TOL = 1e-26
 # smaller chunks save little more memory for more BLAS calls
 CHUNK_SAMPLES = 256
 
-# rows of a sector's level window that share one range of eigencomponents
-# in evolve_grid's products (see _band_cut); at fig4's α = 30, tiles of
-# 16, 32 and 64 rows multiply 17, 19 and 24 % of window × kept, and 32
-# evolved fastest: evolve + P_c took a median 154–162 ms, against 165–173
-# at 64 rows and ~270 ms as whole-window products (two OpenBLAS threads
-# on two vCPUs); on one thread, as evolve_grid runs, current_numeric
-# took 177 ms against 191 at both 16 and 64 rows (median of 5)
+# levels of a sector that share one range of eigencomponents in
+# evolve_grid's products (see _band_cut); at fig4's α = 30, tiles of 16,
+# 32 and 64 levels multiply 10, 11.5 and 15 % of levels ×
+# eigencomponents, and current_numeric there took medians of 140, 125
+# and 138 ms at 16 levels, 138, 133 and 146 at 32, and 138, 147 and 151
+# at 64 (three sets of 15 to 25 interleaved runs, one OpenBLAS thread,
+# two-vCPU Xeon): no size is clearly fastest
 TILE_ROWS = 32
 
 
@@ -314,8 +310,7 @@ def assert_leakage(states, pruned=0.0, n_lo=0):
     (the second value SpectralPropagator.evolve_grid returns).  The
     dropped part has norm √pruned, so the unpruned state's population at
     an edge is at most (√leak + √pruned)²; the guard tests and returns
-    that bound, so pruning, eigencomponents and window rows alike, can
-    never turn a trip into a pass.
+    that bound, so the band cut can never turn a trip into a pass.
     """
     arr = np.asarray(states)
     vecs = arr[:, None] if arr.ndim == 1 else arr
@@ -399,37 +394,32 @@ class SpectralPropagator:
     H is a SectorHamiltonian; each sector is diagonalized with
     hermitian_eig, so the cost is O(n²) per sector instead of a dense
     O(n³) complex eigh.  A state is projected onto the real eigenvectors
-    once per evolve_grid call and the smallest eigencomponents are
-    dropped, up to PRUNE_TOL of its total weight.  What the prune leaves
-    of that budget, split evenly over the sectors, buys each sector's
-    band cut (_band_cut): row r's amplitude never exceeds
-    b_r = Σ_j |Q_rj|·|c_j| over the kept eigenvectors Q and components c,
-    so half of it sets a row window, the end rows whose summed b_r² fit
-    a quarter each stay zero and are never multiplied; the other half
-    gives each tile of TILE_ROWS window rows the range of kept
-    components it multiplies, dropping on either side the eigenvectors
-    whose summed norms over the tile fit its share.  The evolved state is
-    then off by a norm of at most √PRUNE_TOL·‖ψ‖ at every t, and
-    evolve_grid returns the combined dropped weight for the leakage
-    guard.
+    Q once per evolve_grid call, giving components c.  The propagator
+    makes one cut, the band (_band_cut): a budget of PRUNE_TOL of the
+    state's weight, split evenly over the sectors, gives each tile of
+    TILE_ROWS levels the range of components it multiplies, dropping on
+    either side the eigenvectors whose norms over the tile, |c_j| times
+    Q's, sum to its share; a tile no component reaches writes zeros.
+    The evolved state is then off by a norm of at most √PRUNE_TOL·‖ψ‖
+    at every t, and evolve_grid returns the dropped weight for the
+    leakage guard.
 
     The states are never held for the whole grid: evolve_grid builds
-    them CHUNK_SAMPLES samples at a time, window rows only, each tile as
-    its band of the eigenvectors (a view, never a copy) × float view of
-    the band's complex phases, and hands each chunk to the caller's
-    reduction.  Memory per call is O(size·CHUNK_SAMPLES), plus one
-    sector's |Q|·|c| while its cut is chosen, whatever the number of
-    samples.
+    them CHUNK_SAMPLES samples at a time, each tile as its band of the
+    eigenvectors (a view, never a copy) × float view of the band's
+    complex phases, and hands each chunk to the caller's reduction.
+    Memory per call is O(size·CHUNK_SAMPLES), plus one sector's Q²
+    while its cut is chosen, whatever the number of samples.
 
     Each time is split as t = t_lo + τ, t_lo the first time of its chunk,
     so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each sector keeps a table of
-    e^{−iwτ} (kept components × chunk) and reuses it for every chunk
-    whose offsets τ match the table's within 2·eps·max|t|, as every
-    later chunk of a linspace grid does (the mismatch measured at most
+    e^{−iwτ} (the span of its tiles' bands × chunk) and reuses it for
+    every chunk whose offsets τ match the table's within 2·eps·max|t|,
+    as every later chunk of a linspace grid does (the mismatch measured at most
     1.1·eps·max|t| on linspace grids of 300 to 10 000 samples, 0.66 on
     fig4's); the chunk's phases are then the table times
-    c·e^{−iw·t_lo}, one complex multiply and K exponentials for K kept
-    components.  Reuse adds a phase error of at most
+    c·e^{−iw·t_lo}, one complex multiply and K exponentials for K
+    components in the span.  Reuse adds a phase error of at most
     max|w|·2·eps·max|t|, the order of the rounding of w·t itself.  Any
     other chunk rebuilds the table with one cos/sin pass, as many passes
     as computing its phases directly.
@@ -452,17 +442,17 @@ class SpectralPropagator:
     @_one_blas_thread()
     def evolve_grid(self, psi, ts, reduce):
         """(reduced, pruned): psi evolved to every t in ts and reduced
-        chunk by chunk, and the weight dropped from the evolution,
-        (√eigencomponents + √(window rows + bands))², at most
-        PRUNE_TOL·‖psi‖²: the rows outside the windows and the bands
-        left out inside them are disjoint entries, so their weights add.
+        chunk by chunk, and the weight dropped from the evolution, at
+        most PRUNE_TOL·‖psi‖²: the sum of the sectors' band cuts, whose
+        rows are disjoint, so their weights add.
 
         ts must be finite; it is flattened and walked in chunks of at most
         CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
         chunk, reduce(block, pruned) gets the (size, chunk) array of
-        states, one column per t, zero outside the sectors' windows, and
-        returns an array whose last axis runs over that chunk's samples;
-        `reduced` is those arrays joined along the last axis.
+        states, one column per t, zero in the tiles no eigencomponent
+        reaches, and returns an array whose last axis runs over that
+        chunk's samples; `reduced` is those arrays joined along the last
+        axis.
         `lambda block, _: block` returns the states themselves.  The
         phases of a chunk whose offsets from its first time match the
         previous table's within 2·eps·max|t| (every chunk after the first
@@ -484,40 +474,24 @@ class SpectralPropagator:
             # median of 50, one OpenBLAS thread)
             re, im = psi[index].view(float).reshape(-1, 2).T @ Q
             coeffs.append(re + 1j * im)
-        weight = np.abs(np.concatenate(coeffs)) ** 2
-        order = np.argsort(weight, kind="stable")
-        cum = np.cumsum(weight[order])
-        n_drop = int(np.searchsorted(cum, PRUNE_TOL * cum[-1], side="right"))
-        keep = np.ones(len(weight), dtype=bool)
-        keep[order[:n_drop]] = False
-        pruned = float(cum[n_drop - 1]) if n_drop else 0.0
-        # the budget the prune leaves (norms add, weights do not), shared
-        # evenly by the sectors' cuts
-        budget = ((math.sqrt(PRUNE_TOL * cum[-1]) - math.sqrt(pruned)) ** 2
+        # the budget, shared evenly by the sectors' cuts: their rows are
+        # disjoint, so the weights they drop add
+        budget = (PRUNE_TOL * sum(float(np.vdot(c, c).real) for c in coeffs)
                   / len(self._sectors))
         kept = []
-        outside = []
-        dropped = 0.0
-        start = 0
+        pruned = 0.0
         for (index, w, Q), c in zip(self._sectors, coeffs):
-            k = keep[start:start + len(w)]
-            start += len(w)
-            # the kept components' span, dropped ones inside it zeroed:
+            band_lo, band_hi, dropped = _band_cut(Q, c, budget)
+            pruned += dropped
+            # the span of the tiles' bands, the columns of the phase table:
             # every product below is a view of Q, never a copy
-            span = np.flatnonzero(k)
-            span = slice(span[0], span[-1] + 1) if len(span) else slice(0, 0)
-            c = np.where(k, c, 0.0)[span]
-            r0, r1, band_lo, band_hi, cut = _band_cut(Q[:, span], c, budget)
-            dropped += cut
-            outside += [index[:r0], index[r1:]]
-            tiles = [(slice(r, r + TILE_ROWS), a, b) for r, a, b in zip(
-                range(0, r1 - r0, TILE_ROWS), band_lo.tolist(),
-                band_hi.tolist())]
-            kept.append((index[r0:r1], w[span], Q[r0:r1, span], c[:, None],
-                         tiles))
-        outside = np.concatenate(outside)
-        if dropped:
-            pruned = (math.sqrt(pruned) + math.sqrt(dropped)) ** 2
+            banded = band_lo < band_hi
+            a0 = int(np.min(band_lo[banded], initial=len(w)))
+            span = slice(a0, int(np.max(band_hi[banded], initial=a0)))
+            tiles = [(slice(r, r + TILE_ROWS), a - a0, b - a0)
+                     for r, a, b in zip(range(0, len(w), TILE_ROWS),
+                                        band_lo.tolist(), band_hi.tolist())]
+            kept.append((index, w[span], Q[:, span], c[span, None], tiles))
         # one e^{−iwτ} table per sector (see the class docstring); the
         # last chunk multiplies into each table and lets it go, earlier
         # ones into one shared spare, so a single-chunk call holds no more
@@ -526,8 +500,8 @@ class SpectralPropagator:
         tables = [None] * len(kept)
         spare = np.empty((max(len(w) for _, w, *_ in kept), CHUNK_SAMPLES),
                          dtype=complex) if len(ts) > CHUNK_SAMPLES else None
-        # one sector's window rows of a chunk, as (re, im) pairs; every
-        # sector and chunk writes its tiles' products into this one buffer
+        # one sector's rows of a chunk, as (re, im) pairs; every sector
+        # and chunk writes its tiles' products into this one buffer
         rows_out = np.empty(max(len(rows) for rows, *_ in kept)
                             * 2 * min(len(ts), CHUNK_SAMPLES))
         results = []
@@ -542,7 +516,6 @@ class SpectralPropagator:
                 tabulated = offsets
             last = lo + n >= len(ts)
             block = np.empty((self.size, n), dtype=complex)
-            block[outside] = 0.0
             for i, (rows, w, Q, c, tiles) in enumerate(kept):
                 if rebuild:
                     tables[i] = table = np.empty((len(w), n), dtype=complex)
@@ -568,42 +541,28 @@ class SpectralPropagator:
         return np.concatenate(results, axis=-1), pruned
 
 
-def _trim(terms, share):
-    """(counts, sums): along the last axis of the nonnegative `terms`, how
-    many leading and how many trailing terms sum to at most `share`, and
-    those two sums, each stacked on a new first axis (leading first)."""
-    sums = np.array([terms, terms[..., ::-1]]).cumsum(axis=-1)
-    fits = sums <= share
-    return fits.sum(axis=-1), (sums * fits).max(axis=-1, initial=0.0)
-
-
 def _band_cut(Q, c, budget):
-    """(r0, r1, lo, hi, dropped): which entries of a sector's product
+    """(lo, hi, dropped): which entries of a sector's product
     Q @ (c·phases) evolve_grid computes, Q levels × eigencomponents.
 
-    Row r of the product never exceeds b_r = Σ_j |Q_rj|·|c_j|, and
-    leaving out some columns changes a block of rows by a norm of at
-    most those columns' norms over the block, |c_j| times Q's, summed.
-    Half the weight `budget` buys the level window [r0, r1): the most
-    rows at either end whose b_r² sum to a quarter each stay zero.  The
-    other half buys the band: the window is cut into tiles of TILE_ROWS
-    rows, and tile i multiplies only the columns [lo[i], hi[i]) (none
-    when lo[i] ≥ hi[i]), leaving out on either side the most columns
-    whose norms over its rows sum to √(budget / (8·tiles)).  `dropped`,
-    the b_r² of the rows outside the window plus each tile's summed
-    norms squared, bounds the squared norm of the product's error for
-    any phases of modulus one and never exceeds `budget`.
+    The levels are cut into tiles of TILE_ROWS rows, and tile i
+    multiplies only the columns [lo[i], hi[i]) (none when
+    lo[i] ≥ hi[i]).  Leaving out some columns changes a tile's rows by a
+    norm of at most those columns' norms over the tile, |c_j| times Q's,
+    summed; so each tile leaves out, on either side, the most columns
+    whose norms sum to at most √(budget / (4·tiles)).  `dropped`, the
+    sum over the tiles of (left + right)², the two sides' summed norms,
+    bounds the squared norm of the product's error for any phases of
+    modulus one and never exceeds `budget`.
     """
-    bound = np.abs(Q)
-    bound *= np.abs(c)
-    (r0, n_top), ends = _trim(bound.sum(axis=1) ** 2, budget / 4.0)
-    r0, r1 = int(r0), int(max(r0, len(bound) - n_top))
-    starts = np.arange(0, r1 - r0, TILE_ROWS)
-    norms = np.sqrt(np.add.reduceat(bound[r0:r1] ** 2, starts, axis=0))
-    (lo, n_right), (left, right) = _trim(
-        norms, math.sqrt(budget / (8.0 * max(len(starts), 1))))
-    dropped = float(ends.sum() + ((left + right) ** 2).sum())
-    return r0, r1, lo, bound.shape[1] - n_right, dropped
+    starts = np.arange(0, len(Q), TILE_ROWS)
+    norms = np.sqrt(np.add.reduceat(Q * Q, starts, axis=0)) * np.abs(c)
+    # the running sums of the norms from the left and from the right
+    sums = np.array([norms, norms[:, ::-1]]).cumsum(axis=-1)
+    fits = sums <= math.sqrt(budget / (4.0 * len(starts)))
+    lo, n_right = fits.sum(axis=-1)
+    left, right = (sums * fits).max(axis=-1, initial=0.0)
+    return lo, len(c) - n_right, float(((left + right) ** 2).sum())
 
 
 def _check_dim(dim, n_lo=0):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ModelParams
+from .config import SQRT_HALF
 # decoherence_exact and assert_leakage (evolve_joint guards) are not
 # called here, but perfbench/spans.py patches them at this module, so
 # they stay importable from it
@@ -21,8 +22,6 @@ from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
                           evolve_joint)
 from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401
 from .hamiltonians import build_full_hamiltonian, lowest_level
-
-SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def sampling_limit(m: ModelParams):

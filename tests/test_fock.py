@@ -328,7 +328,7 @@ def test_pruned_weight_bounded_and_reproduced():
 
 def _recorded_cuts(monkeypatch):
     """The list that every later fock._band_cut call appends its
-    (c, r0, r1, lo, hi) to."""
+    (c, lo, hi) to."""
     from lcdeco import fock
 
     cuts = []
@@ -336,19 +336,18 @@ def _recorded_cuts(monkeypatch):
 
     def recording(Q, c, budget):
         out = band_cut(Q, c, budget)
-        cuts.append((c, *out[:4]))
+        cuts.append((c, *out[:2]))
         return out
 
     monkeypatch.setattr(fock, "_band_cut", recording)
     return cuts
 
 
-def test_window_drops_unreachable_rows(monkeypatch):
-    """Full H at α = 10 on 240 levels: n̄ = 100 ± 10 never reaches the
-    lowest or the highest levels, so the window leaves rows at both ends
-    of the chains zero in every chunk, a tile of the window multiplies
-    fewer than all kept eigencomponents, and the grid still matches the
-    dense reference to √PRUNE_TOL."""
+def test_one_band_cut_per_sector_serves_every_chunk(monkeypatch):
+    """Full H at α = 10 on 240 levels, in 4 chunks of at most 3 samples:
+    the cut is chosen once per sector per call, every chunk has the same
+    zero pattern, a tile multiplies fewer than all eigencomponents, and
+    the grid still matches the dense reference to √PRUNE_TOL."""
     from lcdeco import fock
 
     dim = 240
@@ -363,34 +362,53 @@ def test_window_drops_unreachable_rows(monkeypatch):
         return block
 
     grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, reduce)
+    assert len(cuts) == len(H.sectors)
     assert len(zero_rows) == 4
     for rows in zero_rows:
         assert np.array_equal(rows, zero_rows[0])
-    assert {0, dim - 1, dim, 2 * dim - 1} <= set(zero_rows[0])
     assert any(0 < np.count_nonzero(c[a:b]) < np.count_nonzero(c)
-               for c, _, _, lo, hi in cuts for a, b in zip(lo, hi))
+               for c, lo, hi in cuts for a, b in zip(lo, hi))
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
     assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
-def test_fig4_tiles_multiply_at_most_30_percent_of_the_window(monkeypatch):
-    """At fig4's point (α = 30 on 1200 levels) each eigenvector reaches
-    only a band of levels: summed over the tiles, each sector multiplies
-    at most 30 % of window rows × kept eigencomponents (about 19 %
-    measured), so a fall back to whole-window products fails here."""
+def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
+    """At fig4's point (α = 30 on levels lowest_level to 1200) each
+    eigenvector reaches only a band of levels: summed over the tiles,
+    each sector multiplies at most 15 % of its levels × eigencomponents
+    (about 11.5 % measured), so a fall back to whole-sector products
+    fails here, and its phase table spans only the union of its tiles'
+    bands."""
     from lcdeco import fock
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.hamiltonians import build_full_hamiltonian, lowest_level
 
-    _, H, psi = _full_model(8.0, 0.35, 30.0, 1200)
+    m = params_from_dimensionless(8.0, 0.35)
+    n_lo = lowest_level(m, 30.0)
+    H = build_full_hamiltonian(m, 1200, n_lo)
+    psi = joint_state(1.0, 1.0, coherent_state(30.0, 1200, n_lo))
     cuts = _recorded_cuts(monkeypatch)
+    table_rows = []
+    cos = np.cos
+
+    def recording_cos(x, *args, **kwargs):
+        table_rows.append(len(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", recording_cos)
     _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0],
                                                   lambda b, _: b)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert len(cuts) == len(H.sectors)
-    for c, r0, r1, lo, hi in cuts:
-        tile_rows = np.diff(np.r_[np.arange(r0, r1, fock.TILE_ROWS), r1])
+    assert len(cuts) == len(table_rows) == len(H.sectors)
+    for (c, lo, hi), rows in zip(cuts, table_rows):
+        n = len(c)
+        tile_rows = np.diff(np.r_[np.arange(0, n, fock.TILE_ROWS), n])
         multiplied = np.sum(tile_rows * np.maximum(hi - lo, 0))
-        assert multiplied <= 0.3 * (r1 - r0) * np.count_nonzero(c)
+        assert multiplied <= 0.15 * n * n
+        # the phase table spans the union of the bands, no more
+        banded = lo < hi
+        assert rows == hi[banded].max() - lo[banded].min() < n
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,10 +416,10 @@ def test_fig4_tiles_multiply_at_most_30_percent_of_the_window(monkeypatch):
        st.floats(1.0, 40.0), st.floats(-30.0, 0.0))
 def test_band_cut_bounds_the_error_it_reports(n, seed, width, log_budget):
     """Random real tridiagonal sectors and components spread over a random
-    band of eigenvalues: whatever the phases, the product over the
-    window's tiles and their column ranges differs from the full Q @ P by
-    a squared norm within the weight _band_cut reports (to rounding), and
-    that weight within the budget it was given."""
+    band of eigenvalues: whatever the phases, the product over the tiles
+    and their column ranges differs from the full Q @ P by a squared norm
+    within the weight _band_cut reports (to rounding), and that weight
+    within the budget it was given."""
     from lcdeco.fock import TILE_ROWS, _band_cut
 
     rng = np.random.default_rng(seed)
@@ -409,21 +427,21 @@ def test_band_cut_bounds_the_error_it_reports(n, seed, width, log_budget):
     c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(
         -((np.arange(n) - rng.uniform(0, n)) / width) ** 2)
     budget = 10.0 ** log_budget * np.sum(np.abs(c) ** 2)
-    r0, r1, lo, hi, dropped = _band_cut(Q, c, budget)
+    lo, hi, dropped = _band_cut(Q, c, budget)
     # the entries the tiled product leaves out, multiplied on their own
     left_out = np.ones((n, n), dtype=bool)
-    for r, a, b in zip(range(r0, r1, TILE_ROWS), lo, hi):
-        left_out[r:min(r + TILE_ROWS, r1), a:max(a, b)] = False
+    for r, a, b in zip(range(0, n, TILE_ROWS), lo, hi):
+        left_out[r:r + TILE_ROWS, a:max(a, b)] = False
     P = c * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
     error = np.where(left_out, Q, 0.0) @ P
     assert np.sum(np.abs(error) ** 2) <= dropped * (1.0 + 1e-12)
     assert dropped <= budget
 
 
-def test_leakage_guard_sees_window_rows():
-    """At α = 6 on 160 levels the window ends below the top LEAK_LEVELS
-    levels: the guard finds them zero and tests the combined dropped
-    weight alone, which passes."""
+def test_leakage_guard_sees_an_empty_top_tile():
+    """At α = 6 on 160 levels no eigencomponent reaches the top tile, so
+    it writes zeros: the guard finds the top LEAK_LEVELS levels zero and
+    tests the dropped weight alone, which passes."""
     from lcdeco.decoherence import evolve_joint
 
     dim = 160
@@ -450,7 +468,7 @@ def test_leakage_guard_sees_window_rows():
 def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
                                                  extra, ts):
     """Random valid regimes of the full H, with truncations from tight to
-    roomy: the windowed evolution stays within √PRUNE_TOL of the dense
+    roomy: the banded evolution stays within √PRUNE_TOL of the dense
     reference, and the dropped weight within its budget.  t stays below
     4, where the dense reference itself holds ~1e-13."""
     dim = min_adequate_dim(alpha) + extra
@@ -512,8 +530,8 @@ def _fig4_span_grids(m, samples):
 
 def test_uniform_grid_reuses_phase_table_out_to_fig4_span(monkeypatch):
     """1025 samples over fig4's span in 147 chunks of 7 (the last one
-    short), all phased from the first chunk's table: within the window
-    test's bound of one chunk and of the dense reference.  α = 1 on 24
+    short), all phased from the first chunk's table: within
+    √PRUNE_TOL + 1e-13 of one chunk and of the dense reference.  α = 1 on 24
     levels keeps |w|·t, and so the dense reference's own rounding, small
     at t = 24."""
     from lcdeco import fock

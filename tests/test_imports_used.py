@@ -1,9 +1,10 @@
-"""Every name imported into an lcdeco module is used in that module.
+"""Every name imported into an lcdeco module is used in that module, and
+every private module-level name of lcdeco is read somewhere in lcdeco.
 
-The only exceptions are names that the benchmark's span tracer
-(perfbench/spans.py) patches at that module: they must stay importable
-there even where the module no longer calls them, so the list of such
-imports is the tracer's own.
+The only exceptions to the first are names that the benchmark's span
+tracer (perfbench/spans.py) patches at that module: they must stay
+importable there even where the module no longer calls them, so the
+list of such imports is the tracer's own.
 """
 
 import ast
@@ -14,11 +15,20 @@ from test_tracer_contract import _load_spans
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lcdeco")
 
 
-def _unused_imports(path):
-    """Names an import binds in the module at path that nothing in it
-    reads (a name listed in __all__ counts as read)."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+def _modules():
+    """{module name: parsed tree} of every lcdeco module."""
+    trees = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                trees["lcdeco" if name == "__init__.py"
+                      else "lcdeco." + name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def _unused_imports(tree):
+    """Names an import binds in the module that nothing in it reads (a
+    name listed in __all__ counts as read)."""
     bound = set()
     read = set()
     for node in ast.walk(tree):
@@ -40,11 +50,46 @@ def test_every_import_is_used_or_traced():
     traced = {(mod, attr) for mod, attr, _ in spans._FUNCTIONS}
     traced |= {(mod, cls) for mod, cls, _, _ in spans._METHODS}
     dead = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        module = "lcdeco" if name == "__init__.py" else "lcdeco." + name[:-3]
-        dead += [(module, imported) for imported
-                 in sorted(_unused_imports(os.path.join(SRC, name)))
+    for module, tree in _modules().items():
+        dead += [(module, imported)
+                 for imported in sorted(_unused_imports(tree))
                  if (module, imported) not in traced]
+    assert dead == []
+
+
+def _private_names(tree):
+    """Names starting with one underscore that the module binds at its top
+    level: functions, classes and assigned constants."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in bound if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    """A private helper, class or constant is read in its own module or
+    imported by another lcdeco module, whose reading of it the import
+    check above enforces: a helper a simplification leaves without a
+    caller fails here."""
+    trees = _modules()
+    imported = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module):
+                imported.update(("lcdeco." + node.module, a.name)
+                                for a in node.names)
+    dead = []
+    for module, tree in trees.items():
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        dead += [(module, name) for name in sorted(_private_names(tree))
+                 if name not in read and (module, name) not in imported]
     assert dead == []
