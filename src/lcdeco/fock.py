@@ -42,17 +42,23 @@ faster than on two threads of two vCPUs.  Where no OpenBLAS is found
 (MKL, Accelerate, a platform without /proc/self/maps) nothing is
 limited, and the bits follow the host's thread count.
 
-scipy is imported inside hermitian_eig, the one function that uses it,
-so importing lcdeco, and every command that diagonalizes no sector,
-loads no scipy.  The coherent-state weights come from one log-domain
-Poisson pmf built on math.lgamma.
+hermitian_eig calls LAPACK's dstevd through scipy's compiled wrapper
+scipy.linalg._flapack, which _dstevd loads by file path at the first
+eigensolve of a process, so no run imports scipy.linalg (334 modules,
+about a quarter of a second on a two-vCPU Xeon), and importing lcdeco,
+and every command that diagonalizes no sector, loads no scipy.  The
+coherent-state weights come from one log-domain Poisson pmf built on
+math.lgamma.
 """
 
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -149,10 +155,11 @@ def _one_blas_thread():
     sizes lcdeco multiplies a second thread only costs: at fig4's
     α = 30 on two vCPUs, the tile products took 67–69 ms on one thread
     against 87–110 ms on two.  The libraries are found at the first
-    entry, so that entry must follow the lazy scipy import in
-    hermitian_eig; a library loaded later is never limited.  The thread
-    count is process-wide, so of two Python threads inside this block at
-    once, the one that leaves last may run its rest on the host's count.
+    entry, so that entry must follow the loading of scipy's LAPACK
+    wrapper in hermitian_eig (_dstevd), which maps scipy's OpenBLAS; a
+    library loaded later is never limited.  The thread count is
+    process-wide, so of two Python threads inside this block at once,
+    the one that leaves last may run its rest on the host's count.
     """
     calls = _openblas_thread_calls()
     saved = [get() for get, _ in calls]
@@ -170,16 +177,76 @@ def _one_blas_thread():
 # ---------------------------------------------------------------------------
 # eigensolver
 
+# the real name of scipy's compiled LAPACK wrapper: the extension's init
+# symbol, PyInit__flapack, must match the last part of it
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _dstevd():
+    """LAPACK's dstevd from scipy's compiled wrapper, loaded once by file
+    path so that scipy.linalg is never imported; where sys.modules
+    already holds the wrapper (scipy.linalg was imported), that one.
+
+    The wrapper registers itself in sys.modules as it loads, with no
+    scipy.linalg there; it is taken out again, so that a later
+    `import scipy.linalg` loads it as that package's own submodule.
+    Raises ImportError, naming what is missing, where scipy has no such
+    extension or the extension no dstevd.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        # scipy itself (~12 ms) gives the folder, and its __init__ does
+        # whatever set-up a wheel needs to find its shared libraries
+        import scipy
+        folder = os.path.join(scipy.__path__[0], "linalg")
+        paths = [os.path.join(folder, "_flapack" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError("scipy %s has no compiled LAPACK wrapper "
+                              "_flapack in %s" % (scipy.__version__, folder),
+                              name=_FLAPACK)
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(_FLAPACK, None)
+    routine = getattr(module, "dstevd", None)
+    if routine is None:
+        raise ImportError("%s (%s) has no dstevd, LAPACK's tridiagonal "
+                          "eigensolver" % (_FLAPACK, module.__file__),
+                          name=_FLAPACK)
+    return routine
+
+
 def hermitian_eig(diag, offdiag):
     """Eigendecomposition of one real symmetric tridiagonal sector
-    (a Sector's diag and offdiag), on one BLAS thread
-    (_one_blas_thread).
+    (a Sector's diag and offdiag) by LAPACK's dstevd (_dstevd), on one
+    BLAS thread (_one_blas_thread).
 
-    Returns (eigenvalues ascending, real eigenvector columns).
+    Returns (eigenvalues ascending, real eigenvector columns), the bits
+    scipy.linalg.eigh_tridiagonal(diag, offdiag, lapack_driver="stevd")
+    returns, and raises as it does: ValueError for non-finite entries or
+    an off-diagonal whose length is not one less than the diagonal's,
+    LinAlgError when dstevd reports failure.  A one-level sector is its
+    own solution, w = diag and Q = [[1]]: the wrapper rejects an empty
+    off-diagonal.
     """
-    from scipy.linalg import eigh_tridiagonal
+    d = _real_finite(diag, "diagonal")
+    e = _real_finite(offdiag, "off-diagonal")
+    if d.ndim != 1 or e.shape != (len(d) - 1,):
+        raise ValueError("sector diagonal of shape %r needs one more entry "
+                         "than its off-diagonal, of shape %r"
+                         % (d.shape, e.shape))
+    if len(d) == 1:
+        return d.copy(), np.ones((1, 1))
+    dstevd = _dstevd()
     with _one_blas_thread():
-        return eigh_tridiagonal(diag, offdiag)
+        w, Q, info = dstevd(d, e, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError("dstevd failed in a sector of %d "
+                                    "levels (LAPACK info=%d)" % (len(d), info))
+    return w, Q
 
 
 # ---------------------------------------------------------------------------

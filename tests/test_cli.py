@@ -196,10 +196,11 @@ def test_cli_import_skips_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_fock_run_skips_scipy_special(tmp_path):
-    """A fig2 run that writes a D_fock column loads scipy.linalg for the
-    sector eigensolver and nothing from scipy.special: the coherent-state
-    weights are built from math.lgamma."""
+def test_fock_run_skips_scipy_linalg_and_special(tmp_path):
+    """A fig2 run that writes a D_fock column loads neither scipy.linalg
+    nor scipy.special: the sector eigensolver calls scipy's compiled
+    LAPACK wrapper directly, and the coherent-state weights are built
+    from math.lgamma."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     cfg = _write(tmp_path, "fig2.cfg",
                  "scenario = fig2\n[model]\nomega_a = 1.8\ng = 0.05\n"
@@ -212,7 +213,7 @@ def test_fock_run_skips_scipy_special(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "0 True False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"
     _, columns, _ = read_csv(os.path.join(out, "fig2_alpha2.csv"))
     assert "D_fock" in columns
 

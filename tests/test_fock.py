@@ -194,6 +194,139 @@ def test_hermitian_eig_residuals_random():
     assert np.max(np.abs(V.T @ V - np.eye(40))) < 1e-10
 
 
+def _fig_sector(omega_a, g, alpha, dim):
+    """The first parity sector of the full Hamiltonian that a figure's
+    run at (omega_a, g, alpha, dim) solves."""
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.hamiltonians import build_full_hamiltonian, lowest_level
+
+    m = params_from_dimensionless(omega_a, g)
+    s = build_full_hamiltonian(m, dim, lowest_level(m, alpha)).sectors[0]
+    return s.diag, s.offdiag
+
+
+def _sector_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "random 2 levels": lambda: (rng.normal(size=2), rng.normal(size=1)),
+        "fig2, 96 levels": lambda: _fig_sector(8.0, 0.35, 5.0, 96),
+        "fig4, 772 levels": lambda: _fig_sector(8.0, 0.35, 30.0, 1200),
+        "one level": lambda: (np.array([0.25]), np.zeros(0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sector_cases()))
+def test_hermitian_eig_bit_identical_to_scipy_stevd(case):
+    """hermitian_eig calls LAPACK's dstevd itself; its eigenvalues and
+    eigenvectors are the same bits scipy.linalg.eigh_tridiagonal returns
+    with the same driver, so a scipy upgrade that changes either shows
+    here.  The driver is named: older scipy defaulted to stemr.  Both run
+    on one BLAS thread, since at 772 levels dstevd's bits follow the
+    thread count."""
+    from scipy.linalg import eigh_tridiagonal
+
+    from lcdeco.fock import _one_blas_thread
+
+    diag, offdiag = _sector_cases()[case]()
+    assert len(diag) in (1, 2, 96, 772)
+    w, Q = hermitian_eig(diag, offdiag)
+    with _one_blas_thread():
+        w_ref, Q_ref = eigh_tridiagonal(diag, offdiag, lapack_driver="stevd")
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(Q, Q_ref)
+
+
+@pytest.mark.parametrize("diag, offdiag, message", [
+    ([1.0, np.nan, 2.0], [0.5, 0.5], "non-finite"),
+    ([1.0, 2.0, 3.0], [0.5, np.inf], "non-finite"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], "one more entry"),
+    ([1.0, 2.0, 3.0], [0.5], "one more entry"),
+    ([1.0], [0.5], "one more entry"),
+])
+def test_hermitian_eig_rejects_what_eigh_tridiagonal_rejected(
+        diag, offdiag, message):
+    with pytest.raises(ValueError, match=message):
+        hermitian_eig(diag, offdiag)
+
+
+def test_hermitian_eig_raises_when_dstevd_fails(monkeypatch):
+    """A nonzero LAPACK info is a LinAlgError, as eigh_tridiagonal made
+    it."""
+    from lcdeco import fock
+
+    monkeypatch.setattr(fock, "_dstevd", lambda: lambda d, e, compute_v: (
+        d, np.eye(len(d)), 2))
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        hermitian_eig(np.arange(3.0), np.ones(2))
+
+
+@pytest.fixture
+def fresh_dstevd():
+    """fock._dstevd's cache emptied before and after the test."""
+    from lcdeco import fock
+
+    fock._dstevd.cache_clear()
+    yield fock._dstevd
+    fock._dstevd.cache_clear()
+
+
+def test_missing_flapack_extension_names_it(fresh_dstevd, monkeypatch,
+                                            tmp_path):
+    """A scipy whose linalg folder holds no _flapack extension fails with
+    an ImportError that names it, not with a fallback."""
+    import types
+    import sys
+
+    fake = types.ModuleType("scipy")
+    fake.__path__, fake.__version__ = [str(tmp_path)], "0.0"
+    monkeypatch.setitem(sys.modules, "scipy", fake)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match="_flapack"):
+        fresh_dstevd()
+
+
+def test_flapack_without_dstevd_names_it(fresh_dstevd, monkeypatch):
+    import types
+    import sys
+
+    fake = types.ModuleType("scipy.linalg._flapack")
+    fake.__file__ = "_flapack.so"
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", fake)
+    with pytest.raises(ImportError, match="has no dstevd"):
+        fresh_dstevd()
+
+
+LATER_IMPORT = """\
+import sys
+import numpy as np
+from lcdeco.fock import hermitian_eig
+
+d, e = np.arange(6.0), np.ones(5)
+w, Q = hermitian_eig(d, e)
+before = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+import scipy.linalg
+w_ref, Q_ref = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd")
+w_ext, Q_ext, _ = scipy.linalg._flapack.dstevd(d, e)
+print(before, all(np.array_equal(a, b) for a, b in
+                  ((w, w_ref), (Q, Q_ref), (w, w_ext), (Q, Q_ext))))
+"""
+
+
+def test_scipy_linalg_imports_after_the_direct_call():
+    """In a fresh process, the first eigensolve loads scipy's LAPACK
+    wrapper without importing scipy.linalg, and a later normal import of
+    scipy.linalg still works, its _flapack submodule included."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(
+        SRC, os.pardir)))
+    done = subprocess.run([sys.executable, "-c", LATER_IMPORT], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
+    assert done.stdout.strip() == "[] True"
+
+
 def test_quadratic_oscillator_interior_gap():
     """Spectrum of wt*n + lam*(a^2 + a+^2) has uniform spacing
     sqrt(wt^2 - 4 lam^2) away from the truncation edge."""
@@ -767,7 +900,7 @@ def test_hermitian_eig_is_the_only_eigensolver():
     so every spectrum the package uses comes from one tridiagonal
     solve per sector."""
     solvers = {"eig", "eigh", "eigvals", "eigvalsh", "eigh_tridiagonal",
-               "eigvalsh_tridiagonal"}
+               "eigvalsh_tridiagonal", "stevd", "dstevd"}
     found = []
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
@@ -947,20 +1080,20 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
     """Inside hermitian_eig's eigensolver and inside evolve_grid's
     reduction every found library reports one thread; afterwards each
     reports its count from before."""
-    import scipy.linalg
+    from lcdeco import fock
 
-    solver = scipy.linalg.eigh_tridiagonal
+    solver = fock._dstevd()
     seen = []
 
-    def eigh_tridiagonal(diag, offdiag):
+    def dstevd(diag, offdiag, compute_v):
         seen.append(("eigh", _blas_threads()))
-        return solver(diag, offdiag)
+        return solver(diag, offdiag, compute_v=compute_v)
 
     def reduce(block, _):
         seen.append(("reduce", _blas_threads()))
         return block
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+    monkeypatch.setattr(fock, "_dstevd", lambda: dstevd)
     _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
     SpectralPropagator(H).evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce)
     ones = [1] * len(two_blas_threads)
