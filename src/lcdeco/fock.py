@@ -25,10 +25,8 @@ Evolution is streamed: the time grid is walked in chunks of at most
 CHUNK_SAMPLES samples, and the caller's reduction turns each chunk of
 states into its observable before the next chunk is built, so memory
 per call is O(size·CHUNK_SAMPLES) plus the eigenvectors, not
-size × samples.  The phases e^{−iwt} come from one table of e^{−iwτ}
-per sector, τ a time's offset from its chunk's first time, reused by
-every chunk whose offsets match it to rounding: a uniform grid takes
-cos/sin for its first chunk only.
+size × samples.  How each chunk's phases e^{−iwt} are formed is stated
+once, in SpectralPropagator's docstring.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
@@ -478,18 +476,20 @@ class SpectralPropagator:
     Memory per call is O(size·CHUNK_SAMPLES), plus one sector's Q²
     while its cut is chosen, whatever the number of samples.
 
-    Each time is split as t = t_lo + τ, t_lo the first time of its chunk,
-    so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each sector keeps a table of
-    e^{−iwτ} (the span of its tiles' bands × chunk) and reuses it for
-    every chunk whose offsets τ match the table's within 2·eps·max|t|,
-    as every later chunk of a linspace grid does (the mismatch measured at most
-    1.1·eps·max|t| on linspace grids of 300 to 10 000 samples, 0.66 on
-    fig4's); the chunk's phases are then the table times
-    c·e^{−iw·t_lo}, one complex multiply and K exponentials for K
-    components in the span.  Reuse adds a phase error of at most
+    The phases: each time is split as t = t_lo + τ, t_lo the first time
+    of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each call builds
+    one table of e^{−iwτ} per sector (_phases), over the span of its
+    tiles' bands and the first chunk's offsets τ, and keeps nothing else
+    from one chunk to the next.  A chunk whose offsets match the table's
+    within 2·eps·max|t|, as every chunk of a linspace grid does (the
+    mismatch measured at most 1.1·eps·max|t| on linspace grids of 300 to
+    10 000 samples, 0.66 on fig4's), is phased as the table times
+    c·e^{−iw·t_lo}: one complex multiply and K exponentials for K
+    components in the span, at a phase error of at most
     max|w|·2·eps·max|t|, the order of the rounding of w·t itself.  Any
-    other chunk rebuilds the table with one cos/sin pass, as many passes
-    as computing its phases directly.
+    other chunk is phased directly as c·e^{−iwt}, with one cos/sin pass
+    of its own.  So a uniform grid takes cos/sin once per sector, and
+    any grid takes no more than phasing every chunk directly would.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).
@@ -520,12 +520,9 @@ class SpectralPropagator:
         reaches, and returns an array whose last axis runs over that
         chunk's samples; `reduced` is those arrays joined along the last
         axis.
-        `lambda block, _: block` returns the states themselves.  The
-        phases of a chunk whose offsets from its first time match the
-        previous table's within 2·eps·max|t| (every chunk after the first
-        of a uniform grid) reuse that table, at a phase error of at most
-        max|w|·2·eps·max|t|; see the class docstring.  The call,
-        reduce included, runs on one BLAS thread (_one_blas_thread).
+        `lambda block, _: block` returns the states themselves.  Each
+        chunk is phased by the class docstring's rule.  The call, reduce
+        included, runs on one BLAS thread (_one_blas_thread).
         """
         psi = np.asarray(psi, dtype=complex)
         if psi.shape != (self.size,):
@@ -534,23 +531,25 @@ class SpectralPropagator:
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("evolution times must be finite")
-        coeffs = []
-        for index, _, Q in self._sectors:
+        # the budget, shared evenly by the sectors' cuts: their rows are
+        # disjoint, so the weights they drop add, and Q is orthogonal, so
+        # the components' weight is ‖psi‖² to rounding
+        budget = (PRUNE_TOL * float(np.vdot(psi, psi).real)
+                  / len(self._sectors))
+        # the tables' offsets: the first chunk's, from its first time
+        offsets = ts[:CHUNK_SAMPLES] - ts[:1]
+        tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
+        kept = []
+        pruned = 0.0
+        for index, w, Q in self._sectors:
             # (re, im) rows projected as pairs.T @ Q, which measured 0.45 ms
             # against 0.77–0.93 ms for Q.T @ pairs (772-level sector,
             # median of 50, one OpenBLAS thread)
             re, im = psi[index].view(float).reshape(-1, 2).T @ Q
-            coeffs.append(re + 1j * im)
-        # the budget, shared evenly by the sectors' cuts: their rows are
-        # disjoint, so the weights they drop add
-        budget = (PRUNE_TOL * sum(float(np.vdot(c, c).real) for c in coeffs)
-                  / len(self._sectors))
-        kept = []
-        pruned = 0.0
-        for (index, w, Q), c in zip(self._sectors, coeffs):
+            c = re + 1j * im
             band_lo, band_hi, dropped = _band_cut(Q, c, budget)
             pruned += dropped
-            # the span of the tiles' bands, the columns of the phase table:
+            # the span of the tiles' bands, the rows of the phase table:
             # every product below is a view of Q, never a copy
             banded = band_lo < band_hi
             a0 = int(np.min(band_lo[banded], initial=len(w)))
@@ -558,54 +557,46 @@ class SpectralPropagator:
             tiles = [(slice(r, r + TILE_ROWS), a - a0, b - a0)
                      for r, a, b in zip(range(0, len(w), TILE_ROWS),
                                         band_lo.tolist(), band_hi.tolist())]
-            kept.append((index, w[span], Q[:, span], c[span, None], tiles))
-        # one e^{−iwτ} table per sector (see the class docstring); the
-        # last chunk multiplies into each table and lets it go, earlier
-        # ones into one shared spare, so a single-chunk call holds no more
-        # than phasing each sector directly would
-        tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
-        tables = [None] * len(kept)
-        spare = np.empty((max(len(w) for _, w, *_ in kept), CHUNK_SAMPLES),
-                         dtype=complex) if len(ts) > CHUNK_SAMPLES else None
-        # one sector's rows of a chunk, as (re, im) pairs; every sector
-        # and chunk writes its tiles' products into this one buffer
-        rows_out = np.empty(max(len(rows) for rows, *_ in kept)
-                            * 2 * min(len(ts), CHUNK_SAMPLES))
+            kept.append((index, w[span], Q[:, span], c[span, None], tiles,
+                         _phases(w[span], offsets)))
         results = []
         # an empty grid still gets one, empty, chunk: reduce sets the shape
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
             chunk = ts[lo:lo + CHUNK_SAMPLES]
             n = len(chunk)
-            offsets = chunk - chunk[:1]
-            rebuild = lo == 0 or np.max(
-                np.abs(offsets - tabulated[:n]), initial=0.0) > tol
-            if rebuild:
-                tabulated = offsets
-            last = lo + n >= len(ts)
+            tabled = np.max(np.abs(chunk - chunk[:1] - offsets[:n]),
+                            initial=0.0) <= tol
             block = np.empty((self.size, n), dtype=complex)
-            for i, (rows, w, Q, c, tiles) in enumerate(kept):
-                if rebuild:
-                    tables[i] = table = np.empty((len(w), n), dtype=complex)
-                    np.outer(w, -offsets, out=table.imag)
-                    np.cos(table.imag, out=table.real)
-                    np.sin(table.imag, out=table.imag)
-                table = tables[i][:, :n]
-                if last:
-                    phases, tables[i] = table, None
+            for rows, w, Q, c, tiles, table in kept:
+                if tabled:
+                    phases = table[:, :n] * (
+                        c * np.exp(-1j * np.outer(w, chunk[:1])))
                 else:
-                    phases = spare[:len(w), :n]
-                np.multiply(table, c * np.exp(-1j * np.outer(w, chunk[:1])),
-                            out=phases)
+                    phases = c * _phases(w, chunk)
                 phases = phases.view(float)
-                out = rows_out[:len(rows) * 2 * n].reshape(len(rows), 2 * n)
+                # (re, im) pairs of this sector's rows
+                out = np.empty((len(rows), 2 * n))
                 for tile, a, b in tiles:
                     if a < b:
                         np.matmul(Q[tile, a:b], phases[a:b], out=out[tile])
                     else:
                         out[tile] = 0.0
                 block[rows] = out.view(complex)
+                # freed before the next sector's are made and before reduce:
+                # fig4's CLI run then peaks 5 MB lower than with them alive
+                del phases, out
             results.append(reduce(block, pruned))
         return np.concatenate(results, axis=-1), pruned
+
+
+def _phases(w, t):
+    """e^{−iwt} as a (len(w), len(t)) complex array, one cos and one sin
+    pass written in place."""
+    table = np.empty((len(w), len(t)), dtype=complex)
+    np.outer(w, -t, out=table.imag)
+    np.cos(table.imag, out=table.real)
+    np.sin(table.imag, out=table.imag)
+    return table
 
 
 def _band_cut(Q, c, budget):

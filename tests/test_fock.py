@@ -511,8 +511,8 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     eigenvector reaches only a band of levels: summed over the tiles,
     each sector multiplies at most 15 % of its levels × eigencomponents
     (about 11.5 % measured), so a fall back to whole-sector products
-    fails here, and its phase table spans only the union of its tiles'
-    bands."""
+    fails here, and its phase table, built once per sector, spans only
+    the union of its tiles' bands."""
     from lcdeco import fock
     from lcdeco.circuit import params_from_dimensionless
     from lcdeco.hamiltonians import build_full_hamiltonian, lowest_level
@@ -523,13 +523,13 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     psi = joint_state(1.0, 1.0, coherent_state(30.0, 1200, n_lo))
     cuts = _recorded_cuts(monkeypatch)
     table_rows = []
-    cos = np.cos
+    phases = fock._phases
 
-    def recording_cos(x, *args, **kwargs):
-        table_rows.append(len(x))
-        return cos(x, *args, **kwargs)
+    def recording_phases(w, t):
+        table_rows.append(len(w))
+        return phases(w, t)
 
-    monkeypatch.setattr(np, "cos", recording_cos)
+    monkeypatch.setattr(fock, "_phases", recording_phases)
     _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0],
                                                   lambda b, _: b)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
@@ -699,8 +699,10 @@ def test_grid_matches_single_sample_evolution(monkeypatch, grid):
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
 def test_phase_table_built_once_per_uniform_grid(monkeypatch, grid):
-    """cos runs once per sector on a uniform grid of 3 chunks, and once
-    per sector and chunk on any other."""
+    """On a grid of 3 chunks each sector's e^{−iwτ} table is built once,
+    from the first chunk's offsets, and a uniform grid phases every chunk
+    from it; on any other grid each later chunk is phased directly, at
+    its own times."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
@@ -708,15 +710,26 @@ def test_phase_table_built_once_per_uniform_grid(monkeypatch, grid):
     prop = SpectralPropagator(H)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
     calls = []
-    cos = np.cos
+    phases = fock._phases
 
-    def counting_cos(*args, **kwargs):
-        calls.append(None)
-        return cos(*args, **kwargs)
+    def recording_phases(w, t):
+        calls.append(np.array(t))
+        return phases(w, t)
 
-    monkeypatch.setattr(np, "cos", counting_cos)
+    monkeypatch.setattr(fock, "_phases", recording_phases)
     prop.evolve_grid(psi, ts, lambda b, _: b)
-    assert len(calls) == len(H.sectors) * (1 if grid == "uniform" else 3)
+    sectors = len(H.sectors)
+    tables, direct = calls[:sectors], calls[sectors:]
+    for t in tables:
+        assert np.array_equal(t, ts[:7] - ts[0])
+    if grid == "uniform":
+        assert direct == []
+    else:
+        # chunks 1 and 2, each sector in turn
+        assert len(direct) == 2 * sectors
+        for i, t in enumerate(direct):
+            lo = 7 * (1 + i // sectors)
+            assert np.array_equal(t, ts[lo:lo + 7])
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -1180,3 +1193,22 @@ def test_first_evolution_of_a_process_limits_every_blas_library():
     assert not got["scipy_before"]
     assert got["seen"] == [[1] * got["mapped"]]
     assert got["after"] == [2] * got["mapped"]
+
+
+def test_readme_layout_states_the_fock_constants():
+    """Every "`NAME` = value" in README's `lcdeco.fock` Layout row is the
+    constant's value, and the row states each propagator and leakage
+    constant."""
+    import re
+
+    from lcdeco import fock
+
+    readme = os.path.join(SRC, os.pardir, os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        row, = [line for line in fh if line.startswith("| `lcdeco.fock` |")]
+    stated = dict(re.findall(r"`(\w+)` = (-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)",
+                             row))
+    assert set(stated) == {"PRUNE_TOL", "TILE_ROWS", "CHUNK_SAMPLES",
+                           "LEAK_LEVELS", "LEAK_TOL"}
+    for name, value in stated.items():
+        assert float(value) == getattr(fock, name), name
