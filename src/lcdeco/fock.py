@@ -224,23 +224,18 @@ def hermitian_eig(diag, offdiag):
 
     Returns (eigenvalues ascending, real eigenvector columns), the bits
     scipy.linalg.eigh_tridiagonal(diag, offdiag, lapack_driver="stevd")
-    returns, and raises as it does: ValueError for non-finite entries or
-    an off-diagonal whose length is not one less than the diagonal's,
-    LinAlgError when dstevd reports failure.  A one-level sector is its
-    own solution, w = diag and Q = [[1]]: the wrapper rejects an empty
-    off-diagonal.
+    returns, and raises LinAlgError when dstevd reports failure.  The
+    entries are checked once, where a Sector is made (real, finite, one
+    more diagonal entry than off-diagonal), and are not checked again
+    here.  A one-level sector is its own solution, w = diag and
+    Q = [[1]]: the wrapper rejects an empty off-diagonal.
     """
-    d = _real_finite(diag, "diagonal")
-    e = _real_finite(offdiag, "off-diagonal")
-    if d.ndim != 1 or e.shape != (len(d) - 1,):
-        raise ValueError("sector diagonal of shape %r needs one more entry "
-                         "than its off-diagonal, of shape %r"
-                         % (d.shape, e.shape))
+    d = np.asarray(diag, dtype=float)
     if len(d) == 1:
         return d.copy(), np.ones((1, 1))
     dstevd = _dstevd()
     with _one_blas_thread():
-        w, Q, info = dstevd(d, e, compute_v=1)
+        w, Q, info = dstevd(d, offdiag, compute_v=1)
     if info:
         raise np.linalg.LinAlgError("dstevd failed in a sector of %d "
                                     "levels (LAPACK info=%d)" % (len(d), info))
@@ -297,21 +292,18 @@ def coherent_mass_below(alpha, n_lo):
 def min_adequate_dim(alpha):
     """Smallest truncation (at least 2) with coherent tail mass below
     COHERENT_TAIL_TOL: the first level where the reverse cumulative sum
-    of the pmf falls below it.  The sum starts _poisson_reach above the
-    mean and runs down 512 levels at a time, so memory stays bounded
-    however large |α| is."""
+    of the pmf falls below it.  The one sum runs down from
+    _poisson_reach above the mean to max(⌊|α|²⌋, 2): the tail at the
+    mean is about ½, so the crossing lies above it, and where |α|² < 2
+    a tail already below the tolerance at level 2 gives 2."""
     if alpha == 0:
         return 2
+    lo = max(int(abs(alpha) ** 2), 2)
     top = int(abs(alpha) ** 2 + _poisson_reach(alpha)) + 1
-    tail = 0.0
-    while top > 2:
-        lo = max(top - 512, 2)
-        run = tail + np.cumsum(np.exp(_poisson_log_pmf(alpha, lo, top))[::-1])
-        reached = np.flatnonzero(run >= COHERENT_TAIL_TOL)
-        if len(reached):
-            return top - int(reached[0])
-        tail, top = run[-1], lo
-    return 2
+    run = np.cumsum(np.exp(_poisson_log_pmf(alpha, lo, top))[::-1])
+    # run rises from the top level down: the levels where it has reached
+    # the tolerance are the ones the truncation must keep
+    return lo + int(np.count_nonzero(run >= COHERENT_TAIL_TOL))
 
 
 def coherent_state(alpha, dim, n_lo=0):
@@ -418,8 +410,9 @@ class Sector:
     chain order, and its real symmetric tridiagonal matrix in that order
     (diagonal, and off-diagonal coupling index[i] to index[i+1]).
 
-    Real, finite entries are enforced here; with the tridiagonal shape
-    they make the block Hermitian by construction.
+    Real, finite entries and the shapes are enforced here, and only
+    here: hermitian_eig takes a Sector's arrays unchecked.  With the
+    tridiagonal shape they make the block Hermitian by construction.
     """
 
     __slots__ = ("index", "diag", "offdiag")
@@ -477,19 +470,20 @@ class SpectralPropagator:
     while its cut is chosen, whatever the number of samples.
 
     The phases: each time is split as t = t_lo + τ, t_lo the first time
-    of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}.  Each call builds
-    one table of e^{−iwτ} per sector (_phases), over the span of its
-    tiles' bands and the first chunk's offsets τ, and keeps nothing else
-    from one chunk to the next.  A chunk whose offsets match the table's
-    within 2·eps·max|t|, as every chunk of a linspace grid does (the
-    mismatch measured at most 1.1·eps·max|t| on linspace grids of 300 to
-    10 000 samples, 0.66 on fig4's), is phased as the table times
+    of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}, and every chunk is
+    phased by that one formula, a table of e^{−iwτ} (_phases) times
     c·e^{−iw·t_lo}: one complex multiply and K exponentials for K
-    components in the span, at a phase error of at most
-    max|w|·2·eps·max|t|, the order of the rounding of w·t itself.  Any
-    other chunk is phased directly as c·e^{−iwt}, with one cos/sin pass
-    of its own.  So a uniform grid takes cos/sin once per sector, and
-    any grid takes no more than phasing every chunk directly would.
+    components in the span of the tiles' bands.  Each call builds one
+    table per sector, over that span and the first chunk's offsets τ,
+    and keeps nothing else from one chunk to the next.  A chunk whose
+    offsets match the table's within 2·eps·max|t|, as every chunk of a
+    linspace grid does (the mismatch measured at most 1.1·eps·max|t| on
+    linspace grids of 300 to 10 000 samples, 0.66 on fig4's), uses that
+    table, at a phase error of at most max|w|·2·eps·max|t|, the order of
+    the rounding of w·t itself.  Any other chunk gets a table of its own
+    offsets, one cos/sin pass built for that chunk and not kept.  So a
+    uniform grid takes cos/sin once per sector, and any grid takes one
+    pass per chunk at most.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).
@@ -564,16 +558,15 @@ class SpectralPropagator:
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
             chunk = ts[lo:lo + CHUNK_SAMPLES]
             n = len(chunk)
-            tabled = np.max(np.abs(chunk - chunk[:1] - offsets[:n]),
-                            initial=0.0) <= tol
+            tau = chunk - chunk[:1]
+            tabled = np.max(np.abs(tau - offsets[:n]), initial=0.0) <= tol
             block = np.empty((self.size, n), dtype=complex)
             for rows, w, Q, c, tiles, table in kept:
-                if tabled:
-                    phases = table[:, :n] * (
-                        c * np.exp(-1j * np.outer(w, chunk[:1])))
-                else:
-                    phases = c * _phases(w, chunk)
-                phases = phases.view(float)
+                if not tabled:  # this chunk's own offsets, not kept
+                    table = _phases(w, tau)
+                phases = (table[:, :n]
+                          * (c * np.exp(-1j * np.outer(w, chunk[:1])))
+                          ).view(float)
                 # (re, im) pairs of this sector's rows
                 out = np.empty((len(rows), 2 * n))
                 for tile, a, b in tiles:

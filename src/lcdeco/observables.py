@@ -192,7 +192,8 @@ def envelope_metrics(ts, x):
     0.6× the carrier so residual carrier ripple in the envelope cannot
     masquerade as modulation.  An essentially flat envelope
     (depth ≤ FLAT_ENVELOPE_DEPTH) is reported with an infinite
-    modulation period rather than a noise-peak fit.  Meaningful only
+    modulation period, decided before any peak is searched, so no
+    noise or edge-ripple peak is fitted.  Meaningful only
     when the carrier is well above the modulation frequency
     (ω_a ≳ 3Ω here).
     """
@@ -210,23 +211,19 @@ def envelope_metrics(ts, x):
     ee = env[k:n - k]
     lo, hi = float(np.min(ee)), float(np.max(ee))
     depth = (hi - lo) / (hi + lo) if hi + lo > 0 else 0.0
-    flat = depth <= FLAT_ENVELOPE_DEPTH
-    we, me = spectrum(te, ee)
-    span = te[-1] - te[0]
-    wm = peak_frequency(we, me, lo=2.0 * np.pi / span, hi=0.6 * wc)
-    if not np.isfinite(wm):
-        if not flat:
-            raise ValueError("no modulation peak below the carrier; trace "
-                             "too short or carrier/modulation not separated")
+    if depth <= FLAT_ENVELOPE_DEPTH:
         mod_period = float("inf")
     else:
+        we, me = spectrum(te, ee)
+        span = te[-1] - te[0]
+        wm = peak_frequency(we, me, lo=2.0 * np.pi / span, hi=0.6 * wc)
+        if not np.isfinite(wm):
+            raise ValueError("no modulation peak below the carrier; trace "
+                             "too short or carrier/modulation not separated")
         mod_period = 2.0 * np.pi / wm
         if span < 2.0 * mod_period:
-            if not flat:
-                raise ValueError(
-                    "trace spans %.3g < 2 modulation periods (%.3g)"
-                    % (span, mod_period))
-            mod_period = float("inf")   # edge-ripple peak, flat envelope
+            raise ValueError("trace spans %.3g < 2 modulation periods (%.3g)"
+                             % (span, mod_period))
     mid = 0.5 * (hi + lo)
     width_ratio = float(np.mean(ee < mid))
     return EnvelopeMetrics(

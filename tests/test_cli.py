@@ -297,6 +297,21 @@ def test_derive_prints_both_conventions(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["device.cfg"]
 
 
+def test_run_derive_params_prints_the_derive_report(tmp_path, capsys):
+    """`lcdeco run` on a derive-params config prints derive_report.txt's
+    text first, and that text is what `lcdeco derive` prints."""
+    cfg = _write(tmp_path, "device.cfg", DEVICE_SI)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", cfg, "--out", out]) == 0
+    printed = capsys.readouterr().out
+    with open(os.path.join(out, "derive_report.txt"), encoding="utf-8",
+              newline="") as fh:
+        report = fh.read()
+    assert report and printed.startswith(report)
+    assert cli.main(["derive", "--config", cfg]) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_derive_requires_device(tmp_path, capsys):
     cfg = _write(tmp_path, "dimless.cfg", GOOD_SWEEP)
     assert cli.main(["derive", "--config", cfg]) == cli.EXIT_CONFIG

@@ -192,6 +192,29 @@ def test_envelope_flat_for_uncoupled():
     assert math.isinf(em.modulation_period)
 
 
+@pytest.mark.parametrize("eps, flat", [(0.002, True), (0.005, True),
+                                       (0.009, False)])
+def test_flat_envelope_has_no_modulation_period(eps, flat):
+    """A carrier modulated by 1 + ε·cos(2πt/40): at ε = 0.002 and 0.005
+    the envelope's depth, edge ripple included, reads 0.0046 and 0.0075,
+    at most FLAT_ENVELOPE_DEPTH, so its modulation period is infinite
+    although its spectrum peaks at 40; at ε = 0.009 (depth 0.0115) the
+    period is 40 to within one bin of the envelope's spectrum."""
+    ts = np.linspace(0.0, 200.0, 8192)
+    trace = (1.0 + eps * np.cos(2.0 * math.pi * ts / 40.0)) * np.sin(8.0 * ts)
+    em = envelope_metrics(ts, trace)
+    assert (em.modulation_depth <= observables.FLAT_ENVELOPE_DEPTH) == flat
+    if flat:
+        assert math.isinf(em.modulation_period)
+    else:
+        # the bin of the spectrum of the trimmed envelope
+        kept = len(ts) - 2 * int(observables.ENVELOPE_TRIM * len(ts))
+        bin_w = 2.0 * math.pi / (observables.SPECTRUM_PAD * kept
+                                 * (ts[1] - ts[0]))
+        assert (abs(2.0 * math.pi / em.modulation_period
+                    - 2.0 * math.pi / 40.0) <= bin_w)
+
+
 def test_envelope_modulation_period():
     m = params_from_dimensionless(8.0, 0.35)
     ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 4096)
