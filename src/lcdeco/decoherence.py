@@ -14,16 +14,20 @@ the simplified form.
   |α| = 2.
 
 All evaluators accept scalar or array t and return matching shape.
-Both Fock routes and observables.current_numeric share evolve_joint.
+Both Fock routes share evolve_joint; observables.current_numeric's P_c
+comes from evolve_charge, its line spectrum, on a uniform grid.  Both
+entries are guarded by the one leakage guard.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import ModelParams
-from .fock import (Sector, SectorHamiltonian, SpectralPropagator,
-                   assert_leakage, coherent_state, joint_state)
+from .fock import (PRUNE_TOL, Sector, SectorHamiltonian, SpectralPropagator,
+                   _edge_levels, _leak_guard, _line_sums, assert_leakage,
+                   coherent_state, joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
                            build_full_hamiltonian, evolution_coefficients,
                            lowest_level)
@@ -60,6 +64,55 @@ def evolve_joint(H, psi, ts, reduce, n_lo=0):
         return reduce(block)
 
     return SpectralPropagator(H).evolve_grid(psi, ts, guarded)[0]
+
+
+def evolve_charge(H, psi, ts, theta, n_lo=0):
+    """P_c(t) = Σ_n |sin(θ/2)·ψ_{0,n} + cos(θ/2)·ψ_{1,n}|² of psi evolved
+    under the full H (hamiltonians.build_full_hamiltonian) on the levels
+    from n_lo up, at the uniform grid t0 + i·dt, i < len(ts), with t0 and
+    dt ts's first time and mean step; leakage-guarded at the top and,
+    with n_lo > 0, the bottom levels.
+
+    Nothing is evolved state by state: P_c and both edge populations are
+    quadratic forms of psi's eigencomponents, and each is evaluated from
+    its line spectrum (SpectralPropagator.lines) by one Taylor-expanded
+    FFT pass (fock._line_sums), P_c and the edges in the same pass.
+    Each of H's sectors must hold one row of each level, in level order,
+    as the full H's parity sectors do, so that their rows pair up level
+    by level; any other H raises ValueError.  The guard gets, per
+    edge, the sampled maximum plus the summed |C| of the lines left out
+    and the expansion's error bound: at every sample at least the edge
+    population of the band-cut state, so the guard is an upper bound of
+    the unpruned state's population there, as evolve_joint's is.
+    """
+    levels = H.size // 2
+    for s in H.sectors:
+        if not np.array_equal(s.index % levels, np.arange(levels)):
+            raise ValueError("evolve_charge needs sectors of one row per "
+                             "level, in level order")
+    half = 0.5 * theta
+    charge = [np.where(s.index < levels, math.sin(half), math.cos(half))
+              for s in H.sectors]
+    edges = []
+    for _, lo, hi in _edge_levels(levels, n_lo):
+        rows = np.zeros(levels)
+        rows[lo:hi] = 1.0
+        edges.append(([rows] * len(H.sectors), False))
+    ts = np.asarray(ts, dtype=float).ravel()
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("evolution times must be finite")
+    lines, pruned = SpectralPropagator(H).lines(psi, [(charge, True)]
+                                                + edges)
+    n = len(ts)
+    dt = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+    budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
+    values, tail = _line_sums([(C, d) for C, d, _ in lines],
+                              ts[0] if n else 0.0, dt, n, budget)
+    values = values.real
+    _leak_guard([np.max(v, initial=0.0) + dropped + tail * np.sum(np.abs(C))
+                 for v, (C, _, dropped) in zip(values[1:], lines[1:])],
+                pruned, n_lo, levels)
+    return values[0]
 
 
 def _coherence(H, psi, t, weight, n_lo):

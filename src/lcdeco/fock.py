@@ -21,19 +21,26 @@ the initial state's weight: each eigenvector of a chain is localized,
 so each tile of TILE_ROWS levels multiplies only the range of
 eigencomponents that reaches it (about a ninth of levels ×
 eigencomponents at fig4's α = 30), and a tile none reaches is zero.
-Evolution is streamed: the time grid is walked in chunks of at most
-CHUNK_SAMPLES samples, and the caller's reduction turns each chunk of
-states into its observable before the next chunk is built, so memory
-per call is O(size·CHUNK_SAMPLES) plus the eigenvectors, not
-size × samples.  How each chunk's phases e^{−iwt} are formed is stated
-once, in SpectralPropagator's docstring.
+The band-cut state reaches its callers by one of two routes:
+- evolve_grid builds the states, streamed: the time grid is walked in
+  chunks of at most CHUNK_SAMPLES samples, and the caller's reduction
+  turns each chunk of states into its observable before the next chunk
+  is built, so memory per call is O(size·CHUNK_SAMPLES) plus the
+  eigenvectors, not size × samples.  How each chunk's phases e^{−iwt}
+  are formed is stated once, in SpectralPropagator's docstring;
+- lines builds no state: a quadratic form of the state, such as the
+  probe current's P_c or an edge population, is a sum of lines
+  C_p·e^{iΔ_p t}, built once from the tiles' bands, and _line_sums
+  evaluates them on a uniform grid by a Taylor-expanded FFT
+  oversampled LINE_OVERSAMPLE times.  Lines whose |C| sum to at most
+  √PRUNE_TOL of the state's weight are left out.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
 
-hermitian_eig and evolve_grid, the caller's reduction included, run
-with every OpenBLAS library in the process on one thread, and give each
-library its thread count back when they return or raise
+hermitian_eig, evolve_grid (the caller's reduction included) and lines
+run with every OpenBLAS library in the process on one thread, and give
+each library its thread count back when they return or raise
 (_one_blas_thread).  So their results are the same bits at any BLAS
 thread count the host sets, and fig4 at α = 30 runs about a quarter
 faster than on two threads of two vCPUs.  Where no OpenBLAS is found
@@ -46,7 +53,8 @@ eigensolve of a process, so no run imports scipy.linalg (334 modules,
 about a quarter of a second on a two-vCPU Xeon), and importing lcdeco,
 and every command that diagonalizes no sector, loads no scipy.  The
 coherent-state weights come from one log-domain Poisson pmf built on
-math.lgamma.
+math.lgamma.  numpy.fft is reached only inside _line_sums, so importing
+lcdeco does not load it either.
 """
 
 import contextlib
@@ -83,6 +91,12 @@ PRUNE_TOL = 1e-26
 # chunk of the fig4 joint space (2·1200 states) is then ~10 MB, and
 # smaller chunks save little more memory for more BLAS calls
 CHUNK_SAMPLES = 256
+
+# frequencies of _line_sums' FFT grid per time sample: each line's
+# phase off the grid then stays within π/(2·LINE_OVERSAMPLE) over half the
+# time grid, and 14 to 18 Taylor orders reach the lines' budget; at fig4's
+# α = 30 an oversampling of 4 took 12 orders and was no faster
+LINE_OVERSAMPLE = 2
 
 # levels of a sector that share one range of eigencomponents in
 # evolve_grid's products (see _band_cut); at fig4's α = 30, tiles of 16,
@@ -356,38 +370,56 @@ def assert_leakage(states, pruned=0.0, n_lo=0):
 
     `states` is one joint state vector (2·levels,) or a (2·levels, nt)
     array of column states on the levels [n_lo, n_lo + levels); each
-    edge sums its levels of both qubit branches.  Below LEAK_LEVELS
-    levels every level counts as a top level, and below 2·LEAK_LEVELS
-    the bottom edge stops where the top one starts, so each level is
-    counted once.  A top trip suggests twice the true top level,
-    2·(n_lo + levels); a bottom trip suggests no dim, since no larger
-    truncation reaches down.
-
+    edge sums its levels of both qubit branches (_edge_levels).
     `pruned` is the weight a propagator dropped from the evolved state
-    (the second value SpectralPropagator.evolve_grid returns).  The
-    dropped part has norm √pruned, so the unpruned state's population at
-    an edge is at most (√leak + √pruned)²; the guard tests and returns
-    that bound, so the band cut can never turn a trip into a pass.
+    (the second value SpectralPropagator.evolve_grid returns); the test
+    itself, and what a trip reports, is _leak_guard's.
     """
     arr = np.asarray(states)
     vecs = arr[:, None] if arr.ndim == 1 else arr
     d = vecs.shape[0] // 2
-    lo = max(d - LEAK_LEVELS, 0)
-    edges = [("top", lo, d)]
+    leaks = [float(np.max((np.abs(vecs[a:b]) ** 2).sum(axis=0)
+                          + (np.abs(vecs[d + a:d + b]) ** 2).sum(axis=0),
+                          initial=0.0))
+             for _, a, b in _edge_levels(d, n_lo)]
+    return _leak_guard(leaks, pruned, n_lo, d)
+
+
+def _edge_levels(levels, n_lo):
+    """(edge, lo, hi) of each edge the leakage guard watches, as offsets
+    [lo, hi) into the levels [n_lo, n_lo + levels): the top LEAK_LEVELS,
+    every level when there are fewer, and with n_lo > 0 the bottom
+    LEAK_LEVELS, stopping where the top edge starts below 2·LEAK_LEVELS
+    levels, so each level is in one edge."""
+    lo = max(levels - LEAK_LEVELS, 0)
+    edges = [("top", lo, levels)]
     if n_lo:
         edges.append(("bottom", 0, min(LEAK_LEVELS, lo)))
+    return edges
+
+
+def _leak_guard(leaks, pruned, n_lo, levels):
+    """The leakage guard's test, shared by every route: `leaks` bounds
+    the population of each _edge_levels edge, both qubit branches
+    summed, over the samples; raise TruncationError at the first edge
+    whose bound reaches LEAK_TOL, and return the larger bound.
+
+    `pruned` is the weight the propagator's band cut dropped.  The
+    dropped part has norm √pruned, so the unpruned state's population at
+    an edge is at most (√leak + √pruned)²; the guard tests and returns
+    that bound, so the band cut can never turn a trip into a pass.  A
+    top trip suggests twice the true top level, 2·(n_lo + levels); a
+    bottom trip suggests no dim, since no larger truncation reaches down.
+    """
     worst = 0.0
-    for edge, a, b in edges:
-        pop = ((np.abs(vecs[a:b]) ** 2).sum(axis=0)
-               + (np.abs(vecs[d + a:d + b]) ** 2).sum(axis=0))
-        leak = float(np.max(pop, initial=0.0))
+    for (edge, _, _), leak in zip(_edge_levels(levels, n_lo), leaks):
         if pruned:
             leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
         if not leak < LEAK_TOL:     # a NaN population trips too
             raise TruncationError(
                 "leakage guard tripped: %s-%d-level population %.3e >= %.1e"
                 % (edge, LEAK_LEVELS, leak, LEAK_TOL),
-                suggested_dim=2 * (n_lo + d) if edge == "top" else None)
+                suggested_dim=2 * (n_lo + levels) if edge == "top" else None)
         worst = max(worst, leak)
     return worst
 
@@ -452,14 +484,15 @@ class SpectralPropagator:
     H is a SectorHamiltonian; each sector is diagonalized with
     hermitian_eig, so the cost is O(n²) per sector instead of a dense
     O(n³) complex eigh.  A state is projected onto the real eigenvectors
-    Q once per evolve_grid call, giving components c.  The propagator
+    Q once per call of evolve_grid or lines, giving components c
+    (_banded).  The propagator
     makes one cut, the band (_band_cut): a budget of PRUNE_TOL of the
     state's weight, split evenly over the sectors, gives each tile of
     TILE_ROWS levels the range of components it multiplies, dropping on
     either side the eigenvectors whose norms over the tile, |c_j| times
     Q's, sum to its share; a tile no component reaches writes zeros.
     The evolved state is then off by a norm of at most √PRUNE_TOL·‖ψ‖
-    at every t, and evolve_grid returns the dropped weight for the
+    at every t, and both calls return the dropped weight for the
     leakage guard.
 
     The states are never held for the whole grid: evolve_grid builds
@@ -467,15 +500,21 @@ class SpectralPropagator:
     eigenvectors (a view, never a copy) × float view of the band's
     complex phases, and hands each chunk to the caller's reduction.
     Memory per call is O(size·CHUNK_SAMPLES), plus one sector's Q²
-    while its cut is chosen, whatever the number of samples.
+    while its cut is chosen, whatever the number of samples.  `lines`
+    builds no state at all: it turns the same band-cut state's quadratic
+    forms into line spectra, from one real matrix per sector pair summed
+    over the same tiles and bands (_pair_lines), for _line_sums to
+    evaluate on a uniform grid; its memory is a few sector-sized
+    matrices and the kept lines, whatever the number of samples.
 
-    The phases: each time is split as t = t_lo + τ, t_lo the first time
-    of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}, and every chunk is
-    phased by that one formula, a table of e^{−iwτ} (_phases) times
-    c·e^{−iw·t_lo}: one complex multiply and K exponentials for K
-    components in the span of the tiles' bands.  Each call builds one
-    table per sector, over that span and the first chunk's offsets τ,
-    and keeps nothing else from one chunk to the next.  A chunk whose
+    evolve_grid's phases: each time is split as t = t_lo + τ, t_lo the
+    first time of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}, and
+    every chunk is phased by that one formula, a table of e^{−iwτ}
+    (_phases) times c·e^{−iw·t_lo}: one complex multiply and K
+    exponentials for K components in the span of the tiles' bands.  Each
+    call builds one table per sector, over that span and the first
+    chunk's offsets τ, and keeps nothing else from one chunk to the
+    next.  A chunk whose
     offsets match the table's within 2·eps·max|t|, as every chunk of a
     linspace grid does (the mismatch measured at most 1.1·eps·max|t| on
     linspace grids of 300 to 10 000 samples, 0.66 on fig4's), uses that
@@ -500,12 +539,50 @@ class SpectralPropagator:
             self._sectors.append((s.index, w, Q))
         self.eigenvalues = np.concatenate([w for _, w, _ in self._sectors])
 
+    def _banded(self, psi):
+        """(sectors, pruned): psi's eigencomponents and band cut
+        (_band_cut) per sector, and the weight the cuts drop, at most
+        PRUNE_TOL·‖psi‖²: the sum of the sectors' cuts, whose rows are
+        disjoint, so their weights add.
+
+        Each sector is (index, w, Q, c, tiles) over the span of its
+        tiles' bands: w, Q's columns (a view, never a copy) and c there,
+        and each tile (rows, a, b) multiplying the span's columns
+        [a, b), none when a ≥ b.
+        """
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (self.size,):
+            raise ValueError("state of length %d expected, got %r"
+                             % (self.size, psi.shape))
+        # the budget, shared evenly by the sectors' cuts: their rows are
+        # disjoint, so the weights they drop add, and Q is orthogonal, so
+        # the components' weight is ‖psi‖² to rounding
+        budget = (PRUNE_TOL * float(np.vdot(psi, psi).real)
+                  / len(self._sectors))
+        banded = []
+        pruned = 0.0
+        for index, w, Q in self._sectors:
+            # (re, im) rows projected as pairs.T @ Q, which measured 0.45 ms
+            # against 0.77–0.93 ms for Q.T @ pairs (772-level sector,
+            # median of 50, one OpenBLAS thread)
+            re, im = psi[index].view(float).reshape(-1, 2).T @ Q
+            c = re + 1j * im
+            band_lo, band_hi, dropped = _band_cut(Q, c, budget)
+            pruned += dropped
+            reached = band_lo < band_hi
+            a0 = int(np.min(band_lo[reached], initial=len(w)))
+            span = slice(a0, int(np.max(band_hi[reached], initial=a0)))
+            tiles = [(slice(r, r + TILE_ROWS), a - a0, b - a0)
+                     for r, a, b in zip(range(0, len(w), TILE_ROWS),
+                                        band_lo.tolist(), band_hi.tolist())]
+            banded.append((index, w[span], Q[:, span], c[span], tiles))
+        return banded, pruned
+
     @_one_blas_thread()
     def evolve_grid(self, psi, ts, reduce):
         """(reduced, pruned): psi evolved to every t in ts and reduced
-        chunk by chunk, and the weight dropped from the evolution, at
-        most PRUNE_TOL·‖psi‖²: the sum of the sectors' band cuts, whose
-        rows are disjoint, so their weights add.
+        chunk by chunk, and the weight dropped from the evolution
+        (_banded).
 
         ts must be finite; it is flattened and walked in chunks of at most
         CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
@@ -518,41 +595,15 @@ class SpectralPropagator:
         chunk is phased by the class docstring's rule.  The call, reduce
         included, runs on one BLAS thread (_one_blas_thread).
         """
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.size,):
-            raise ValueError("state of length %d expected, got %r"
-                             % (self.size, psi.shape))
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("evolution times must be finite")
-        # the budget, shared evenly by the sectors' cuts: their rows are
-        # disjoint, so the weights they drop add, and Q is orthogonal, so
-        # the components' weight is ‖psi‖² to rounding
-        budget = (PRUNE_TOL * float(np.vdot(psi, psi).real)
-                  / len(self._sectors))
+        banded, pruned = self._banded(psi)
         # the tables' offsets: the first chunk's, from its first time
         offsets = ts[:CHUNK_SAMPLES] - ts[:1]
         tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
-        kept = []
-        pruned = 0.0
-        for index, w, Q in self._sectors:
-            # (re, im) rows projected as pairs.T @ Q, which measured 0.45 ms
-            # against 0.77–0.93 ms for Q.T @ pairs (772-level sector,
-            # median of 50, one OpenBLAS thread)
-            re, im = psi[index].view(float).reshape(-1, 2).T @ Q
-            c = re + 1j * im
-            band_lo, band_hi, dropped = _band_cut(Q, c, budget)
-            pruned += dropped
-            # the span of the tiles' bands, the rows of the phase table:
-            # every product below is a view of Q, never a copy
-            banded = band_lo < band_hi
-            a0 = int(np.min(band_lo[banded], initial=len(w)))
-            span = slice(a0, int(np.max(band_hi[banded], initial=a0)))
-            tiles = [(slice(r, r + TILE_ROWS), a - a0, b - a0)
-                     for r, a, b in zip(range(0, len(w), TILE_ROWS),
-                                        band_lo.tolist(), band_hi.tolist())]
-            kept.append((index, w[span], Q[:, span], c[span, None], tiles,
-                         _phases(w[span], offsets)))
+        kept = [(index, w, Q, c[:, None], tiles, _phases(w, offsets))
+                for index, w, Q, c, tiles in banded]
         results = []
         # an empty grid still gets one, empty, chunk: reduce sets the shape
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
@@ -580,6 +631,170 @@ class SpectralPropagator:
                 del phases, out
             results.append(reduce(block, pruned))
         return np.concatenate(results, axis=-1), pruned
+
+    @_one_blas_thread()
+    def lines(self, psi, forms):
+        """(lines, pruned): the line spectrum of each quadratic form in
+        `forms` of psi evolved, and the weight the band cut dropped
+        (_banded).
+
+        A form is (weights, coherent), weights one real array per sector
+        with a weight for each of its rows, in chain order.  Its value at
+        t is ‖Σ_S diag(weights_S)·ψ_S(t)‖² when coherent, the sectors'
+        rows paired position by position (so every sector must have as
+        many rows), and Σ_S ‖diag(weights_S)·ψ_S(t)‖² otherwise, ψ_S(t)
+        the sector's rows of the state evolve_grid builds.  Since
+        ψ_S = Q_S·(c_S·e^{−iw_S t}), band by band, the value is
+        Re Σ_p C_p·e^{iΔ_p t}, a line p for each pair of components,
+        built sector pair by sector pair (_pair_lines).  `lines` holds
+        (C, Δ, dropped) per form: C complex, Δ = w_j − w'_k, and a bound
+        on the summed |C| of the lines left out, at most
+        √PRUNE_TOL·‖psi‖² split evenly over the form's sector pairs, so
+        at every t the kept lines are within `dropped` of the value.
+        The call runs on one BLAS thread (_one_blas_thread).
+        """
+        banded, pruned = self._banded(psi)
+        budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
+        n = len(banded)
+        out = []
+        for weights, coherent in forms:
+            pairs = [(i, j) for i in range(n)
+                     for j in range(i, n if coherent else i + 1)]
+            parts = [_pair_lines(banded[i], banded[j],
+                                 weights[i] * weights[j], budget / len(pairs))
+                     for i, j in pairs]
+            out.append((np.concatenate([C for C, _, _ in parts]),
+                        np.concatenate([d for _, d, _ in parts]),
+                        sum(dropped for _, _, dropped in parts)))
+        return out, pruned
+
+
+def _pair_lines(one, two, weights, budget):
+    """(C, Δ, dropped): the lines of 2·Re ψ_oneᴴ·diag(weights)·ψ_two(t),
+    or of ‖diag(√weights)·ψ_one(t)‖² when `one` is `two`, for two
+    sectors as _banded gives them, rows paired position by position.
+
+    The form's matrix between the components, M_jk = Σ_r weights_r·
+    Q[r, j]·Q'[r, k], is summed tile by tile over the tiles' bands into
+    one real accumulator over the components they reach, and each of its
+    entries is a line C = c̄_j·M_jk·c'_k at Δ = w_j − w'_k, doubled; of
+    one sector's symmetric M only the upper triangle is kept, its
+    diagonal not doubled.  The smallest lines whose |C| sum to at most
+    `budget` are left out (_prune), and `dropped` bounds that sum.
+    """
+    _, w1, Q1, c1, tiles1 = one
+    _, w2, Q2, c2, tiles2 = two
+    if len(Q1) != len(Q2):
+        raise ValueError("a coherent form pairs sectors of one length, got "
+                         "%d and %d rows" % (len(Q1), len(Q2)))
+    blocks = [(rows, a, b, a2, b2)
+              for (rows, a, b), (_, a2, b2) in zip(tiles1, tiles2)
+              if a < b and a2 < b2 and weights[rows].any()]
+    if not blocks:
+        return np.zeros(0, dtype=complex), np.zeros(0), 0.0
+    j0, k0 = min(blk[1] for blk in blocks), min(blk[3] for blk in blocks)
+    j1, k1 = max(blk[2] for blk in blocks), max(blk[4] for blk in blocks)
+    M = np.zeros((j1 - j0, k1 - k0))      # 2·M_jk, doubled exactly
+    for rows, a, b, a2, b2 in blocks:
+        M[a - j0:b - j0, a2 - k0:b2 - k0] += (
+            (2.0 * weights[rows, None] * Q1[rows, a:b]).T @ Q2[rows, a2:b2])
+    if one is two:      # one sector's tiles: j0 = k0, and M is square
+        M = np.triu(M)
+        M.ravel()[::len(M) + 1] *= 0.5
+    c1, c2 = c1[j0:j1], c2[k0:k1]
+    mag = np.abs(M)
+    mag *= np.abs(c1)[:, None]
+    mag *= np.abs(c2)
+    keep, dropped = _prune(mag.ravel(), budget)
+    j, k = np.divmod(keep, k1 - k0)
+    return (np.conj(c1[j]) * M.ravel()[keep] * c2[k], w1[j0 + j] - w2[k0 + k],
+            dropped)
+
+
+def _prune(mag, budget):
+    """(keep, dropped): the indices of the entries of `mag` (≥ 0) that are
+    kept, and a bound on the sum of the rest, at most `budget`.
+
+    Entries up to budget/(2·len(mag)) go first, all together at most
+    half the budget.  The rest are binned by their exponent and leading
+    five mantissa bits (bins 2^(1/32) wide, in the order of their
+    values), and the lowest bins whose sums add up to at most the other
+    half are left out too."""
+    floor = 0.5 * budget / max(len(mag), 1)
+    above = np.flatnonzero(mag > floor)
+    below = (len(mag) - len(above)) * floor
+    if not len(above):
+        return above, below
+    vals = mag[above]
+    keys = vals.view(np.int64) >> 47
+    keys -= keys.min()
+    run = np.cumsum(np.bincount(keys, weights=vals))
+    cut = int(np.searchsorted(run, 0.5 * budget, side="right"))
+    return (above[keys >= cut],
+            below + (float(run[cut - 1]) if cut else 0.0))
+
+
+def _line_sums(sets, t0, dt, n, budget):
+    """(values, tail): Σ_p C_p·e^{iΔ_p·t} at the n times t = t0 + i·dt for
+    each (C, Δ) in `sets`, as a (len(sets), n) complex array, and the
+    bound on each set's error from the expansion below, per unit of its
+    summed |C|.  A set without lines is zero and costs nothing.
+
+    A type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14,
+    1368 (1993)) in its Taylor-expanded form (Anderson & Dahleh, SIAM J.
+    Sci. Comput. 17, 913 (1996)).  Each line's phase step Δ·dt is split
+    as 2πk/N' + ε on the grid of N' = LINE_OVERSAMPLE·n frequencies,
+    |ε| ≤ π/N', and taken about the middle sample h = (n − 1)/2:
+
+        e^{iΔt_i} = e^{iΔt0 + iεh}·e^{2πi·k·i/N'}·Σ_l (iε(i − h))^l / l!,
+
+    so each order l is one np.bincount of the weights
+    C·e^{iΔt0 + iεh}·u^l into N' bins (k modulo N': exact, by
+    periodicity) and one inverse FFT, u = ε·max(h, 1), each set in bins
+    of its own along one FFT axis.  With |ε(i − h)| ≤ |u| ≤ x = max|u|
+    (at most π/(2·LINE_OVERSAMPLE) once n ≥ 2), the orders l ≤ L leave
+    an error of at most x^{L+1}/(L+1)! per unit of |C| (`tail`), and L
+    is the least with summed |C| × tail ≤ `budget`: 15 orders at fig4's
+    α = 30.  Rounding adds about eps·|Δ|·max|t| of phase per line.
+    """
+    values = np.zeros((len(sets), n), dtype=complex)
+    live = [i for i, (c, _) in enumerate(sets) if len(c)]
+    if not live or not n:
+        return values, 0.0
+    size = LINE_OVERSAMPLE * n
+    mid = 0.5 * (n - 1)
+    scale = max(mid, 1.0)
+    C = np.concatenate([sets[i][0] for i in live])
+    delta = np.concatenate([sets[i][1] for i in live])
+    step = delta * dt
+    k = np.rint(step * (size / (2.0 * math.pi)))
+    eps = step - k * (2.0 * math.pi / size)
+    weight = C * np.exp(1j * (delta * t0 + eps * mid))
+    u = eps * scale
+    # (re, im) of bin b of set s at 2·(s·size + b) and the one after it
+    slot = np.repeat(np.arange(len(live)) * size,
+                     [len(sets[i][0]) for i in live])
+    pos = 2 * (slot + k.astype(np.int64) % size)
+    pos = np.stack([pos, pos + 1], axis=-1).ravel()
+    x = float(np.max(np.abs(u), initial=0.0))
+    total = float(np.sum(np.abs(C)))
+    order, tail = 0, x
+    while total * tail > budget:
+        order += 1
+        tail *= x / (order + 1)
+    r = (np.arange(n) - mid) / scale
+    power = np.ones(n, dtype=complex)
+    sums = np.zeros((len(live), n), dtype=complex)
+    for l in range(order + 1):
+        if l:
+            weight = weight * u
+            power *= (1j / l) * r
+        grid = np.bincount(pos, weight.view(float),
+                           minlength=2 * len(live) * size)
+        sums += np.fft.ifft(grid.view(complex).reshape(len(live), size),
+                            norm="forward")[:, :n] * power
+    values[live] = sums
+    return values, tail
 
 
 def _phases(w, t):

@@ -3,9 +3,10 @@
 The measured quantity is the charge-state occupation P_c(t) of the probe
 junction; the average current is I = −2q·dP_c/dt.  An analytic form
 (valid in the dispersive regime for equal-weight superpositions) and a
-numeric form (finite differences on the exactly evolved full model) are
-provided, plus spectral utilities to pull carrier frequency, sideband
-positions, modulation period, and envelope depth out of sampled traces.
+numeric form (finite differences of the full model's exact P_c, summed
+from its line spectrum) are provided, plus spectral utilities to pull
+carrier frequency, sideband positions, modulation period, and envelope
+depth out of sampled traces.
 """
 
 import math
@@ -19,7 +20,7 @@ from .config import SQRT_HALF
 # called here, but perfbench/spans.py patches them at this module, so
 # they stay importable from it
 from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
-                          evolve_joint)
+                          evolve_charge, evolve_joint)
 from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401
 from .hamiltonians import build_full_hamiltonian, lowest_level
 
@@ -65,13 +66,20 @@ def current_analytic(m: ModelParams, alpha, t):
 
 def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
                     c1=SQRT_HALF):
-    """(P_c(t), I(t)) from exact full-model evolution on a uniform grid,
-    with P_c at θ = m.theta and I in units of e·ω.  The evolution runs on
-    the oscillator levels [lowest_level(m, α), dim).
+    """(P_c(t), I(t)) of the exactly evolved full model on a uniform
+    grid, with P_c at θ = m.theta and I in units of e·ω.
 
-    I is the second-order finite difference of −2·P_c (central in the
-    interior, one-sided at the ends).  The grid must be uniform with a
-    positive step dt ≤ 2π/(20·max(ω_a, Ω)), the sampling criterion.
+    The evolution runs on the oscillator levels [lowest_level(m, α),
+    dim), leakage-guarded at both edges.  P_c comes from its line
+    spectrum, with no state built (decoherence.evolve_charge), at
+    ts[0] + i·dt, dt the grid's mean step; a grid off those times by
+    more than 2·eps·max|t|, the rounding of t itself (a linspace grid is
+    not), gets P_c reduced from the states at its own times
+    (decoherence.evolve_joint) instead.  I is the second-order finite
+    difference of −2·P_c (central in the interior, one-sided at the
+    ends).  The grid must be uniform with a positive step
+    dt ≤ 2π/(20·max(ω_a, Ω)), the sampling criterion, each step within
+    1e-9·dt of the first.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) < 3:
@@ -87,8 +95,15 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
             % (dts[0], sampling_limit(m)))
     n_lo = lowest_level(m, alpha)
     psi = joint_state(c0, c1, coherent_state(alpha, dim, n_lo))
-    pc = evolve_joint(build_full_hamiltonian(m, dim, n_lo), psi, ts,
-                      lambda block: charge_occupation(block, m.theta), n_lo)
+    H = build_full_hamiltonian(m, dim, n_lo)
+    mean_step = (ts[-1] - ts[0]) / (len(ts) - 1)
+    off = ts - (ts[0] + np.arange(len(ts)) * mean_step)
+    rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(ts))
+    if np.max(np.abs(off)) <= rounding:
+        pc = evolve_charge(H, psi, ts, m.theta, n_lo)
+    else:
+        pc = evolve_joint(H, psi, ts, lambda block: charge_occupation(
+            block, m.theta), n_lo)
     current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 

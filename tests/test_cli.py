@@ -196,6 +196,22 @@ def test_cli_import_skips_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_skips_numpy_fft():
+    """Importing the CLI must not load numpy.fft: only the spectra and
+    the probe current's line sums use it, inside their calls.  Skipped
+    where importing numpy alone loads it (numpy < 2)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, numpy; bare = 'numpy.fft' in sys.modules; "
+            "import lcdeco.cli; print(bare, 'numpy.fft' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    bare, loaded = out.stdout.split()
+    if bare == "True":
+        pytest.skip("importing numpy alone loads numpy.fft")
+    assert loaded == "False"
+
+
 def test_fock_run_skips_scipy_linalg_and_special(tmp_path):
     """A fig2 run that writes a D_fock column loads neither scipy.linalg
     nor scipy.special: the sector eigensolver calls scipy's compiled

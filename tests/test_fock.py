@@ -929,43 +929,57 @@ def test_hermitian_eig_is_the_only_eigensolver():
 
 def test_evolve_joint_is_the_only_propagation():
     """No code in lcdeco builds a SpectralPropagator or calls the leakage
-    guard except decoherence.evolve_joint, so every evolution is guarded
-    the same way."""
-    names = {"SpectralPropagator", "assert_leakage"}
+    guard except decoherence's two guarded entries, evolve_joint (states)
+    and evolve_charge (line spectra), so every evolution is guarded by
+    the one guard; assert_leakage hands the guard's test to _leak_guard,
+    which both entries reach."""
+    names = {"SpectralPropagator", "assert_leakage", "_leak_guard"}
+    entries = {"decoherence.py": {"evolve_joint", "evolve_charge"},
+               "fock.py": {"assert_leakage"}}
     found = []
+    calls = {}
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        allowed = set()
-        if name == "decoherence.py":
-            for node in tree.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name == "evolve_joint"):
-                    allowed = {id(n) for n in ast.walk(node)}
+        allowed = {}
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in entries.get(name, ())):
+                allowed.update((id(n), node.name) for n in ast.walk(node))
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in allowed:
+            if not isinstance(node, ast.Call):
                 continue
             called = (node.func.id if isinstance(node.func, ast.Name)
                       else node.func.attr
                       if isinstance(node.func, ast.Attribute) else None)
-            if called in names:
+            if called not in names:
+                continue
+            if id(node) in allowed:
+                calls.setdefault(allowed[id(node)], set()).add(called)
+            else:
                 found.append("%s:%d %s" % (name, node.lineno, called))
     assert found == []
+    assert calls == {"evolve_joint": {"SpectralPropagator", "assert_leakage"},
+                     "evolve_charge": {"SpectralPropagator", "_leak_guard"},
+                     "assert_leakage": {"_leak_guard"}}
 
 
 # ---------------------------------------------------------------------------
-# streamed evolution: every caller reduces chunk by chunk
+# streamed evolution: every caller of evolve_grid reduces chunk by chunk
 
-STREAM_CALLERS = ["current_numeric", "full_model_coherence",
-                  "decoherence_fock_oracle"]
+STREAM_CALLERS = ["full_model_coherence", "decoherence_fock_oracle"]
+
+# every guarded route: the two above, and the probe current's P_c from its
+# line spectrum (decoherence.evolve_charge), which has no chunks
+GUARDED_CALLERS = ["current_numeric"] + STREAM_CALLERS
 
 
 def _stream_callers(dim):
-    """{name: run(ts)} for the three callers of evolve_grid at truncation
-    dim, in a regime (ω_a = 4, g = 0.5, α = 3) whose squeezed spread
-    reaches the top of 40 levels within a quarter jump period."""
+    """{name: run(ts)} for the guarded callers at truncation dim, in a
+    regime (ω_a = 4, g = 0.5, α = 3) whose squeezed spread reaches the
+    top of 40 levels within a quarter jump period."""
     from lcdeco.circuit import params_from_dimensionless
     from lcdeco.decoherence import (decoherence_fock_oracle,
                                     full_model_coherence)
@@ -993,8 +1007,6 @@ def test_chunked_evolution_matches_one_chunk(monkeypatch, caller, samples):
 
     m, callers = _stream_callers(64)
     run = callers[caller]
-    if caller == "current_numeric":
-        samples = max(samples, 3)   # finite differences need 3 samples
     ts = np.arange(samples) * sampling_limit(m)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
     whole = run(ts)
@@ -1004,11 +1016,36 @@ def test_chunked_evolution_matches_one_chunk(monkeypatch, caller, samples):
     assert np.max(np.abs(chunked - whole)) <= 1e-14
 
 
-@pytest.mark.parametrize("caller", STREAM_CALLERS)
+@pytest.mark.parametrize("samples", [1, 7, 8, 23])
+def test_line_charge_matches_chunked_states(monkeypatch, samples):
+    """P_c from the line spectrum (evolve_charge) is P_c reduced from
+    evolve_grid's states in chunks of 7 (charge_occupation), to the
+    lines' budget of 2·√PRUNE_TOL, for sample counts below, at, just
+    above and well above a chunk."""
+    from lcdeco import fock
+    from lcdeco.decoherence import evolve_charge
+    from lcdeco.hamiltonians import build_full_hamiltonian
+    from lcdeco.observables import charge_occupation, sampling_limit
+
+    m, _ = _stream_callers(64)
+    H = build_full_hamiltonian(m, 64)
+    psi = joint_state(1.0, 1.0, coherent_state(3.0, 64))
+    ts = np.arange(samples) * sampling_limit(m)
+    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    states, _ = SpectralPropagator(H).evolve_grid(
+        psi, ts, lambda block, _: charge_occupation(block, m.theta))
+    lines = evolve_charge(H, psi, ts, m.theta)
+    assert lines.shape == states.shape == (samples,)
+    assert np.max(np.abs(lines - states)) <= 2.0 * math.sqrt(PRUNE_TOL)
+
+
+@pytest.mark.parametrize("caller", GUARDED_CALLERS)
 def test_leakage_only_in_last_chunk_trips(monkeypatch, caller):
-    """The guard runs on every chunk: the shortest grid that trips it
-    reaches LEAK_TOL only at its last sample, beyond the first chunk,
-    and one sample less passes."""
+    """The guard sees every sample: the shortest grid that trips it
+    reaches LEAK_TOL only at its last sample, and one sample less
+    passes.  That sample lies beyond the first 7: beyond the first chunk
+    of the two chunked callers, while current_numeric evaluates its
+    edge populations on the whole grid at once."""
     from lcdeco import fock
     from lcdeco.observables import sampling_limit
 
@@ -1082,12 +1119,14 @@ def two_blas_threads():
 
 def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
                                                           monkeypatch):
-    """Inside hermitian_eig's eigensolver and inside evolve_grid's
-    reduction every found library reports one thread; afterwards each
-    reports its count from before."""
+    """Inside hermitian_eig's eigensolver, inside evolve_grid's reduction
+    and around each sector pair's products of the line spectrum
+    (SpectralPropagator.lines) every found library reports one thread;
+    afterwards each reports its count from before."""
     from lcdeco import fock
 
     solver = fock._dstevd()
+    pair_lines = fock._pair_lines
     seen = []
 
     def dstevd(diag, offdiag, compute_v):
@@ -1098,11 +1137,21 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
         seen.append(("reduce", _blas_threads()))
         return block
 
+    def spied_pair_lines(*args):
+        seen.append(("lines", _blas_threads()))
+        out = pair_lines(*args)
+        seen.append(("lines", _blas_threads()))
+        return out
+
     monkeypatch.setattr(fock, "_dstevd", lambda: dstevd)
+    monkeypatch.setattr(fock, "_pair_lines", spied_pair_lines)
     _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
-    SpectralPropagator(H).evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce)
+    P = SpectralPropagator(H)
+    P.evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce)
+    P.lines(psi, [([np.ones(40)] * 2, True)])
     ones = [1] * len(two_blas_threads)
-    assert seen == [("eigh", ones)] * 2 + [("reduce", ones)]
+    assert seen == ([("eigh", ones)] * 2 + [("reduce", ones)]
+                    + [("lines", ones)] * 6)
     assert _blas_threads() == two_blas_threads
 
 
@@ -1189,8 +1238,8 @@ def test_first_evolution_of_a_process_limits_every_blas_library():
 
 def test_readme_layout_states_the_fock_constants():
     """Every "`NAME` = value" in README's `lcdeco.fock` Layout row is the
-    constant's value, and the row states each propagator and leakage
-    constant."""
+    constant's value, and the row states each propagator, line-sum and
+    leakage constant."""
     import re
 
     from lcdeco import fock
@@ -1201,6 +1250,6 @@ def test_readme_layout_states_the_fock_constants():
     stated = dict(re.findall(r"`(\w+)` = (-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)",
                              row))
     assert set(stated) == {"PRUNE_TOL", "TILE_ROWS", "CHUNK_SAMPLES",
-                           "LEAK_LEVELS", "LEAK_TOL"}
+                           "LINE_OVERSAMPLE", "LEAK_LEVELS", "LEAK_TOL"}
     for name, value in stated.items():
         assert float(value) == getattr(fock, name), name
