@@ -26,8 +26,8 @@ The band-cut state reaches its callers by one of two routes:
   chunks of at most CHUNK_SAMPLES samples, and the caller's reduction
   turns each chunk of states into its observable before the next chunk
   is built, so memory per call is O(size·CHUNK_SAMPLES) plus the
-  eigenvectors, not size × samples.  How each chunk's phases e^{−iwt}
-  are formed is stated once, in SpectralPropagator's docstring;
+  eigenvectors, not size × samples; each chunk is phased e^{−iwt} at
+  its own times;
 - lines builds no state: a quadratic form of the state, such as the
   probe current's P_c or an edge population, is a sum of lines
   C_p·e^{iΔ_p t}, built once from the tiles' bands, and _line_sums
@@ -42,10 +42,10 @@ hermitian_eig, evolve_grid (the caller's reduction included) and lines
 run with every OpenBLAS library in the process on one thread, and give
 each library its thread count back when they return or raise
 (_one_blas_thread).  So their results are the same bits at any BLAS
-thread count the host sets, and fig4 at α = 30 runs about a quarter
-faster than on two threads of two vCPUs.  Where no OpenBLAS is found
-(MKL, Accelerate, a platform without /proc/self/maps) nothing is
-limited, and the bits follow the host's thread count.
+thread count the host sets, and fig4's probe current at α = 30 takes
+about a fifth less time than on two threads of two vCPUs.  Where no
+OpenBLAS is found (MKL, Accelerate, a platform without /proc/self/maps)
+nothing is limited, and the bits follow the host's thread count.
 
 hermitian_eig calls LAPACK's dstevd through scipy's compiled wrapper
 scipy.linalg._flapack, which _dstevd loads by file path at the first
@@ -87,9 +87,9 @@ LEAK_TOL = 1e-8
 # demand
 PRUNE_TOL = 1e-26
 
-# most time samples SpectralPropagator.evolve_grid builds at once; a
-# chunk of the fig4 joint space (2·1200 states) is then ~10 MB, and
-# smaller chunks save little more memory for more BLAS calls
+# most time samples SpectralPropagator.evolve_grid builds at once: a
+# chunk of a joint space of 2·dim states is then 8·dim KiB of complex
+# states (9.8 MB at dim = 1200), whatever the grid's length
 CHUNK_SAMPLES = 256
 
 # frequencies of _line_sums' FFT grid per time sample: each line's
@@ -99,11 +99,11 @@ CHUNK_SAMPLES = 256
 LINE_OVERSAMPLE = 2
 
 # levels of a sector that share one range of eigencomponents in
-# evolve_grid's products (see _band_cut); at fig4's α = 30, tiles of 16,
-# 32 and 64 levels multiply 10, 11.5 and 15 % of levels ×
-# eigencomponents, and current_numeric there took medians of 140, 125
-# and 138 ms at 16 levels, 138, 133 and 146 at 32, and 138, 147 and 151
-# at 64 (three sets of 15 to 25 interleaved runs, one OpenBLAS thread,
+# evolve_grid's products and lines' sums (see _band_cut); at fig4's
+# α = 30, tiles of 16, 32 and 64 levels multiply 10, 11.5 and 15 % of
+# levels × eigencomponents, and current_numeric there took medians of
+# 37, 38 and 34 ms at 16 levels, 37, 33 and 33 at 32, and 37, 32 and 32
+# at 64 (three rounds of 15 interleaved calls, one OpenBLAS thread,
 # two-vCPU Xeon): no size is clearly fastest
 TILE_ROWS = 32
 
@@ -165,8 +165,9 @@ def _one_blas_thread():
     Its products and eigensolves then sum in one order whatever the
     host's thread count, so their bits do not depend on it, and at the
     sizes lcdeco multiplies a second thread only costs: at fig4's
-    α = 30 on two vCPUs, the tile products took 67–69 ms on one thread
-    against 87–110 ms on two.  The libraries are found at the first
+    α = 30 on two vCPUs, current_numeric took medians of 32–33 ms on
+    one thread against 40–41 ms on two (three rounds of 15 interleaved
+    calls).  The libraries are found at the first
     entry, so that entry must follow the loading of scipy's LAPACK
     wrapper in hermitian_eig (_dstevd), which maps scipy's OpenBLAS; a
     library loaded later is never limited.  The thread count is
@@ -507,22 +508,8 @@ class SpectralPropagator:
     evaluate on a uniform grid; its memory is a few sector-sized
     matrices and the kept lines, whatever the number of samples.
 
-    evolve_grid's phases: each time is split as t = t_lo + τ, t_lo the
-    first time of its chunk, so e^{−iwt} = e^{−iwτ}·e^{−iw·t_lo}, and
-    every chunk is phased by that one formula, a table of e^{−iwτ}
-    (_phases) times c·e^{−iw·t_lo}: one complex multiply and K
-    exponentials for K components in the span of the tiles' bands.  Each
-    call builds one table per sector, over that span and the first
-    chunk's offsets τ, and keeps nothing else from one chunk to the
-    next.  A chunk whose
-    offsets match the table's within 2·eps·max|t|, as every chunk of a
-    linspace grid does (the mismatch measured at most 1.1·eps·max|t| on
-    linspace grids of 300 to 10 000 samples, 0.66 on fig4's), uses that
-    table, at a phase error of at most max|w|·2·eps·max|t|, the order of
-    the rounding of w·t itself.  Any other chunk gets a table of its own
-    offsets, one cos/sin pass built for that chunk and not kept.  So a
-    uniform grid takes cos/sin once per sector, and any grid takes one
-    pass per chunk at most.
+    evolve_grid phases each chunk at its own times, c·e^{−iwt} over the
+    span of the tiles' bands (_phases), on any grid.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).
@@ -592,32 +579,21 @@ class SpectralPropagator:
         chunk's samples; `reduced` is those arrays joined along the last
         axis.
         `lambda block, _: block` returns the states themselves.  Each
-        chunk is phased by the class docstring's rule.  The call, reduce
-        included, runs on one BLAS thread (_one_blas_thread).
+        chunk is phased at its own times.  The call, reduce included,
+        runs on one BLAS thread (_one_blas_thread).
         """
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("evolution times must be finite")
         banded, pruned = self._banded(psi)
-        # the tables' offsets: the first chunk's, from its first time
-        offsets = ts[:CHUNK_SAMPLES] - ts[:1]
-        tol = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
-        kept = [(index, w, Q, c[:, None], tiles, _phases(w, offsets))
-                for index, w, Q, c, tiles in banded]
         results = []
         # an empty grid still gets one, empty, chunk: reduce sets the shape
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
             chunk = ts[lo:lo + CHUNK_SAMPLES]
             n = len(chunk)
-            tau = chunk - chunk[:1]
-            tabled = np.max(np.abs(tau - offsets[:n]), initial=0.0) <= tol
             block = np.empty((self.size, n), dtype=complex)
-            for rows, w, Q, c, tiles, table in kept:
-                if not tabled:  # this chunk's own offsets, not kept
-                    table = _phases(w, tau)
-                phases = (table[:, :n]
-                          * (c * np.exp(-1j * np.outer(w, chunk[:1])))
-                          ).view(float)
+            for rows, w, Q, c, tiles in banded:
+                phases = (c[:, None] * _phases(w, chunk)).view(float)
                 # (re, im) pairs of this sector's rows
                 out = np.empty((len(rows), 2 * n))
                 for tile, a, b in tiles:
@@ -626,8 +602,8 @@ class SpectralPropagator:
                     else:
                         out[tile] = 0.0
                 block[rows] = out.view(complex)
-                # freed before the next sector's are made and before reduce:
-                # fig4's CLI run then peaks 5 MB lower than with them alive
+                # freed before the next sector's are made, so one sector's
+                # phases and products are alive at a time, and none in reduce
                 del phases, out
             results.append(reduce(block, pruned))
         return np.concatenate(results, axis=-1), pruned
@@ -809,7 +785,9 @@ def _phases(w, t):
 
 def _band_cut(Q, c, budget):
     """(lo, hi, dropped): which entries of a sector's product
-    Q @ (c·phases) evolve_grid computes, Q levels × eigencomponents.
+    Q @ (c·phases) evolve_grid computes, Q levels × eigencomponents,
+    and so which entries of Q each tile brings to lines' sums (_banded
+    makes the one cut both routes share).
 
     The levels are cut into tiles of TILE_ROWS rows, and tile i
     multiplies only the columns [lo[i], hi[i]) (none when

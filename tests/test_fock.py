@@ -503,10 +503,13 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     eigenvector reaches only a band of levels: summed over the tiles,
     each sector multiplies at most 15 % of its levels × eigencomponents
     (about 11.5 % measured), so a fall back to whole-sector products
-    fails here, and its phase table, built once per sector, spans only
-    the union of its tiles' bands."""
+    fails here.  That holds on fig4's own route, the line spectrum
+    decoherence.evolve_charge takes through SpectralPropagator.lines,
+    and on evolve_grid, which makes the same cut and phases each chunk
+    over only the union of its tiles' bands."""
     from lcdeco import fock
     from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.decoherence import evolve_charge
     from lcdeco.hamiltonians import build_full_hamiltonian, lowest_level
 
     m = params_from_dimensionless(8.0, 0.35)
@@ -514,24 +517,29 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     H = build_full_hamiltonian(m, 1200, n_lo)
     psi = joint_state(1.0, 1.0, coherent_state(30.0, 1200, n_lo))
     cuts = _recorded_cuts(monkeypatch)
-    table_rows = []
+    evolve_charge(H, psi, [0.0, 0.1, 0.2], m.theta, n_lo)
+    line_cuts = list(cuts)
+    del cuts[:]
+    phase_rows = []
     phases = fock._phases
 
     def recording_phases(w, t):
-        table_rows.append(len(w))
+        phase_rows.append(len(w))
         return phases(w, t)
 
     monkeypatch.setattr(fock, "_phases", recording_phases)
     _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0],
                                                   lambda b, _: b)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert len(cuts) == len(table_rows) == len(H.sectors)
-    for (c, lo, hi), rows in zip(cuts, table_rows):
+    assert len(line_cuts) == len(cuts) == len(phase_rows) == len(H.sectors)
+    for (c, lo, hi), (_, line_lo, line_hi), rows in zip(cuts, line_cuts,
+                                                        phase_rows):
+        assert np.array_equal(lo, line_lo) and np.array_equal(hi, line_hi)
         n = len(c)
         tile_rows = np.diff(np.r_[np.arange(0, n, fock.TILE_ROWS), n])
         multiplied = np.sum(tile_rows * np.maximum(hi - lo, 0))
         assert multiplied <= 0.15 * n * n
-        # the phase table spans the union of the bands, no more
+        # the phases span the union of the bands, no more
         banded = lo < hi
         assert rows == hi[banded].max() - lo[banded].min() < n
 
@@ -644,8 +652,8 @@ def test_evolution_with_nothing_to_cut(name):
 
 def _fig4_span_grids(m, samples):
     """fig4's eight jump periods (t up to 24.3 at the display set) sampled
-    uniformly, uniformly with a ±1e-9 jitter (far above the phase
-    table's reuse tolerance, far below the spacing), and geometrically."""
+    uniformly, uniformly with a ±1e-9 jitter (far above the rounding of
+    the times, far below the spacing), and geometrically."""
     t_max = 8.0 * math.pi / m.Omega
     uniform = np.linspace(0.0, t_max, samples)
     jitter = np.random.default_rng(13).uniform(-1e-9, 1e-9, samples)
@@ -653,12 +661,12 @@ def _fig4_span_grids(m, samples):
             "geometric": np.geomspace(1e-3, t_max, samples)}
 
 
-def test_uniform_grid_reuses_phase_table_out_to_fig4_span(monkeypatch):
+def test_chunked_uniform_grid_matches_one_chunk_out_to_fig4_span(
+        monkeypatch):
     """1025 samples over fig4's span in 147 chunks of 7 (the last one
-    short), all phased from the first chunk's table: within
-    √PRUNE_TOL + 1e-13 of one chunk and of the dense reference.  α = 1 on 24
-    levels keeps |w|·t, and so the dense reference's own rounding, small
-    at t = 24."""
+    short), each phased at its own times: within √PRUNE_TOL + 1e-13 of
+    one chunk and of the dense reference.  α = 1 on 24 levels keeps
+    |w|·t, and so the dense reference's own rounding, small at t = 24."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
@@ -675,8 +683,8 @@ def test_uniform_grid_reuses_phase_table_out_to_fig4_span(monkeypatch):
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
 def test_grid_matches_single_sample_evolution(monkeypatch, grid):
     """In chunks of 7, every sample of the grid is what evolving to its
-    time alone gives; a table reused across the jitter would be ~1e-8
-    off."""
+    time alone gives; a chunk phased at another chunk's offsets would be
+    ~1e-8 off across the jitter."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
@@ -690,11 +698,10 @@ def test_grid_matches_single_sample_evolution(monkeypatch, grid):
 
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
-def test_phase_table_built_once_per_uniform_grid(monkeypatch, grid):
-    """On a grid of 3 chunks each sector's e^{−iwτ} table is built once,
-    from the first chunk's offsets, and a uniform grid phases every chunk
-    from it; on any other grid each later chunk gets a table of its own
-    offsets from its first time."""
+def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
+    """On a grid of 3 chunks of at most 7 samples, whether uniform or
+    not, call i of _phases for each sector gets exactly chunk i's times
+    ts[7i:7i + 7], and there is one call per sector and chunk."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
@@ -711,17 +718,10 @@ def test_phase_table_built_once_per_uniform_grid(monkeypatch, grid):
     monkeypatch.setattr(fock, "_phases", recording_phases)
     prop.evolve_grid(psi, ts, lambda b, _: b)
     sectors = len(H.sectors)
-    tables, own = calls[:sectors], calls[sectors:]
-    for t in tables:
-        assert np.array_equal(t, ts[:7] - ts[0])
-    if grid == "uniform":
-        assert own == []
-    else:
-        # chunks 1 and 2, each sector in turn
-        assert len(own) == 2 * sectors
-        for i, t in enumerate(own):
-            lo = 7 * (1 + i // sectors)
-            assert np.array_equal(t, ts[lo:lo + 7] - ts[lo])
+    assert len(calls) == 3 * sectors
+    for k, t in enumerate(calls):
+        lo = 7 * (k // sectors)     # chunk by chunk, each sector in turn
+        assert np.array_equal(t, ts[lo:lo + 7])
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
