@@ -16,7 +16,9 @@ the simplified form.
 All evaluators accept scalar or array t and return matching shape.
 Both Fock routes share evolve_joint; observables.current_numeric's P_c
 comes from evolve_charge, its line spectrum, on a uniform grid.  Both
-entries are guarded by the one leakage guard.
+entries are guarded by the one leakage guard, fock.assert_leakage, which
+reads a bound that holds at every t from the state's eigencomponents,
+once per call.
 """
 
 import math
@@ -26,8 +28,7 @@ import numpy as np
 
 from .circuit import ModelParams
 from .fock import (PRUNE_TOL, Sector, SectorHamiltonian, SpectralPropagator,
-                   _edge_levels, _leak_guard, _line_sums, assert_leakage,
-                   coherent_state, joint_state)
+                   _line_sums, assert_leakage, coherent_state, joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
                            build_full_hamiltonian, evolution_coefficients,
                            lowest_level)
@@ -56,34 +57,28 @@ def decoherence_approx(m: ModelParams, alpha, t):
 def evolve_joint(H, psi, ts, reduce, n_lo=0):
     """reduce(block) of psi evolved under the joint-space H on the levels
     from n_lo up to every t in ts, chunk by chunk
-    (SpectralPropagator.evolve_grid), each block leakage-guarded, at the
-    top and, with n_lo > 0, the bottom levels, with the pruned weight
-    before reduce sees it."""
-    def guarded(block, pruned):
-        assert_leakage(block, pruned=pruned, n_lo=n_lo)
-        return reduce(block)
-
-    return SpectralPropagator(H).evolve_grid(psi, ts, guarded)[0]
+    (SpectralPropagator.evolve_grid), leakage-guarded (assert_leakage)
+    at the top and, with n_lo > 0, the bottom levels, at every t, from
+    psi's eigencomponents before any state is built."""
+    return SpectralPropagator(H).evolve_grid(
+        psi, ts, reduce,
+        lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))[0]
 
 
 def evolve_charge(H, psi, ts, theta, n_lo=0):
     """P_c(t) = Σ_n |sin(θ/2)·ψ_{0,n} + cos(θ/2)·ψ_{1,n}|² of psi evolved
     under the full H (hamiltonians.build_full_hamiltonian) on the levels
     from n_lo up, at the uniform grid t0 + i·dt, i < len(ts), with t0 and
-    dt ts's first time and mean step; leakage-guarded at the top and,
-    with n_lo > 0, the bottom levels.
+    dt ts's first time and mean step; leakage-guarded (assert_leakage)
+    at the top and, with n_lo > 0, the bottom levels, at every t, from
+    psi's eigencomponents before any line is built, as evolve_joint is.
 
-    Nothing is evolved state by state: P_c and both edge populations are
-    quadratic forms of psi's eigencomponents, and each is evaluated from
-    its line spectrum (SpectralPropagator.lines) by one Taylor-expanded
-    FFT pass (fock._line_sums), P_c and the edges in the same pass.
-    Each of H's sectors must hold one row of each level, in level order,
-    as the full H's parity sectors do, so that their rows pair up level
-    by level; any other H raises ValueError.  The guard gets, per
-    edge, the sampled maximum plus the summed |C| of the lines left out
-    and the expansion's error bound: at every sample at least the edge
-    population of the band-cut state, so the guard is an upper bound of
-    the unpruned state's population there, as evolve_joint's is.
+    Nothing is evolved state by state: P_c is a quadratic form of psi's
+    eigencomponents, evaluated from its line spectrum
+    (SpectralPropagator.lines) by one Taylor-expanded FFT pass
+    (fock._line_sums).  Each of H's sectors must hold one row of each
+    level, in level order, as the full H's parity sectors do, so that
+    their rows pair up level by level; any other H raises ValueError.
     """
     levels = H.size // 2
     for s in H.sectors:
@@ -93,26 +88,17 @@ def evolve_charge(H, psi, ts, theta, n_lo=0):
     half = 0.5 * theta
     charge = [np.where(s.index < levels, math.sin(half), math.cos(half))
               for s in H.sectors]
-    edges = []
-    for _, lo, hi in _edge_levels(levels, n_lo):
-        rows = np.zeros(levels)
-        rows[lo:hi] = 1.0
-        edges.append(([rows] * len(H.sectors), False))
     ts = np.asarray(ts, dtype=float).ravel()
     if not np.all(np.isfinite(ts)):
         raise ValueError("evolution times must be finite")
-    lines, pruned = SpectralPropagator(H).lines(psi, [(charge, True)]
-                                                + edges)
+    C, delta, _ = SpectralPropagator(H).lines(
+        psi, charge,
+        lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))
     n = len(ts)
     dt = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
     budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
-    values, tail = _line_sums([(C, d) for C, d, _ in lines],
-                              ts[0] if n else 0.0, dt, n, budget)
-    values = values.real
-    _leak_guard([np.max(v, initial=0.0) + dropped + tail * np.sum(np.abs(C))
-                 for v, (C, _, dropped) in zip(values[1:], lines[1:])],
-                pruned, n_lo, levels)
-    return values[0]
+    values, _ = _line_sums([(C, delta)], ts[0] if n else 0.0, dt, n, budget)
+    return values[0].real
 
 
 def _coherence(H, psi, t, weight, n_lo):

@@ -28,19 +28,21 @@ The band-cut state reaches its callers by one of two routes:
   is built, so memory per call is O(size·CHUNK_SAMPLES) plus the
   eigenvectors, not size × samples; each chunk is phased e^{−iwt} at
   its own times;
-- lines builds no state: a quadratic form of the state, such as the
-  probe current's P_c or an edge population, is a sum of lines
-  C_p·e^{iΔ_p t}, built once from the tiles' bands, and _line_sums
-  evaluates them on a uniform grid by a Taylor-expanded FFT
-  oversampled LINE_OVERSAMPLE times.  Lines whose |C| sum to at most
-  √PRUNE_TOL of the state's weight are left out.
+- lines builds no state: a quadratic form of the state, the probe
+  current's P_c, is a sum of lines C_p·e^{iΔ_p t}, built once from the
+  tiles' bands, and _line_sums evaluates them on a uniform grid by a
+  Taylor-expanded FFT oversampled LINE_OVERSAMPLE times.  Lines whose
+  |C| sum to at most √PRUNE_TOL of the state's weight are left out.
+Both routes hand the state's eigencomponents, once per call, to the
+leakage guard (assert_leakage), which bounds each edge's population at
+every t from them alone, whatever the time grid.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
 
-hermitian_eig, evolve_grid (the caller's reduction included) and lines
-run with every OpenBLAS library in the process on one thread, and give
-each library its thread count back when they return or raise
+hermitian_eig, evolve_grid and lines (the caller's reduction and guard
+included) run with every OpenBLAS library in the process on one thread,
+and give each library its thread count back when they return or raise
 (_one_blas_thread).  So their results are the same bits at any BLAS
 thread count the host sets, and fig4's probe current at α = 30 takes
 about a fifth less time than on two threads of two vCPUs.  Where no
@@ -364,58 +366,22 @@ def joint_state(c0, c1, osc):
     return v / nrm
 
 
-def assert_leakage(states, pruned=0.0, n_lo=0):
+def assert_leakage(sectors, pruned, n_lo=0):
     """Raise TruncationError when the top LEAK_LEVELS oscillator levels,
-    or with n_lo > 0 the bottom LEAK_LEVELS, hold LEAK_TOL or more of the
-    population; return the larger edge's population.
+    or with n_lo > 0 the bottom LEAK_LEVELS, may hold LEAK_TOL or more of
+    the population at any t; return the larger edge's bound
+    (_edge_bounds).
 
-    `states` is one joint state vector (2·levels,) or a (2·levels, nt)
-    array of column states on the levels [n_lo, n_lo + levels); each
-    edge sums its levels of both qubit branches (_edge_levels).
-    `pruned` is the weight a propagator dropped from the evolved state
-    (the second value SpectralPropagator.evolve_grid returns); the test
-    itself, and what a trip reports, is _leak_guard's.
+    `sectors` and `pruned` are a joint state's eigencomponents on the
+    levels [n_lo, n_lo + levels) and the weight their band cut dropped,
+    as SpectralPropagator._banded gives them and evolve_grid and lines
+    hand them to their guard.  A top trip suggests twice the true top
+    level, 2·(n_lo + levels); a bottom trip suggests no dim, since no
+    larger truncation reaches down.
     """
-    arr = np.asarray(states)
-    vecs = arr[:, None] if arr.ndim == 1 else arr
-    d = vecs.shape[0] // 2
-    leaks = [float(np.max((np.abs(vecs[a:b]) ** 2).sum(axis=0)
-                          + (np.abs(vecs[d + a:d + b]) ** 2).sum(axis=0),
-                          initial=0.0))
-             for _, a, b in _edge_levels(d, n_lo)]
-    return _leak_guard(leaks, pruned, n_lo, d)
-
-
-def _edge_levels(levels, n_lo):
-    """(edge, lo, hi) of each edge the leakage guard watches, as offsets
-    [lo, hi) into the levels [n_lo, n_lo + levels): the top LEAK_LEVELS,
-    every level when there are fewer, and with n_lo > 0 the bottom
-    LEAK_LEVELS, stopping where the top edge starts below 2·LEAK_LEVELS
-    levels, so each level is in one edge."""
-    lo = max(levels - LEAK_LEVELS, 0)
-    edges = [("top", lo, levels)]
-    if n_lo:
-        edges.append(("bottom", 0, min(LEAK_LEVELS, lo)))
-    return edges
-
-
-def _leak_guard(leaks, pruned, n_lo, levels):
-    """The leakage guard's test, shared by every route: `leaks` bounds
-    the population of each _edge_levels edge, both qubit branches
-    summed, over the samples; raise TruncationError at the first edge
-    whose bound reaches LEAK_TOL, and return the larger bound.
-
-    `pruned` is the weight the propagator's band cut dropped.  The
-    dropped part has norm √pruned, so the unpruned state's population at
-    an edge is at most (√leak + √pruned)²; the guard tests and returns
-    that bound, so the band cut can never turn a trip into a pass.  A
-    top trip suggests twice the true top level, 2·(n_lo + levels); a
-    bottom trip suggests no dim, since no larger truncation reaches down.
-    """
+    levels = sum(len(index) for index, *_ in sectors) // 2
     worst = 0.0
-    for (edge, _, _), leak in zip(_edge_levels(levels, n_lo), leaks):
-        if pruned:
-            leak = (math.sqrt(leak) + math.sqrt(pruned)) ** 2
+    for edge, leak in _edge_bounds(sectors, pruned, n_lo, levels):
         if not leak < LEAK_TOL:     # a NaN population trips too
             raise TruncationError(
                 "leakage guard tripped: %s-%d-level population %.3e >= %.1e"
@@ -423,6 +389,41 @@ def _leak_guard(leaks, pruned, n_lo, levels):
                 suggested_dim=2 * (n_lo + levels) if edge == "top" else None)
         worst = max(worst, leak)
     return worst
+
+
+def _edge_bounds(sectors, pruned, n_lo, levels):
+    """[(edge, bound)]: for each edge the leakage guard watches, a bound
+    on its population, both qubit branches summed, at every t, from
+    eigencomponents and a dropped weight as assert_leakage takes them.
+
+    The edges are offsets [lo, hi) into the levels [n_lo, n_lo + levels):
+    the top LEAK_LEVELS, every level when there are fewer, and with
+    n_lo > 0 the bottom LEAK_LEVELS, stopping where the top edge starts
+    below 2·LEAK_LEVELS levels, so each level is in one edge.  Each
+    tile of a sector's band-cut state ψ_S(t) sums part of
+    Q_S·(c_S·e^{−iw_S t}) over the components _banded keeps, and
+    |e^{−iwt}| = 1, so on the sector's rows R at the edge
+    ‖ψ_{S,R}(t)‖ ≤ Σ_j |c_j|·‖Q_S[R, j]‖ at every t; the sectors' rows
+    are disjoint, so the edge's population is at most the sum over S of
+    that squared.  The dropped part has norm √pruned, so the unpruned
+    state's population is at most (√that + √pruned)², the bound: neither
+    the time grid nor the band cut can turn a trip into a pass.
+    """
+    top = max(levels - LEAK_LEVELS, 0)
+    edges = [("top", top, levels)]
+    if n_lo:
+        edges.append(("bottom", 0, min(LEAK_LEVELS, top)))
+    bounds = []
+    for edge, lo, hi in edges:
+        at_edge = np.zeros(levels, dtype=bool)
+        at_edge[lo:hi] = True
+        norm2 = 0.0
+        for index, _, Q, c, _ in sectors:
+            rows = Q[at_edge[index % levels]]
+            norm2 += float(np.sqrt(np.einsum("ij,ij->j", rows, rows))
+                           @ np.abs(c)) ** 2
+        bounds.append((edge, (math.sqrt(norm2) + math.sqrt(pruned)) ** 2))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +494,9 @@ class SpectralPropagator:
     either side the eigenvectors whose norms over the tile, |c_j| times
     Q's, sum to its share; a tile no component reaches writes zeros.
     The evolved state is then off by a norm of at most √PRUNE_TOL·‖ψ‖
-    at every t, and both calls return the dropped weight for the
-    leakage guard.
+    at every t.  Both calls hand the components and the dropped weight
+    once to the caller's guard, if any, so the leakage guard
+    (assert_leakage) needs no projection of its own.
 
     The states are never held for the whole grid: evolve_grid builds
     them CHUNK_SAMPLES samples at a time, each tile as its band of the
@@ -502,11 +504,12 @@ class SpectralPropagator:
     complex phases, and hands each chunk to the caller's reduction.
     Memory per call is O(size·CHUNK_SAMPLES), plus one sector's Q²
     while its cut is chosen, whatever the number of samples.  `lines`
-    builds no state at all: it turns the same band-cut state's quadratic
-    forms into line spectra, from one real matrix per sector pair summed
-    over the same tiles and bands (_pair_lines), for _line_sums to
-    evaluate on a uniform grid; its memory is a few sector-sized
-    matrices and the kept lines, whatever the number of samples.
+    builds no state at all: it turns a quadratic form of the same
+    band-cut state into a line spectrum, from one real matrix per sector
+    pair summed over the same tiles and bands (_pair_lines), for
+    _line_sums to evaluate on a uniform grid; its memory is a few
+    sector-sized matrices and the kept lines, whatever the number of
+    samples.
 
     evolve_grid phases each chunk at its own times, c·e^{−iwt} over the
     span of the tiles' bands (_phases), on any grid.
@@ -566,26 +569,29 @@ class SpectralPropagator:
         return banded, pruned
 
     @_one_blas_thread()
-    def evolve_grid(self, psi, ts, reduce):
+    def evolve_grid(self, psi, ts, reduce, guard=None):
         """(reduced, pruned): psi evolved to every t in ts and reduced
         chunk by chunk, and the weight dropped from the evolution
         (_banded).
 
         ts must be finite; it is flattened and walked in chunks of at most
         CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
-        chunk, reduce(block, pruned) gets the (size, chunk) array of
-        states, one column per t, zero in the tiles no eigencomponent
-        reaches, and returns an array whose last axis runs over that
-        chunk's samples; `reduced` is those arrays joined along the last
-        axis.
-        `lambda block, _: block` returns the states themselves.  Each
-        chunk is phased at its own times.  The call, reduce included,
-        runs on one BLAS thread (_one_blas_thread).
+        chunk, reduce(block) gets the (size, chunk) array of states, one
+        column per t, zero in the tiles no eigencomponent reaches, and
+        returns an array whose last axis runs over that chunk's samples;
+        `reduced` is those arrays joined along the last axis.
+        `lambda block: block` returns the states themselves.  Each chunk
+        is phased at its own times.  guard(sectors, pruned), when given,
+        gets _banded's components and dropped weight once, before any
+        state is built (see assert_leakage).  The call, reduce and guard
+        included, runs on one BLAS thread (_one_blas_thread).
         """
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("evolution times must be finite")
         banded, pruned = self._banded(psi)
+        if guard is not None:
+            guard(banded, pruned)
         results = []
         # an empty grid still gets one, empty, chunk: reduce sets the shape
         for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
@@ -605,44 +611,42 @@ class SpectralPropagator:
                 # freed before the next sector's are made, so one sector's
                 # phases and products are alive at a time, and none in reduce
                 del phases, out
-            results.append(reduce(block, pruned))
+            results.append(reduce(block))
         return np.concatenate(results, axis=-1), pruned
 
     @_one_blas_thread()
-    def lines(self, psi, forms):
-        """(lines, pruned): the line spectrum of each quadratic form in
-        `forms` of psi evolved, and the weight the band cut dropped
-        (_banded).
+    def lines(self, psi, weights, guard=None):
+        """(C, Δ, dropped): the line spectrum of one quadratic form of psi
+        evolved.
 
-        A form is (weights, coherent), weights one real array per sector
-        with a weight for each of its rows, in chain order.  Its value at
-        t is ‖Σ_S diag(weights_S)·ψ_S(t)‖² when coherent, the sectors'
-        rows paired position by position (so every sector must have as
-        many rows), and Σ_S ‖diag(weights_S)·ψ_S(t)‖² otherwise, ψ_S(t)
-        the sector's rows of the state evolve_grid builds.  Since
+        `weights` holds one real array per sector with a weight for each
+        of its rows, in chain order.  The form's value at t is
+        ‖Σ_S diag(weights_S)·ψ_S(t)‖², the sectors' rows paired position
+        by position (so every sector must have as many rows), ψ_S(t) the
+        sector's rows of the state evolve_grid builds.  Since
         ψ_S = Q_S·(c_S·e^{−iw_S t}), band by band, the value is
         Re Σ_p C_p·e^{iΔ_p t}, a line p for each pair of components,
-        built sector pair by sector pair (_pair_lines).  `lines` holds
-        (C, Δ, dropped) per form: C complex, Δ = w_j − w'_k, and a bound
-        on the summed |C| of the lines left out, at most
-        √PRUNE_TOL·‖psi‖² split evenly over the form's sector pairs, so
-        at every t the kept lines are within `dropped` of the value.
-        The call runs on one BLAS thread (_one_blas_thread).
+        built sector pair by sector pair (_pair_lines): C complex,
+        Δ = w_j − w'_k, and `dropped` a bound on the summed |C| of the
+        lines left out, at most √PRUNE_TOL·‖psi‖² split evenly over the
+        sector pairs, so at every t the kept lines are within `dropped`
+        of the value.  guard(sectors, pruned), when given, gets
+        _banded's components and dropped weight once, before any line is
+        built (see assert_leakage).  The call runs on one BLAS thread
+        (_one_blas_thread).
         """
         banded, pruned = self._banded(psi)
+        if guard is not None:
+            guard(banded, pruned)
         budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
         n = len(banded)
-        out = []
-        for weights, coherent in forms:
-            pairs = [(i, j) for i in range(n)
-                     for j in range(i, n if coherent else i + 1)]
-            parts = [_pair_lines(banded[i], banded[j],
-                                 weights[i] * weights[j], budget / len(pairs))
-                     for i, j in pairs]
-            out.append((np.concatenate([C for C, _, _ in parts]),
-                        np.concatenate([d for _, d, _ in parts]),
-                        sum(dropped for _, _, dropped in parts)))
-        return out, pruned
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        parts = [_pair_lines(banded[i], banded[j], weights[i] * weights[j],
+                             budget / len(pairs))
+                 for i, j in pairs]
+        return (np.concatenate([C for C, _, _ in parts]),
+                np.concatenate([d for _, d, _ in parts]),
+                sum(dropped for _, _, dropped in parts))
 
 
 def _pair_lines(one, two, weights, budget):
@@ -661,8 +665,8 @@ def _pair_lines(one, two, weights, budget):
     _, w1, Q1, c1, tiles1 = one
     _, w2, Q2, c2, tiles2 = two
     if len(Q1) != len(Q2):
-        raise ValueError("a coherent form pairs sectors of one length, got "
-                         "%d and %d rows" % (len(Q1), len(Q2)))
+        raise ValueError("a form pairs sectors of one length, got %d and "
+                         "%d rows" % (len(Q1), len(Q2)))
     blocks = [(rows, a, b, a2, b2)
               for (rows, a, b), (_, a2, b2) in zip(tiles1, tiles2)
               if a < b and a2 < b2 and weights[rows].any()]

@@ -16,9 +16,10 @@ import numpy as np
 
 from .circuit import ModelParams
 from .config import SQRT_HALF
-# decoherence_exact and assert_leakage (evolve_joint guards) are not
-# called here, but perfbench/spans.py patches them at this module, so
-# they stay importable from it
+# decoherence_exact and assert_leakage (the one leakage guard, which
+# evolve_joint and evolve_charge call from decoherence) are not called
+# here, but perfbench/spans.py patches them at this module, so they stay
+# importable from it
 from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
                           evolve_charge, evolve_joint)
 from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401

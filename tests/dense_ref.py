@@ -29,6 +29,21 @@ def dense(H):
     return M
 
 
+def dense_evolution(H, psi, ts):
+    """psi evolved under the SectorHamiltonian H to each t in ts by the
+    dense eigendecomposition, one column per t."""
+    w, V = np.linalg.eigh(dense(H))
+    return V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
+
+
+def edge_population(states, lo, hi):
+    """Population of the levels at offsets [lo, hi) of both qubit
+    branches of each joint column state (2·levels, nt)."""
+    d = len(states) // 2
+    return np.sum(np.abs(states[lo:hi]) ** 2
+                  + np.abs(states[d + lo:d + hi]) ** 2, axis=0)
+
+
 def annihilation_op(dim):
     """a on dim levels: ⟨n|a|n+1⟩ = √(n+1)."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)

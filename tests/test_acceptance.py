@@ -169,8 +169,7 @@ def test_08_bogoliubov_property_suite():
                                              - 1.0))
         alpha = rng.uniform(0.2, 3.0) * np.exp(2j * math.pi * rng.uniform())
         psi = SpectralPropagator(build_effective_hamiltonian(k, m, dim)) \
-            .evolve_grid(coherent_state(alpha, dim), [t],
-                         lambda b, _: b)[0][:, 0]
+            .evolve_grid(coherent_state(alpha, dim), [t], lambda b: b)[0][:, 0]
         ma, m2, mn = predicted_moments(k, m, alpha, t)
         worst_moment = max(
             worst_moment,

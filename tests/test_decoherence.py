@@ -122,7 +122,7 @@ def test_fock_oracle_branch_symmetry():
     ts = _grid(M_REF, periods=1.0, n=50)
     psi0 = coherent_state(2.0, dim)
     grids = [SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
-             .evolve_grid(psi0, ts, lambda b, _: b)[0] for k in (0, 1)]
+             .evolve_grid(psi0, ts, lambda b: b)[0] for k in (0, 1)]
     d01 = np.abs(np.sum(np.conj(grids[1]) * grids[0], axis=0))
     d10 = np.abs(np.sum(np.conj(grids[0]) * grids[1], axis=0))
     assert np.max(np.abs(d01 - d10)) < 1e-12
@@ -146,7 +146,7 @@ def test_fock_oracle_joint_guard_trips_no_later_than_either_branch():
     psi0 = coherent_state(3.0, dim)
     top = [np.sum(np.abs(SpectralPropagator(
         build_effective_hamiltonian(k, m, dim)).evolve_grid(
-            psi0, ts, lambda b, _: b)[0][dim - LEAK_LEVELS:]) ** 2, axis=0)
+            psi0, ts, lambda b: b)[0][dim - LEAK_LEVELS:]) ** 2, axis=0)
         for k in (0, 1)]
     reached = np.flatnonzero(np.maximum(*top) >= LEAK_TOL)
     assert len(reached) > 0, "the regime never reached the leakage tolerance"

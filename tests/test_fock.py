@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                       annihilation_op, dense, fock_state, number_op,
+                       annihilation_op, dense, dense_evolution,
+                       edge_population, fock_state, number_op,
                        partial_trace_qubit, position_quad)
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
@@ -339,7 +340,7 @@ def test_position_quad_is_hermitian():
 def test_evolve_t0_identity():
     psi = coherent_state(1.0, 32)
     out = SpectralPropagator(_number_hamiltonian(32)).evolve_grid(
-        psi, [0.0], lambda b, _: b)[0][:, 0]
+        psi, [0.0], lambda b: b)[0][:, 0]
     assert np.max(np.abs(out - psi)) < 1e-12
 
 
@@ -348,7 +349,7 @@ def test_evolve_rotating_coherent_state():
     dim = 48
     omega, t, alpha = 1.3, 2.1, 1.5
     out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve_grid(
-        coherent_state(alpha, dim), [t], lambda b, _: b)[0][:, 0]
+        coherent_state(alpha, dim), [t], lambda b: b)[0][:, 0]
     ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
     fidelity = abs(np.vdot(ref, out))
     assert fidelity >= 1.0 - 1e-10
@@ -360,9 +361,9 @@ def test_evolve_composition():
     prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
                                           rng.normal(size=dim - 1)))
     psi = coherent_state(0.8, dim)
-    mid = prop.evolve_grid(psi, [0.7], lambda b, _: b)[0][:, 0]
-    one = prop.evolve_grid(mid, [1.9], lambda b, _: b)[0][:, 0]
-    two = prop.evolve_grid(psi, [2.6], lambda b, _: b)[0][:, 0]
+    mid = prop.evolve_grid(psi, [0.7], lambda b: b)[0][:, 0]
+    one = prop.evolve_grid(mid, [1.9], lambda b: b)[0][:, 0]
+    two = prop.evolve_grid(psi, [2.6], lambda b: b)[0][:, 0]
     assert np.linalg.norm(one - two) < 1e-10
 
 
@@ -378,7 +379,7 @@ def test_evolve_full_model_unitarity():
     psi = joint_state(1.0, 1.0, coherent_state(2.0, dim))
     prop = SpectralPropagator(H)
     ts = np.linspace(0.0, math.pi / m.Omega, 40)
-    grid, _ = prop.evolve_grid(psi, ts, lambda b, _: b)
+    grid, _ = prop.evolve_grid(psi, ts, lambda b: b)
     norms = np.linalg.norm(grid, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     Hd = dense(H)
@@ -429,11 +430,6 @@ def _full_model(omega_a, g, alpha, dim):
         1.0, 1.0, coherent_state(alpha, dim))
 
 
-def _dense_evolution(H, psi, ts):
-    w, V = np.linalg.eigh(dense(H))
-    return V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
-
-
 def test_pruned_weight_bounded_and_reproduced():
     """A coherent state far from the vacuum has eigencomponents of weight
     far below PRUNE_TOL; the dropped weight stays within PRUNE_TOL and
@@ -444,10 +440,9 @@ def test_pruned_weight_bounded_and_reproduced():
                     0.3 * np.sqrt(np.arange(1.0, dim)))
     psi = coherent_state(7.0, dim)
     ts = np.linspace(0.0, 5.0, 7)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
-                                                      lambda b, _: b)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
     assert 0.0 < pruned <= PRUNE_TOL
-    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
@@ -482,7 +477,7 @@ def test_one_band_cut_per_sector_serves_every_chunk(monkeypatch):
     cuts = _recorded_cuts(monkeypatch)
     zero_rows = []
 
-    def reduce(block, _):
+    def reduce(block):
         zero_rows.append(np.flatnonzero(np.all(block == 0.0, axis=1)))
         return block
 
@@ -494,7 +489,7 @@ def test_one_band_cut_per_sector_serves_every_chunk(monkeypatch):
     assert any(0 < np.count_nonzero(c[a:b]) < np.count_nonzero(c)
                for c, lo, hi in cuts for a, b in zip(lo, hi))
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
@@ -528,8 +523,7 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
         return phases(w, t)
 
     monkeypatch.setattr(fock, "_phases", recording_phases)
-    _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0],
-                                                  lambda b, _: b)
+    _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0], lambda b: b)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
     assert len(line_cuts) == len(cuts) == len(phase_rows) == len(H.sectors)
     for (c, lo, hi), (_, line_lo, line_hi), rows in zip(cuts, line_cuts,
@@ -573,24 +567,22 @@ def test_band_cut_bounds_the_error_it_reports(n, seed, width, log_budget):
 
 def test_leakage_guard_sees_an_empty_top_tile():
     """At α = 6 on 160 levels no eigencomponent reaches the top tile, so
-    it writes zeros: the guard finds the top LEAK_LEVELS levels zero and
-    tests the dropped weight alone, which passes."""
+    it writes zeros: every component's norm over that tile, and so over
+    the top LEAK_LEVELS levels in it, is within the dropped weight, and
+    the guard reads between that weight and four times it, and
+    passes."""
     from lcdeco.decoherence import evolve_joint
 
     dim = 160
     m, H, psi = _full_model(8.0, 0.35, 6.0, dim)
-    ts = np.linspace(0.0, math.pi / m.Omega, 9)
-    seen = []
-
-    def reduce(block, pruned):
-        top = np.r_[dim - LEAK_LEVELS:dim, 2 * dim - LEAK_LEVELS:2 * dim]
-        assert np.all(block[top] == 0.0)
-        seen.append((assert_leakage(block, pruned), pruned))
-        return block
-
-    _, pruned = SpectralPropagator(H).evolve_grid(psi, ts, reduce)
+    sectors, pruned = SpectralPropagator(H)._banded(psi)
+    for *_, tiles in sectors:
+        rows, a, b = tiles[-1]
+        assert rows.stop >= dim > dim - LEAK_LEVELS >= rows.start
+        assert a >= b
     assert 0.0 < pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert seen == [(pytest.approx(pruned, rel=1e-12), pruned)]
+    assert pruned <= assert_leakage(sectors, pruned) <= 4.0 * pruned
+    ts = np.linspace(0.0, math.pi / m.Omega, 9)
     evolve_joint(H, psi, ts, lambda block: block)   # the guard passes
 
 
@@ -606,10 +598,9 @@ def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
     4, where the dense reference itself holds ~1e-13."""
     dim = min_adequate_dim(alpha) + extra
     _, H, psi = _full_model(omega_a, gamma * (omega_a - 1.0), alpha, dim)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
-                                                     lambda b, _: b)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts))) \
+    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
         <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
@@ -640,11 +631,10 @@ def test_evolution_with_nothing_to_cut(name):
     are the dense reference's, of shape (size, samples), and nothing is
     reported dropped."""
     H, psi, ts = _edge_case(name)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts,
-                                                     lambda b, _: b)
+    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
     assert grid.shape == (H.size, len(ts))
     assert pruned == 0.0
-    assert np.max(np.abs(grid - _dense_evolution(H, psi, ts)),
+    assert np.max(np.abs(grid - dense_evolution(H, psi, ts)),
                   initial=0.0) <= 1e-13
     if name == "one sector":
         assert np.all(grid[H.sectors[1].index] == 0.0)
@@ -672,12 +662,12 @@ def test_chunked_uniform_grid_matches_one_chunk_out_to_fig4_span(
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 1025)["uniform"]
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
-    whole, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b, _: b)
+    whole, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    chunked, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b, _: b)
+    chunked, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
     bound = math.sqrt(PRUNE_TOL) + 1e-13
     assert np.max(np.abs(chunked - whole)) <= bound
-    assert np.max(np.abs(chunked - _dense_evolution(H, psi, ts))) <= bound
+    assert np.max(np.abs(chunked - dense_evolution(H, psi, ts))) <= bound
 
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
@@ -691,8 +681,8 @@ def test_grid_matches_single_sample_evolution(monkeypatch, grid):
     ts = _fig4_span_grids(m, 99)[grid]
     prop = SpectralPropagator(H)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    states, _ = prop.evolve_grid(psi, ts, lambda b, _: b)
-    single = np.column_stack([prop.evolve_grid(psi, [t], lambda b, _: b)[0]
+    states, _ = prop.evolve_grid(psi, ts, lambda b: b)
+    single = np.column_stack([prop.evolve_grid(psi, [t], lambda b: b)[0]
                               for t in ts])
     assert np.max(np.abs(states - single)) <= math.sqrt(PRUNE_TOL) + 1e-13
 
@@ -716,7 +706,7 @@ def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
         return phases(w, t)
 
     monkeypatch.setattr(fock, "_phases", recording_phases)
-    prop.evolve_grid(psi, ts, lambda b, _: b)
+    prop.evolve_grid(psi, ts, lambda b: b)
     sectors = len(H.sectors)
     assert len(calls) == 3 * sectors
     for k, t in enumerate(calls):
@@ -728,12 +718,25 @@ def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
 def test_evolve_grid_rejects_non_finite_times(t):
     with pytest.raises(ValueError):
         SpectralPropagator(_number_hamiltonian(16)).evolve_grid(
-            coherent_state(0.5, 16), [0.0, t, 1.0], lambda b, _: b)
+            coherent_state(0.5, 16), [0.0, t, 1.0], lambda b: b)
+
+
+def _guard(psi, pruned=0.0, n_lo=0):
+    """assert_leakage on the joint vector psi's eigencomponents under one
+    diagonal sector per qubit branch: each level is its own eigenvector,
+    so each edge's bound sums, over the branches, (Σ|ψ_n|)² of its
+    levels, the population where a branch holds one of them."""
+    levels = len(psi) // 2
+    H = SectorHamiltonian(2 * levels, [
+        Sector(np.arange(levels) + k * levels, np.arange(float(levels)),
+               np.zeros(levels - 1)) for k in (0, 1)])
+    sectors, _ = SpectralPropagator(H)._banded(psi)
+    return assert_leakage(sectors, pruned, n_lo)
 
 
 def test_leakage_guard_trips_on_nan():
     with pytest.raises(TruncationError):
-        assert_leakage(np.full(8, np.nan))
+        _guard(np.full(8, np.nan))
 
 
 def test_leakage_guard_adds_pruned_weight():
@@ -741,13 +744,13 @@ def test_leakage_guard_adds_pruned_weight():
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     psi[-1] = math.sqrt(0.81 * LEAK_TOL)
-    leak = assert_leakage(psi)
+    leak = _guard(psi)
     assert leak == pytest.approx(0.81 * LEAK_TOL, rel=1e-12)
     # (0.9 + 0.1)² · LEAK_TOL: the pruned weight alone is below the
     # tolerance and so is the population, but their worst case is not
     with pytest.raises(TruncationError):
-        assert_leakage(psi, pruned=0.01 * LEAK_TOL)
-    assert assert_leakage(psi, pruned=PRUNE_TOL) > leak
+        _guard(psi, pruned=0.01 * LEAK_TOL)
+    assert _guard(psi, pruned=PRUNE_TOL) > leak
 
 
 def test_leakage_guard_counts_every_level_below_leak_levels():
@@ -758,7 +761,7 @@ def test_leakage_guard_counts_every_level_below_leak_levels():
     psi = np.zeros(2 * dim, dtype=complex)
     psi[0] = 1.0
     with pytest.raises(TruncationError):
-        assert_leakage(psi)
+        _guard(psi)
 
 
 def test_leakage_guard_sums_both_branches():
@@ -772,10 +775,9 @@ def test_leakage_guard_sums_both_branches():
     empty[0] = 1.0
     for one in (np.concatenate([branch, empty]),
                 np.concatenate([empty, branch])):
-        assert assert_leakage(one) == pytest.approx(0.6 * LEAK_TOL,
-                                                    rel=1e-12)
+        assert _guard(one) == pytest.approx(0.6 * LEAK_TOL, rel=1e-12)
     with pytest.raises(TruncationError):
-        assert_leakage(np.concatenate([branch, branch]))
+        _guard(np.concatenate([branch, branch]))
 
 
 def test_leakage_guard_watches_the_bottom_edge_above_level_zero():
@@ -789,18 +791,17 @@ def test_leakage_guard_watches_the_bottom_edge_above_level_zero():
     branch[levels // 2] = 1.0
     branch[0] = math.sqrt(0.6 * LEAK_TOL)
     psi = np.concatenate([branch, branch])
-    assert assert_leakage(psi) == 0.0
+    assert _guard(psi) == 0.0
     with pytest.raises(TruncationError, match="bottom-") as err:
-        assert_leakage(psi, n_lo=100)
+        _guard(psi, n_lo=100)
     assert err.value.suggested_dim is None
     one = np.concatenate([branch, np.zeros(levels)])
-    assert assert_leakage(one, n_lo=100) == pytest.approx(0.6 * LEAK_TOL,
-                                                         rel=1e-12)
+    assert _guard(one, n_lo=100) == pytest.approx(0.6 * LEAK_TOL, rel=1e-12)
     # the same (√leak + √pruned)² bound as at the top
     with pytest.raises(TruncationError, match="bottom-"):
-        assert_leakage(one, pruned=0.1 * LEAK_TOL, n_lo=100)
+        _guard(one, pruned=0.1 * LEAK_TOL, n_lo=100)
     with pytest.raises(TruncationError, match="top-") as err:
-        assert_leakage(psi[::-1], n_lo=100)
+        _guard(psi[::-1], n_lo=100)
     assert err.value.suggested_dim == 2 * (100 + levels)
 
 
@@ -808,16 +809,124 @@ def test_leakage_guard_counts_each_level_once_in_a_narrow_window():
     """A window of 7 levels, narrower than 2·LEAK_LEVELS: the top edge is
     its top LEAK_LEVELS levels and the bottom edge the 2 below them.
     Levels 1 and 2 hold 0.6·LEAK_TOL each, one per edge, so the guard
-    passes; a bottom edge of LEAK_LEVELS levels would hold both, 1.2."""
+    passes; a bottom edge of LEAK_LEVELS levels would hold both."""
     levels = 7
     assert levels < 2 * LEAK_LEVELS
     psi = np.zeros(2 * levels, dtype=complex)
     psi[1] = psi[2] = math.sqrt(0.6 * LEAK_TOL)
-    assert assert_leakage(psi, n_lo=3) == pytest.approx(0.6 * LEAK_TOL,
-                                                        rel=1e-12)
+    assert _guard(psi, n_lo=3) == pytest.approx(0.6 * LEAK_TOL, rel=1e-12)
     psi[0] = psi[1]
     with pytest.raises(TruncationError, match="bottom-"):
-        assert_leakage(psi, n_lo=3)
+        _guard(psi, n_lo=3)
+
+
+def _edges(levels, n_lo):
+    """{edge: (lo, hi)} the guard watches: the top LEAK_LEVELS of the
+    levels, and with n_lo > 0 the bottom LEAK_LEVELS below those."""
+    top = max(levels - LEAK_LEVELS, 0)
+    edges = {"top": (top, levels)}
+    if n_lo:
+        edges["bottom"] = (0, min(LEAK_LEVELS, top))
+    return edges
+
+
+def _guarded_model(full, m, alpha, dim, n_lo):
+    """(H, psi) on the levels [n_lo, dim): the full H with
+    (|0⟩ + |1⟩)/√2 ⊗ |α⟩, or the effective model's H₀ ⊕ H₁ with
+    |α⟩ ⊕ |α⟩ as decoherence_fock_oracle evolves it; |α⟩ is cut below
+    n_lo and renormalized, so the bottom levels may hold population."""
+    from lcdeco.hamiltonians import (build_effective_hamiltonian,
+                                     build_full_hamiltonian)
+
+    osc = coherent_state(alpha, dim)[n_lo:]
+    osc /= np.linalg.norm(osc)
+    if full:
+        return (build_full_hamiltonian(m, dim, n_lo),
+                joint_state(1.0, 1.0, osc))
+    h0, h1 = (build_effective_hamiltonian(k, m, dim, n_lo) for k in (0, 1))
+    return SectorHamiltonian(2 * h0.size, h0.sectors + tuple(
+        Sector(s.index + h0.size, s.diag, s.offdiag)
+        for s in h1.sectors)), np.concatenate([osc, osc])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.floats(1.5, 12.0), st.floats(0.0, 0.15),
+       st.floats(0.5, 5.0), st.integers(0, 24), st.integers(0, 40),
+       st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8))
+def test_leakage_bound_never_below_the_dense_edge_population(
+        full, omega_a, gamma, alpha, extra, n_lo, ts):
+    """Random regimes of both H kinds, the full H and H₀ ⊕ H₁, with
+    truncations from tight to roomy and levels from n_lo up: at each edge
+    the guard watches, the time-independent bound (_edge_bounds) is at
+    least the dense reference's population at every sample, to the
+    reference's own ~1e-13 per amplitude.  t stays below 4, where the
+    dense reference holds that."""
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.fock import _edge_bounds
+
+    m = params_from_dimensionless(omega_a, gamma * (omega_a - 1.0))
+    dim = min_adequate_dim(alpha) + extra
+    n_lo = min(n_lo, dim - 2)
+    H, psi = _guarded_model(full, m, alpha, dim, n_lo)
+    levels = H.size // 2
+    sectors, pruned = SpectralPropagator(H)._banded(psi)
+    bounds = dict(_edge_bounds(sectors, pruned, n_lo, levels))
+    edges = _edges(levels, n_lo)
+    assert bounds.keys() == edges.keys()
+    states = dense_evolution(H, psi, ts)
+    for edge, (lo, hi) in edges.items():
+        population = np.max(edge_population(states, lo, hi))
+        assert math.sqrt(population) <= math.sqrt(bounds[edge]) + 1e-12
+
+
+@pytest.mark.parametrize("n_lo, trips", [(260, False), (300, True)])
+def test_leakage_bound_holds_both_edges_on_both_routes(monkeypatch, n_lo,
+                                                       trips):
+    """At ω_a = 4, γ = 0.15, α = 20 on levels n_lo to 560 (the rule would
+    start at level 4), both edges hold population over a jump period:
+    ~3e-11 at the top and from 6e-11 (n_lo = 260) to 1e-5 (n_lo = 300)
+    at the bottom (dense reference).  Both routes, evolve_joint and
+    evolve_charge, hand the guard the same bounds, each at least its
+    edge's population at every sample; the guard passes at n_lo = 260
+    and trips the bottom edge at n_lo = 300 on both routes."""
+    from lcdeco import decoherence
+    from lcdeco.circuit import params_from_dimensionless
+    from lcdeco.decoherence import evolve_charge, evolve_joint
+    from lcdeco.fock import _edge_bounds
+    from lcdeco.hamiltonians import build_full_hamiltonian
+
+    m = params_from_dimensionless(4.0, 0.45)
+    dim, alpha = 560, 20.0
+    levels = dim - n_lo
+    H = build_full_hamiltonian(m, dim, n_lo)
+    psi = joint_state(1.0, 1.0, coherent_state(alpha, dim)[n_lo:])
+    ts = np.linspace(0.0, math.pi / m.Omega, 41)
+    states = dense_evolution(H, psi, ts)
+    populations = {edge: np.max(edge_population(states, lo, hi))
+                   for edge, (lo, hi) in _edges(levels, n_lo).items()}
+    assert min(populations.values()) > 1e-11
+    seen = []
+    guard = decoherence.assert_leakage
+
+    def recording(sectors, pruned, n_lo):
+        seen.append(dict(_edge_bounds(sectors, pruned, n_lo, levels)))
+        return guard(sectors, pruned, n_lo)
+
+    monkeypatch.setattr(decoherence, "assert_leakage", recording)
+    outcomes = []
+    for run in (lambda: evolve_joint(H, psi, ts, lambda block: block[0],
+                                     n_lo),
+                lambda: evolve_charge(H, psi, ts, m.theta, n_lo)):
+        try:
+            run()
+            outcomes.append(False)
+        except TruncationError as err:
+            assert err.args[0].startswith("leakage guard tripped: bottom-")
+            outcomes.append(True)
+    assert outcomes == [trips, trips]
+    assert len(seen) == 2 and seen[0] == seen[1]
+    for edge, population in populations.items():
+        assert population <= seen[0][edge]
 
 
 def test_coherent_state_from_n_lo_is_the_full_state_cut():
@@ -931,11 +1040,9 @@ def test_evolve_joint_is_the_only_propagation():
     """No code in lcdeco builds a SpectralPropagator or calls the leakage
     guard except decoherence's two guarded entries, evolve_joint (states)
     and evolve_charge (line spectra), so every evolution is guarded by
-    the one guard; assert_leakage hands the guard's test to _leak_guard,
-    which both entries reach."""
-    names = {"SpectralPropagator", "assert_leakage", "_leak_guard"}
-    entries = {"decoherence.py": {"evolve_joint", "evolve_charge"},
-               "fock.py": {"assert_leakage"}}
+    the one guard, assert_leakage, which both entries call."""
+    names = {"SpectralPropagator", "assert_leakage"}
+    entries = {"decoherence.py": {"evolve_joint", "evolve_charge"}}
     found = []
     calls = {}
     for name in sorted(os.listdir(SRC)):
@@ -961,9 +1068,9 @@ def test_evolve_joint_is_the_only_propagation():
             else:
                 found.append("%s:%d %s" % (name, node.lineno, called))
     assert found == []
-    assert calls == {"evolve_joint": {"SpectralPropagator", "assert_leakage"},
-                     "evolve_charge": {"SpectralPropagator", "_leak_guard"},
-                     "assert_leakage": {"_leak_guard"}}
+    assert calls == {
+        "evolve_joint": {"SpectralPropagator", "assert_leakage"},
+        "evolve_charge": {"SpectralPropagator", "assert_leakage"}}
 
 
 # ---------------------------------------------------------------------------
@@ -1033,37 +1140,33 @@ def test_line_charge_matches_chunked_states(monkeypatch, samples):
     ts = np.arange(samples) * sampling_limit(m)
     monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
     states, _ = SpectralPropagator(H).evolve_grid(
-        psi, ts, lambda block, _: charge_occupation(block, m.theta))
+        psi, ts, lambda block: charge_occupation(block, m.theta))
     lines = evolve_charge(H, psi, ts, m.theta)
     assert lines.shape == states.shape == (samples,)
     assert np.max(np.abs(lines - states)) <= 2.0 * math.sqrt(PRUNE_TOL)
 
 
 @pytest.mark.parametrize("caller", GUARDED_CALLERS)
-def test_leakage_only_in_last_chunk_trips(monkeypatch, caller):
-    """The guard sees every sample: the shortest grid that trips it
-    reaches LEAK_TOL only at its last sample, and one sample less
-    passes.  That sample lies beyond the first 7: beyond the first chunk
-    of the two chunked callers, while current_numeric evaluates its
-    edge populations on the whole grid at once."""
-    from lcdeco import fock
+def test_leakage_after_the_grid_ends_trips(caller):
+    """The guard holds at every t, not only at the samples: on 3 samples
+    from t = 0 the full model's top LEAK_LEVELS levels hold less than
+    LEAK_TOL (dense reference), but within a quarter jump period they
+    hold more, and every guarded caller trips at the top edge."""
+    from lcdeco.hamiltonians import build_full_hamiltonian
     from lcdeco.observables import sampling_limit
 
-    m, callers = _stream_callers(40)
-    run = callers[caller]
-    ts = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    passed = 0
-    for n in range(3, len(ts) + 1):
-        try:
-            run(ts[:n])
-        except TruncationError:
-            break
-        passed = n
-    else:
-        pytest.fail("the regime never reached the leakage tolerance")
-    # sample index `passed` trips; index 7 opens the second chunk
-    assert passed >= 7
+    dim = 40
+    m, callers = _stream_callers(dim)
+    ts = np.arange(3) * sampling_limit(m)
+    later = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
+    psi = joint_state(1.0, 1.0, coherent_state(3.0, dim))
+    top = [np.max(edge_population(dense_evolution(
+        build_full_hamiltonian(m, dim), psi, grid), dim - LEAK_LEVELS, dim))
+        for grid in (ts, later)]
+    assert top[0] < LEAK_TOL <= top[1]
+    with pytest.raises(TruncationError, match="top-") as err:
+        callers[caller](ts)
+    assert err.value.suggested_dim == 2 * dim
 
 
 def test_streamed_current_holds_no_state_grid():
@@ -1119,10 +1222,10 @@ def two_blas_threads():
 
 def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
                                                           monkeypatch):
-    """Inside hermitian_eig's eigensolver, inside evolve_grid's reduction
-    and around each sector pair's products of the line spectrum
-    (SpectralPropagator.lines) every found library reports one thread;
-    afterwards each reports its count from before."""
+    """Inside hermitian_eig's eigensolver, inside evolve_grid's reduction,
+    inside both routes' guard and around each sector pair's products of
+    the line spectrum (SpectralPropagator.lines) every found library
+    reports one thread; afterwards each reports its count from before."""
     from lcdeco import fock
 
     solver = fock._dstevd()
@@ -1133,9 +1236,12 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
         seen.append(("eigh", _blas_threads()))
         return solver(diag, offdiag, compute_v=compute_v)
 
-    def reduce(block, _):
+    def reduce(block):
         seen.append(("reduce", _blas_threads()))
         return block
+
+    def guard(sectors, pruned):
+        seen.append(("guard", _blas_threads()))
 
     def spied_pair_lines(*args):
         seen.append(("lines", _blas_threads()))
@@ -1147,10 +1253,11 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
     monkeypatch.setattr(fock, "_pair_lines", spied_pair_lines)
     _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
     P = SpectralPropagator(H)
-    P.evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce)
-    P.lines(psi, [([np.ones(40)] * 2, True)])
+    P.evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce, guard)
+    P.lines(psi, [np.ones(40)] * 2, guard)
     ones = [1] * len(two_blas_threads)
-    assert seen == ([("eigh", ones)] * 2 + [("reduce", ones)]
+    assert seen == ([("eigh", ones)] * 2 + [("guard", ones), ("reduce", ones),
+                                            ("guard", ones)]
                     + [("lines", ones)] * 6)
     assert _blas_threads() == two_blas_threads
 

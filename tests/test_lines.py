@@ -1,6 +1,5 @@
 """P_c(t) from its line spectrum: the Taylor-expanded FFT evaluator, the
-lines against dense evolution, the dropped lines' weight, and the edge
-populations the leakage guard reads from the lines."""
+lines against dense evolution, and the dropped lines' weight."""
 
 import math
 
@@ -9,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_ref import dense
-from lcdeco import decoherence, fock
+from dense_ref import dense_evolution
+from lcdeco import fock
 from lcdeco.circuit import params_from_dimensionless
-from lcdeco.decoherence import evolve_charge, evolve_joint
-from lcdeco.errors import TruncationError
+from lcdeco.decoherence import evolve_charge
 from lcdeco.fock import (PRUNE_TOL, SpectralPropagator, _line_sums,
                          _poisson_reach, coherent_state, joint_state)
 from lcdeco.hamiltonians import build_full_hamiltonian
@@ -75,9 +73,7 @@ def _stretch(m):
 
 def _dense_charge(H, psi, ts, theta):
     """P_c at ts of psi evolved by the dense eigendecomposition of H."""
-    w, V = np.linalg.eigh(dense(H))
-    states = V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
-    return charge_occupation(states, theta)
+    return charge_occupation(dense_evolution(H, psi, ts), theta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +126,7 @@ def test_dropped_lines_weigh_at_most_their_budget(monkeypatch):
     levels = H.size // 2
     charge = [np.where(s.index < levels, math.sin(0.5 * theta),
                        math.cos(0.5 * theta)) for s in H.sectors]
-    (lines,), _ = SpectralPropagator(H).lines(psi, [(charge, True)])
+    lines = SpectralPropagator(H).lines(psi, charge)
     assert len(left_out) == 3          # the pairs AA, AB and BB
     exact = sum(s for s, _, _ in left_out)
     assert exact > 0.0
@@ -151,57 +147,6 @@ def test_evolve_charge_needs_one_row_per_level():
                               Sector([1, 2], [0.0, 1.0], [0.5])])
     with pytest.raises(ValueError, match="one row per level"):
         evolve_charge(H, np.eye(4)[0], [0.0, 0.1, 0.2], 1.0)
-
-
-def _recorded_guards(monkeypatch):
-    """The edge bounds every later leakage-guard test gets, from either
-    route, before the guard tests them."""
-    seen = []
-    guard = fock._leak_guard
-
-    def recording(leaks, pruned, n_lo, levels):
-        seen.append(list(leaks))
-        return guard(leaks, pruned, n_lo, levels)
-
-    monkeypatch.setattr(fock, "_leak_guard", recording)
-    monkeypatch.setattr(decoherence, "_leak_guard", recording)
-    return seen
-
-
-@pytest.mark.parametrize("n_lo, trips", [(260, False), (300, True)])
-def test_edge_populations_from_lines_match_the_states(monkeypatch, n_lo,
-                                                      trips):
-    """At ω_a = 4, γ = 0.15, α = 20 on levels n_lo to 560 (the rule would
-    start at level 4), both edges hold population: ~3e-11 at the top and
-    from 6e-11 (n_lo = 260) to 1e-5 (n_lo = 300) at the bottom.  The
-    edge bounds the line route hands the guard are at least the edge
-    populations of evolve_grid's states (assert_leakage, one chunk) and
-    at most 3·√PRUNE_TOL above them; the guard passes at n_lo = 260 and
-    trips the bottom edge at n_lo = 300 on both routes."""
-    m = params_from_dimensionless(4.0, 0.45)
-    dim, alpha = 560, 20.0
-    H = build_full_hamiltonian(m, dim, n_lo)
-    psi = joint_state(math.sqrt(0.5), math.sqrt(0.5),
-                      coherent_state(alpha, dim, 0)[n_lo:])
-    psi /= np.linalg.norm(psi)
-    ts = np.linspace(0.0, math.pi / m.Omega, 41)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", len(ts))
-    seen = _recorded_guards(monkeypatch)
-    outcomes = []
-    for run in (lambda: evolve_joint(H, psi, ts, lambda block: block[0],
-                                     n_lo),
-                lambda: evolve_charge(H, psi, ts, m.theta, n_lo)):
-        try:
-            run()
-            outcomes.append(False)
-        except TruncationError as err:
-            assert err.args[0].startswith("leakage guard tripped: bottom-")
-            outcomes.append(True)
-    assert outcomes == [trips, trips]
-    states, lines = seen
-    assert len(lines) == 2 and min(states) > 1e-11
-    for s, line in zip(states, lines):
-        assert s - 1e-15 <= line <= s + 3.0 * math.sqrt(PRUNE_TOL)
 
 
 def test_off_grid_times_take_the_states(monkeypatch):
