@@ -3,6 +3,11 @@
 Output bytes are a pure function of the data passed in: floats are
 printed with 17 significant digits (exact round-trip), newlines are
 always "\\n", and nothing here reads clocks or global state.
+
+A table is not formatted value by value: emit_csv picks one format per
+column from the kinds of its cells and prints each row with one format
+string, and emit_svg maps each trace to pixels with numpy and prints
+its points with one format per point.
 """
 
 import csv
@@ -10,6 +15,8 @@ import hashlib
 import io
 import json
 import math
+
+import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -19,14 +26,21 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
+def _spec(kind):
+    """The format of a cell of type `kind`: a float (numpy's float64
+    too) at 17 significant digits, an int in decimal (a bool as 1 or 0),
+    and None for text: anything else, printed as its str."""
+    if issubclass(kind, float):
+        return "%.17g"
+    if issubclass(kind, int):
+        return "%d"
+    return None
+
+
 def _cell(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    return _quote(str(value))
+    """One cell's text: by _spec, text quoted where it needs to be."""
+    spec = _spec(type(value))
+    return _quote(str(value)) if spec is None else spec % value
 
 
 def _quote(text):
@@ -38,14 +52,43 @@ def _quote(text):
 # ---------------------------------------------------------------------------
 # CSV
 
+def _row_format(columns):
+    """(format, columns): the row format string of a table given by
+    column, and the columns to fill it with.  A column of one numeric
+    spec (_spec) gets that spec and is passed on as it is; a column of
+    text gets %s and its cells quoted, and one that mixes kinds gets %s
+    and each cell's own text (_cell)."""
+    specs = []
+    filled = []
+    for values in columns:
+        kinds = {_spec(kind) for kind in set(map(type, values))}
+        if len(kinds) > 1:
+            spec, values = "%s", list(map(_cell, values))
+        elif None in kinds:
+            spec, values = "%s", list(map(_quote, map(str, values)))
+        else:
+            spec = kinds.pop()
+        specs.append(spec)
+        filled.append(values)
+    return ",".join(specs), filled
+
+
 def emit_csv(path, columns, rows, meta=None):
     """Write a CSV with an optional '#'-prefixed metadata comment block.
+
+    rows is a sequence of rows of one cell per column.  Each column's
+    cells are printed by their kind (_spec, _cell), through one row
+    format for the whole table (_row_format).
 
     meta: ordered (key, value) pairs rendered as '# key = value' (strings
     verbatim, numbers as data cells).  A file read back with read_csv is
     re-emitted byte for byte by splitting each of its meta lines back
     into a pair at the first ' = '.
     """
+    if set(map(len, rows)) - {len(columns)}:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(columns))
+        raise ValueError("row %d has %d cells, the header %d"
+                         % (i, len(rows[i]), len(columns)))
     out = []
     if meta is not None:
         for key, value in meta:
@@ -53,8 +96,8 @@ def emit_csv(path, columns, rows, meta=None):
                                       if not isinstance(value, str)
                                       else value))
     out.append(",".join(_quote(str(c)) for c in columns))
-    for row in rows:
-        out.append(",".join(_cell(v) for v in row))
+    fmt, filled = _row_format(zip(*rows))
+    out.extend(map(fmt.__mod__, zip(*filled)))
     data = "\n".join(out) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
@@ -114,24 +157,31 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
 
     Purely geometric output — fixed palette, fixed layout, coordinates
     rounded to 0.01 px — so the same data always yields the same bytes.
+    x and every series must be non-empty, finite and of one length, or
+    ValueError names what is not.
     """
     if len(series) == 0 or len(series) != len(labels):
         raise ValueError("need one label per series")
-    xs = [float(v) for v in x]
-    if any(not math.isfinite(v) for v in xs):
+    xs = np.asarray(x, dtype=float)
+    if not len(xs):
+        raise ValueError("x is empty: no point to plot")
+    if not np.all(np.isfinite(xs)):
         raise ValueError("non-finite x values")
     ys_all = []
-    for s in series:
-        ys = [float(v) for v in s]
+    for s, label in zip(series, labels):
+        ys = np.asarray(s, dtype=float)
+        if not len(ys):
+            raise ValueError("series %r is empty: no point to plot"
+                             % (str(label),))
         if len(ys) != len(xs):
             raise ValueError("series length %d != x length %d"
                              % (len(ys), len(xs)))
-        if any(not math.isfinite(v) for v in ys):
+        if not np.all(np.isfinite(ys)):
             raise ValueError("non-finite series values")
         ys_all.append(ys)
-    xlo, xhi = min(xs), max(xs)
-    ylo = min(min(ys) for ys in ys_all)
-    yhi = max(max(ys) for ys in ys_all)
+    xlo, xhi = float(xs.min()), float(xs.max())
+    ylo = min(float(ys.min()) for ys in ys_all)
+    yhi = max(float(ys.max()) for ys in ys_all)
     if xhi == xlo:
         xlo, xhi = xlo - 1.0, xhi + 1.0
     if yhi == ylo:
@@ -144,6 +194,8 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
     pw = width - left - right
     ph = height - top - bottom
 
+    # pixel coordinates of a value or an array of them: numpy applies
+    # the same IEEE operations in the same order to each element
     def px(v):
         return left + (v - xlo) / (xhi - xlo) * pw
 
@@ -174,10 +226,11 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
                  '</text>' % (left - 6, ypix + 4, _tick_label(tv)))
     e.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
              'stroke="#333333" stroke-width="1"/>' % (left, top, pw, ph))
+    xpix_all = px(xs).tolist()
     for i, ys in enumerate(ys_all):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join("%.2f,%.2f" % (px(xv), py(yv))
-                       for xv, yv in zip(xs, ys))
+        pts = " ".join(map("%.2f,%.2f".__mod__,
+                           zip(xpix_all, py(ys).tolist())))
         e.append('<polyline points="%s" fill="none" stroke="%s" '
                  'stroke-width="1.5"/>' % (pts, color))
     if title:

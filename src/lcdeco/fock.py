@@ -32,7 +32,10 @@ The band-cut state reaches its callers by one of two routes:
   current's P_c, is a sum of lines C_p·e^{iΔ_p t}, built once from the
   tiles' bands, and _line_sums evaluates them on a uniform grid by a
   Taylor-expanded FFT oversampled LINE_OVERSAMPLE times.  Lines whose
-  |C| sum to at most √PRUNE_TOL of the state's weight are left out.
+  |C| sum to at most √PRUNE_TOL of the state's weight are left out; a
+  sector's own form is one line, the mid-range of its squared weights
+  times its norm, plus an imbalance part left out whole when its bound
+  fits that budget.
 Both routes hand the state's eigencomponents, once per call, to the
 leakage guard (assert_leakage), which bounds each edge's population at
 every t from them alone, whatever the time grid.
@@ -506,10 +509,11 @@ class SpectralPropagator:
     while its cut is chosen, whatever the number of samples.  `lines`
     builds no state at all: it turns a quadratic form of the same
     band-cut state into a line spectrum, from one real matrix per sector
-    pair summed over the same tiles and bands (_pair_lines), for
-    _line_sums to evaluate on a uniform grid; its memory is a few
-    sector-sized matrices and the kept lines, whatever the number of
-    samples.
+    pair summed over the same tiles and bands (_pair_lines), a sector
+    with itself as a trace line plus, unless its bound fits the budget,
+    an imbalance matrix (_form_lines), for _line_sums to evaluate on a
+    uniform grid; its memory is a few sector-sized matrices and the kept
+    lines, whatever the number of samples.
 
     evolve_grid phases each chunk at its own times, c·e^{−iwt} over the
     span of the tiles' bands (_phases), on any grid.
@@ -626,11 +630,16 @@ class SpectralPropagator:
         sector's rows of the state evolve_grid builds.  Since
         ψ_S = Q_S·(c_S·e^{−iw_S t}), band by band, the value is
         Re Σ_p C_p·e^{iΔ_p t}, a line p for each pair of components,
-        built sector pair by sector pair (_pair_lines): C complex,
-        Δ = w_j − w'_k, and `dropped` a bound on the summed |C| of the
+        built sector pair by sector pair: C complex, Δ = w_j − w'_k.
+        Two sectors' cross form comes from _pair_lines.  A sector's own
+        form comes from _form_lines, split as trace plus imbalance: one
+        line at Δ = 0 for the mid-range of its squared weights, and the
+        lines of the rest or, when their bound fits the pair's budget,
+        that bound in their place.  `dropped` bounds the summed |C| of the
         lines left out, at most √PRUNE_TOL·‖psi‖² split evenly over the
         sector pairs, so at every t the kept lines are within `dropped`
-        of the value.  guard(sectors, pruned), when given, gets
+        of the value, its trace parts taken over the span's components
+        uncut (see _form_lines).  guard(sectors, pruned), when given, gets
         _banded's components and dropped weight once, before any line is
         built (see assert_leakage).  The call runs on one BLAS thread
         (_one_blas_thread).
@@ -641,17 +650,46 @@ class SpectralPropagator:
         budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
         n = len(banded)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        parts = [_pair_lines(banded[i], banded[j], weights[i] * weights[j],
-                             budget / len(pairs))
+        share = budget / len(pairs)
+        parts = [_form_lines(banded[i], weights[i] ** 2, share) if i == j
+                 else _pair_lines(banded[i], banded[j],
+                                  weights[i] * weights[j], share)
                  for i, j in pairs]
         return (np.concatenate([C for C, _, _ in parts]),
                 np.concatenate([d for _, d, _ in parts]),
                 sum(dropped for _, _, dropped in parts))
 
 
+def _form_lines(sector, squares, budget):
+    """(C, Δ, dropped): the lines of ψᴴ·diag(squares)·ψ(t) for one
+    sector as _banded gives it, split as trace plus imbalance.
+
+    With a = (max + min)/2 of `squares` and d = squares − a, the a-part
+    is a·‖ψ(t)‖² = a·Σ_j |c_j|² at every t: one line at Δ = 0, over the
+    span's components uncut; the band-cut state's a·‖ψ(t)‖² differs from
+    it by at most a·(2‖c‖√pruned + pruned), within the band cut's own
+    error.
+
+    The d-part's lines have summed |C| of at most δ·(Σ_j |c_j|)², δ the
+    largest |d_r|, since |Σ_r d_r·Q_rj·Q_rk| ≤ δ for Q's unit columns:
+    when that fits in `budget` the d-part is left out and `dropped` is
+    that bound, else its lines come from _pair_lines with weights d.
+    """
+    _, _, _, c, _ = sector
+    a = 0.5 * (float(np.max(squares)) + float(np.min(squares)))
+    d = squares - a
+    bound = float(np.max(np.abs(d))) * float(np.sum(np.abs(c))) ** 2
+    trace = np.array([a * float(np.vdot(c, c).real)], dtype=complex)
+    if bound <= budget:
+        return trace, np.zeros(1), bound
+    C, delta, dropped = _pair_lines(sector, sector, d, budget)
+    return np.concatenate([trace, C]), np.concatenate([[0.0], delta]), dropped
+
+
 def _pair_lines(one, two, weights, budget):
     """(C, Δ, dropped): the lines of 2·Re ψ_oneᴴ·diag(weights)·ψ_two(t),
-    or of ‖diag(√weights)·ψ_one(t)‖² when `one` is `two`, for two
+    or of ψ_oneᴴ·diag(weights)·ψ_one(t) when `one` is `two` (the
+    imbalance part of _form_lines, its weights of either sign), for two
     sectors as _banded gives them, rows paired position by position.
 
     The form's matrix between the components, M_jk = Σ_r weights_r·

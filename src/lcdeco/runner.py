@@ -109,8 +109,10 @@ def _with_status(checks):
 
 # ---------------------------------------------------------------------------
 # scenarios: (cfg, m, time_scale, current_scale) → (tables, plots, checks,
-# echo).  A table is (file name, columns, rows, extra meta rows); a plot is
-# emit_svg's arguments (file name, x, series, labels, title, xlabel, ylabel).
+# echo).  A table is (file name, columns, rows, extra meta rows), a column
+# of floats handed over as Python floats (ndarray.tolist), not as numpy
+# scalars; a plot is emit_svg's arguments (file name, x, series, labels,
+# title, xlabel, ylabel).
 
 def _run_fig2(cfg, m, time_scale, _current_scale):
     ts = _time_grid(cfg, m, 1.0, time_scale)
@@ -130,7 +132,7 @@ def _run_fig2(cfg, m, time_scale, _current_scale):
         d_min = jump_metrics(m, alpha).d_min
         echo["d_min"][alpha_tag(alpha)] = d_min
         tables.append(("fig2_alpha%s.csv" % alpha_tag(alpha), columns,
-                       list(zip(*data)),
+                       list(zip(*(d.tolist() for d in data))),
                        [("alpha", alpha), ("dim", cfg.dim),
                         ("samples", cfg.samples), ("d_min", d_min),
                         ("t_unit", _t_unit(cfg))]))
@@ -158,7 +160,7 @@ def _run_fig4(cfg, m, time_scale, current_scale):
     currents = [i_analytic * current_scale, i_numeric * current_scale,
                 i_uncoupled * current_scale]
     tables = [("fig4.csv", ["t", "I_analytic", "I_numeric", "I_uncoupled"],
-               list(zip(t, *currents)),
+               list(zip(t.tolist(), *(c.tolist() for c in currents))),
                [("alpha", alpha), ("dim", cfg.dim), ("samples", cfg.samples),
                 ("current_unit", unit), ("t_unit", _t_unit(cfg))])]
     plots = [("fig4.svg", t, currents, ["analytic", "numeric", "uncoupled"],

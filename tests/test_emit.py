@@ -1,9 +1,67 @@
-"""CSV/SVG emission: byte determinism, round-trips, quoting."""
+"""CSV/SVG emission: byte determinism, round-trips, quoting, and the
+goldens of literal inputs."""
+
+import os
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdeco.emit import (_nice_ticks, emit_csv, emit_svg, format_float,
                          read_csv, sha256_file, sha256_text)
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# The literal inputs of tests/data/emit_golden.csv and emit_golden.svg,
+# which the per-cell emitters wrote (each value converted and formatted
+# on its own): floats as hex literals, so the inputs are the same bits on
+# every platform.  Each kind of cell the emitters take has a column of
+# its own, and "mixed" mixes the kinds in one column.
+NEG_ZERO = float.fromhex("-0x0p+0")
+TINY = float.fromhex("0x0.0000000000001p-1022")       # 5e-324
+HUGE = float.fromhex("0x1.fffffffffffffp+1023")       # 1.7976931348623157e308
+TENTH = float.fromhex("0x1.999999999999ap-4")         # 0.1
+THIRD = float.fromhex("0x1.5555555555555p-2")         # 1/3
+GOLDEN_CSV_META = [("tool", "lcdeco golden"), ("note", 'a, "quoted" = b'),
+                   ("int", 7), ("flag", True), ("float", THIRD),
+                   ("np_int", np.int64(-3)), ("np_float", np.float64(TENTH))]
+GOLDEN_CSV_COLUMNS = ["float", "np_float", "int", "bool", "np_int", "text",
+                      "mixed", 'head,"quoted"']
+GOLDEN_CSV_ROWS = [
+    (NEG_ZERO, np.float64(TINY), 0, True, np.int64(-9), "plain", 1, "x"),
+    (TINY, np.float64(-HUGE), -12, False, np.int32(7), "comma,inside",
+     THIRD, "y"),
+    (HUGE, np.float64(NEG_ZERO), 2 ** 70, True, np.uint8(255),
+     'quote"inside', False, "z"),
+    (TENTH, np.float64(float("nan")), 1, False, np.int64(0), "line\nbreak",
+     np.int64(4), "w"),
+    (THIRD, np.float64(float("inf")), -1, True, np.int64(2 ** 62), "",
+     np.float64(-TENTH), "v"),
+    (float("nan"), np.float64(THIRD), 3, False, np.int16(-1), "tab\there",
+     "text, too", "u"),
+    (float("inf"), np.float64(TENTH), 4, True, np.int64(5), "-0.0",
+     float("-inf"), "t"),
+    (float("-inf"), np.float64(1.0), 5, False, np.int64(6), "1e5", True,
+     "s"),
+]
+GOLDEN_SVG_X = [NEG_ZERO, TENTH, THIRD, 0.5, 1.0, 2.0]
+GOLDEN_SVG_SERIES = [
+    [TENTH, -THIRD, 0.25, TINY, -1.0, 0.75],
+    np.array([0.0, 0.5, -0.5, THIRD, 1.0 + TENTH, NEG_ZERO]),
+    [np.float64(2.0), 1.5, 1.0, 0.5, 0.0, -0.5],
+]
+GOLDEN_SVG_LABELS = ["a<b&c", "numpy", 3]
+GOLDEN_SVG_TEXT = {"title": "golden <plot> & such", "xlabel": "t [1/omega]",
+                   "ylabel": "value"}
+
+
+def write_goldens(csv_path, svg_path):
+    """Write the two goldens' files from their literal inputs."""
+    emit_csv(csv_path, GOLDEN_CSV_COLUMNS, GOLDEN_CSV_ROWS,
+             meta=GOLDEN_CSV_META)
+    emit_svg(svg_path, GOLDEN_SVG_X, GOLDEN_SVG_SERIES, GOLDEN_SVG_LABELS,
+             **GOLDEN_SVG_TEXT)
 
 
 def test_three_point_csv_is_four_lines(tmp_path):
@@ -90,7 +148,6 @@ def test_svg_escapes_markup(tmp_path):
 
 
 def test_svg_rejects_bad_input(tmp_path):
-    import pytest
     with pytest.raises(ValueError):
         emit_svg(str(tmp_path / "bad.svg"), [0.0, 1.0], [[0.0]], ["short"])
     with pytest.raises(ValueError):
@@ -101,3 +158,45 @@ def test_svg_rejects_bad_input(tmp_path):
 def test_sha256_text_stable():
     assert sha256_text("abc") == \
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_emitters_reproduce_the_goldens_of_literal_inputs(tmp_path):
+    """Every kind of cell, quoting, the meta block and the SVG's geometry:
+    the bytes the per-cell emitters wrote from the same literal inputs."""
+    csv_path, svg_path = tmp_path / "g.csv", tmp_path / "g.svg"
+    write_goldens(str(csv_path), str(svg_path))
+    for name, path in (("emit_golden.csv", csv_path),
+                       ("emit_golden.svg", svg_path)):
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
+            assert path.read_bytes() == fh.read(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * width),
+    max_size=40)))
+def test_csv_of_float_tables_is_the_per_cell_rule(tmp_path_factory, rows):
+    """Each float of a table is written as format(float(v), ".17g"), one
+    row per line, whether handed over as Python floats or numpy's."""
+    width = len(rows[0]) if rows else 1
+    columns = ["c%d" % i for i in range(width)]
+    expected = "\n".join([",".join(columns)] + [
+        ",".join(format(float(v), ".17g") for v in row) for row in rows])
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    for table in (rows, [tuple(map(np.float64, row)) for row in rows]):
+        emit_csv(str(path), columns, table)
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
+def test_csv_rejects_rows_of_another_width(tmp_path):
+    with pytest.raises(ValueError, match="row 1 has 1 cells"):
+        emit_csv(str(tmp_path / "r.csv"), ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+def test_svg_refuses_an_empty_trace(tmp_path):
+    """An empty x or an empty series is refused up front, by name."""
+    path = str(tmp_path / "e.svg")
+    with pytest.raises(ValueError, match="x is empty"):
+        emit_svg(path, [], [[]], ["none"])
+    with pytest.raises(ValueError, match="series 'second' is empty"):
+        emit_svg(path, [0.0, 1.0], [[0.0, 1.0], []], ["first", "second"])

@@ -1254,7 +1254,9 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
     _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
     P = SpectralPropagator(H)
     P.evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce, guard)
-    P.lines(psi, [np.ones(40)] * 2, guard)
+    # weights whose squares differ row to row, so each sector's own form
+    # keeps its imbalance part and all three sector pairs multiply
+    P.lines(psi, [np.linspace(0.5, 1.0, 40)] * 2, guard)
     ones = [1] * len(two_blas_threads)
     assert seen == ([("eigh", ones)] * 2 + [("guard", ones), ("reduce", ones),
                                             ("guard", ones)]

@@ -172,3 +172,50 @@ def test_off_grid_times_take_the_states(monkeypatch):
     monkeypatch.setattr(observables, "evolve_charge", None)
     pc, _ = current_numeric(m, alpha, ts, dim)
     assert np.max(np.abs(pc - ref)) <= 1e-12
+
+
+def _same_sector_d_part(sector, squares):
+    """Σ_jk |c_j|·|M_jk|·|c_k| of the imbalance part of one sector's own
+    form, M = Qᵀ·diag(d)·Q over the span's components with every row,
+    no tile cut: the summed |C| of the lines that part would give."""
+    _, _, Q, c, _ = sector
+    d = squares - 0.5 * (np.max(squares) + np.min(squares))
+    M = Q.T @ (d[:, None] * Q)
+    return float(np.abs(c) @ np.abs(M) @ np.abs(c))
+
+
+def test_same_sector_forms_at_half_mixing_are_one_trace_line(monkeypatch):
+    """θ = π/2, α = 6 on 160 levels: each sector's own form is one line at
+    Δ = 0, since its squared weights sin²(π/4) and cos²(π/4) differ by an
+    ulp; `dropped` is at least the dense summed |C| of the imbalance
+    parts left out, and P_c still matches dense evolution to 1e-12."""
+    theta = math.pi / 2
+    m = params_from_dimensionless(8.0, 0.35, theta)
+    dim = 160
+    H = build_full_hamiltonian(m, dim)
+    psi = joint_state(0.6, 0.8j, coherent_state(6.0, dim))
+    levels = H.size // 2
+    charge = [np.where(s.index < levels, math.sin(0.5 * theta),
+                       math.cos(0.5 * theta)) for s in H.sectors]
+    forms = []
+    form_lines = fock._form_lines
+
+    def recording(sector, squares, budget):
+        out = form_lines(sector, squares, budget)
+        forms.append((sector, squares, out))
+        return out
+
+    monkeypatch.setattr(fock, "_form_lines", recording)
+    P = SpectralPropagator(H)
+    lines = P.lines(psi, charge)
+    assert len(forms) == 2
+    left_out = 0.0
+    for sector, squares, (C, delta, _) in forms:
+        assert len(C) == 1 and delta.tolist() == [0.0]
+        assert 0.0 < np.ptp(squares) < 4.0 * EPS
+        left_out += _same_sector_d_part(sector, squares)
+    assert 0.0 < left_out <= lines[2]
+    assert lines[2] <= math.sqrt(PRUNE_TOL) * np.vdot(psi, psi).real
+    ts = np.linspace(0.0, 3.0, 31)
+    got = evolve_charge(H, psi, ts, theta)
+    assert np.max(np.abs(got - _dense_charge(H, psi, ts, theta))) <= 1e-12
