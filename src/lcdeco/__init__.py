@@ -13,8 +13,8 @@ The working pieces:
   effective-model cross-check.
 * :mod:`lcdeco.decoherence` — closed-form decoherence factor with two
   independent oracles (Fock overlap, Gaussian moments).
-* :mod:`lcdeco.observables` — charge occupation, probe current
-  (analytic and numeric), spectral envelope metrics.
+* :mod:`lcdeco.observables` — probe current (analytic, and numeric from
+  the charge occupation's line spectrum), spectral envelope metrics.
 * :mod:`lcdeco.runner` / :mod:`lcdeco.cli` — scenario execution with
   deterministic CSV/SVG/manifest emission.
 """
@@ -31,9 +31,8 @@ from .fock import coherent_state
 from .hamiltonians import (SWReport, build_effective_hamiltonian,
                            build_full_hamiltonian, schrieffer_wolff_check,
                            squeeze_coefficients)
-from .observables import (EnvelopeMetrics, charge_occupation,
-                          current_analytic, current_numeric,
-                          envelope_metrics)
+from .observables import (EnvelopeMetrics, current_analytic,
+                          current_numeric, envelope_metrics)
 from .config import DeviceConfig, RunConfig, parse_config
 from .runner import run_scenario
 from .version import VERSION as __version__
@@ -43,8 +42,8 @@ __all__ = [
     "JumpMetrics", "ModelParams", "RegimeError", "RegimeReport",
     "RunConfig", "SWReport", "TruncationError",
     "build_effective_hamiltonian", "build_full_hamiltonian",
-    "charge_occupation", "circuit_from_kelvin", "coherent_state",
-    "current_analytic", "current_numeric", "decoherence_approx",
+    "circuit_from_kelvin", "coherent_state", "current_analytic",
+    "current_numeric", "decoherence_approx",
     "decoherence_exact", "decoherence_fock_oracle",
     "decoherence_gaussian_oracle", "derive_params", "envelope_metrics",
     "full_model_coherence", "jump_metrics", "model_params",

@@ -14,21 +14,22 @@ the simplified form.
   |α| = 2.
 
 All evaluators accept scalar or array t and return matching shape.
-Both Fock routes share evolve_joint; observables.current_numeric's P_c
-comes from evolve_charge, its line spectrum, on a uniform grid.  Both
-entries are guarded by the one leakage guard, fock.assert_leakage, which
-reads a bound that holds at every t from the state's eigencomponents,
-once per call.
+Every truncated-space evolution in the package goes through evolve_form:
+the Fock oracle's and the full model's coherence ρ_01, and
+observables.current_numeric's P_c, are each a quadratic form of the
+evolved state, summed from its line spectrum
+(fock.SpectralPropagator.evolve_grid), and guarded by the one leakage
+guard, fock.assert_leakage, which reads a bound that holds at every t
+from the state's eigencomponents, once per call.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import ModelParams
-from .fock import (PRUNE_TOL, Sector, SectorHamiltonian, SpectralPropagator,
-                   _line_sums, assert_leakage, coherent_state, joint_state)
+from .fock import (Sector, SectorHamiltonian, SpectralPropagator,
+                   assert_leakage, coherent_state, joint_state)
 from .hamiltonians import (build_effective_hamiltonian,
                            build_full_hamiltonian, evolution_coefficients,
                            lowest_level)
@@ -54,60 +55,39 @@ def decoherence_approx(m: ModelParams, alpha, t):
     return float(out) if out.ndim == 0 else out
 
 
-def evolve_joint(H, psi, ts, reduce, n_lo=0):
-    """reduce(block) of psi evolved under the joint-space H on the levels
-    from n_lo up to every t in ts, chunk by chunk
-    (SpectralPropagator.evolve_grid), leakage-guarded (assert_leakage)
-    at the top and, with n_lo > 0, the bottom levels, at every t, from
-    psi's eigencomponents before any state is built."""
+def evolve_form(H, psi, ts, form, n_lo=0):
+    """The value of `form` on psi evolved under the joint-space H on the
+    levels from n_lo up, at every t in ts (flattened), as a complex
+    array: Σ ψ_iᴴ·diag(w)·ψ_j(t) over the form's sector pairs (i, j, w)
+    of H (SpectralPropagator.evolve_grid), leakage-guarded
+    (assert_leakage) at the top and, with n_lo > 0, the bottom levels, at
+    every t, from psi's eigencomponents before any line is built."""
     return SpectralPropagator(H).evolve_grid(
-        psi, ts, reduce,
-        lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))[0]
+        psi, ts, form,
+        lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))
 
 
-def evolve_charge(H, psi, ts, theta, n_lo=0):
-    """P_c(t) = Σ_n |sin(θ/2)·ψ_{0,n} + cos(θ/2)·ψ_{1,n}|² of psi evolved
-    under the full H (hamiltonians.build_full_hamiltonian) on the levels
-    from n_lo up, at the uniform grid t0 + i·dt, i < len(ts), with t0 and
-    dt ts's first time and mean step; leakage-guarded (assert_leakage)
-    at the top and, with n_lo > 0, the bottom levels, at every t, from
-    psi's eigencomponents before any line is built, as evolve_joint is.
-
-    Nothing is evolved state by state: P_c is a quadratic form of psi's
-    eigencomponents, evaluated from its line spectrum
-    (SpectralPropagator.lines) by one Taylor-expanded FFT pass
-    (fock._line_sums).  Each of H's sectors must hold one row of each
+def level_masks(H):
+    """One array per sector of the joint-space H, 1.0 on its qubit-0 rows
+    and 0.0 on its qubit-1 rows.  Each sector must hold one row of each
     level, in level order, as the full H's parity sectors do, so that
-    their rows pair up level by level; any other H raises ValueError.
-    """
+    their rows pair up level by level in a form; any other H raises
+    ValueError."""
     levels = H.size // 2
+    masks = []
     for s in H.sectors:
         if not np.array_equal(s.index % levels, np.arange(levels)):
-            raise ValueError("evolve_charge needs sectors of one row per "
-                             "level, in level order")
-    half = 0.5 * theta
-    charge = [np.where(s.index < levels, math.sin(half), math.cos(half))
-              for s in H.sectors]
-    ts = np.asarray(ts, dtype=float).ravel()
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("evolution times must be finite")
-    C, delta, _ = SpectralPropagator(H).lines(
-        psi, charge,
-        lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))
-    n = len(ts)
-    dt = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
-    budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
-    values, _ = _line_sums([(C, delta)], ts[0] if n else 0.0, dt, n, budget)
-    return values[0].real
+            raise ValueError("a form over the full H needs sectors of one "
+                             "row per level, in level order")
+        masks.append((s.index < levels).astype(float))
+    return masks
 
 
-def _coherence(H, psi, t, weight, n_lo):
+def _coherence(H, psi, t, form, weight, n_lo):
     """|ρ_01(t)| / weight of psi evolved under H on the levels from n_lo
-    up, in t's shape; float for scalar t."""
+    up, ρ_01 the value of `form`, in t's shape; float for scalar t."""
     t = np.asarray(t, dtype=float)
-    levels = H.size // 2
-    rho01 = evolve_joint(H, psi, t.ravel(), lambda block: np.sum(
-        block[:levels] * np.conj(block[levels:]), axis=0), n_lo)
+    rho01 = evolve_form(H, psi, t.ravel(), form, n_lo)
     out = (np.abs(rho01) / weight).reshape(t.shape)
     return float(out) if t.ndim == 0 else out
 
@@ -121,14 +101,19 @@ def decoherence_fock_oracle(m: ModelParams, alpha, t, dim):
     tridiagonal sectors on the levels from lowest_level(m, α) up, so
     |α| = 30 at dim = 1200 takes a fraction of a second.  Unnormalized,
     the guarded population at either edge is the sum of both branches'
-    own, never less than either.
+    own, never less than either.  ρ_01 = Σ_n ψ_{0,n}·ψ̄_{1,n} pairs each
+    parity sector of H₁ with the same one of H₀, row by row, with unit
+    weights.
     """
     n_lo = lowest_level(m, alpha)
     psi0 = coherent_state(alpha, dim, n_lo)
     h0, h1 = (build_effective_hamiltonian(k, m, dim, n_lo) for k in (0, 1))
     h = SectorHamiltonian(2 * h0.size, h0.sectors + tuple(
         Sector(s.index + h0.size, s.diag, s.offdiag) for s in h1.sectors))
-    return _coherence(h, np.concatenate([psi0, psi0]), t, 1.0, n_lo)
+    parities = len(h0.sectors)
+    form = [(parities + p, p, np.ones(len(s.index)))
+            for p, s in enumerate(h0.sectors)]
+    return _coherence(h, np.concatenate([psi0, psi0]), t, form, 1.0, n_lo)
 
 
 def decoherence_gaussian_oracle(m: ModelParams, alpha, t):
@@ -172,7 +157,10 @@ def full_model_coherence(m: ModelParams, c0, c1, alpha, t, dim):
 
     Evolves (c0|0⟩ + c1|1⟩)⊗|α⟩ exactly, on the levels from
     lowest_level(m, α) up, and returns |ρ_01(t)| / |c0·c1|, so 1 means
-    undamped coherence.
+    undamped coherence.  Level n's qubit-0 and qubit-1 rows lie in the
+    full H's two different parity sectors A and B, at one position, so
+    ρ_01 = Σ_n ψ_{0,n}·ψ̄_{1,n} is the form (B, A, m_A) + (A, B, m_B),
+    m_S the mask of sector S's qubit-0 rows (level_masks).
     """
     if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-9:
         raise ValueError("qubit weights must satisfy |c0|^2+|c1|^2 = 1")
@@ -180,7 +168,9 @@ def full_model_coherence(m: ModelParams, c0, c1, alpha, t, dim):
         raise ValueError("normalized coherence undefined for c0*c1 = 0")
     n_lo = lowest_level(m, alpha)
     psi = joint_state(c0, c1, coherent_state(alpha, dim, n_lo))
-    return _coherence(build_full_hamiltonian(m, dim, n_lo), psi, t,
+    H = build_full_hamiltonian(m, dim, n_lo)
+    mask_a, mask_b = level_masks(H)
+    return _coherence(H, psi, t, [(1, 0, mask_a), (0, 1, mask_b)],
                       abs(c0 * np.conj(c1)), n_lo)
 
 

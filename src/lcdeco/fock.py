@@ -21,31 +21,27 @@ the initial state's weight: each eigenvector of a chain is localized,
 so each tile of TILE_ROWS levels multiplies only the range of
 eigencomponents that reaches it (about a ninth of levels ×
 eigencomponents at fig4's α = 30), and a tile none reaches is zero.
-The band-cut state reaches its callers by one of two routes:
-- evolve_grid builds the states, streamed: the time grid is walked in
-  chunks of at most CHUNK_SAMPLES samples, and the caller's reduction
-  turns each chunk of states into its observable before the next chunk
-  is built, so memory per call is O(size·CHUNK_SAMPLES) plus the
-  eigenvectors, not size × samples; each chunk is phased e^{−iwt} at
-  its own times;
-- lines builds no state: a quadratic form of the state, the probe
-  current's P_c, is a sum of lines C_p·e^{iΔ_p t}, built once from the
-  tiles' bands, and _line_sums evaluates them on a uniform grid by a
-  Taylor-expanded FFT oversampled LINE_OVERSAMPLE times.  Lines whose
-  |C| sum to at most √PRUNE_TOL of the state's weight are left out; a
-  sector's own form is one line, the mid-range of its squared weights
-  times its norm, plus an imbalance part left out whole when its bound
-  fits that budget.
-Both routes hand the state's eigencomponents, once per call, to the
-leakage guard (assert_leakage), which bounds each edge's population at
-every t from them alone, whatever the time grid.
+The band-cut state reaches its callers only as the values of quadratic
+forms, never as states: SpectralPropagator.evolve_grid takes a form, a
+list of sector pairs standing for Σ ψ_iᴴ·diag(w)·ψ_j(t), and turns it
+into a sum of lines C_p·e^{iΔ_p t}, built once from the tiles' bands;
+_line_sums evaluates them, on a uniform grid by a Taylor-expanded FFT
+oversampled LINE_OVERSAMPLE times, on any other grid one time at a
+time.  Lines whose |C| sum to at most √PRUNE_TOL of the state's weight
+are left out; a sector's own form is one line, the mid-range of its
+weights times its norm, plus an imbalance part left out whole when its
+bound fits that budget.  The probe current's P_c and the qubit
+coherence ρ_01 are such forms.  evolve_grid hands the state's
+eigencomponents, once per call, to the leakage guard (assert_leakage),
+which bounds each edge's population at every t from them alone,
+whatever the time grid.
 hermitian_eig, the tridiagonal eigensolver of one sector, is the
 package's only eigensolver: the Schrieffer-Wolff check calls it on the
 full Hamiltonian's two sectors too.
 
-hermitian_eig, evolve_grid and lines (the caller's reduction and guard
-included) run with every OpenBLAS library in the process on one thread,
-and give each library its thread count back when they return or raise
+hermitian_eig and evolve_grid (the caller's guard included) run with
+every OpenBLAS library in the process on one thread, and give each
+library its thread count back when they return or raise
 (_one_blas_thread).  So their results are the same bits at any BLAS
 thread count the host sets, and fig4's probe current at α = 30 takes
 about a fifth less time than on two threads of two vCPUs.  Where no
@@ -92,24 +88,19 @@ LEAK_TOL = 1e-8
 # demand
 PRUNE_TOL = 1e-26
 
-# most time samples SpectralPropagator.evolve_grid builds at once: a
-# chunk of a joint space of 2·dim states is then 8·dim KiB of complex
-# states (9.8 MB at dim = 1200), whatever the grid's length
-CHUNK_SAMPLES = 256
-
 # frequencies of _line_sums' FFT grid per time sample: each line's
 # phase off the grid then stays within π/(2·LINE_OVERSAMPLE) over half the
 # time grid, and 14 to 18 Taylor orders reach the lines' budget; at fig4's
 # α = 30 an oversampling of 4 took 12 orders and was no faster
 LINE_OVERSAMPLE = 2
 
-# levels of a sector that share one range of eigencomponents in
-# evolve_grid's products and lines' sums (see _band_cut); at fig4's
-# α = 30, tiles of 16, 32 and 64 levels multiply 10, 11.5 and 15 % of
-# levels × eigencomponents, and current_numeric there took medians of
-# 37, 38 and 34 ms at 16 levels, 37, 33 and 33 at 32, and 37, 32 and 32
-# at 64 (three rounds of 15 interleaved calls, one OpenBLAS thread,
-# two-vCPU Xeon): no size is clearly fastest
+# levels of a sector that share one range of eigencomponents in a form's
+# lines (see _band_cut); at fig4's α = 30, tiles of 16, 32 and 64 levels
+# multiply 10, 11.5 and 15 % of levels × eigencomponents, and
+# current_numeric there took medians of 37, 38 and 34 ms at 16 levels,
+# 37, 33 and 33 at 32, and 37, 32 and 32 at 64 (three rounds of 15
+# interleaved calls, one OpenBLAS thread, two-vCPU Xeon): no size is
+# clearly fastest
 TILE_ROWS = 32
 
 
@@ -377,10 +368,10 @@ def assert_leakage(sectors, pruned, n_lo=0):
 
     `sectors` and `pruned` are a joint state's eigencomponents on the
     levels [n_lo, n_lo + levels) and the weight their band cut dropped,
-    as SpectralPropagator._banded gives them and evolve_grid and lines
-    hand them to their guard.  A top trip suggests twice the true top
-    level, 2·(n_lo + levels); a bottom trip suggests no dim, since no
-    larger truncation reaches down.
+    as SpectralPropagator._banded gives them and evolve_grid hands them
+    to its guard.  A top trip suggests twice the true top level,
+    2·(n_lo + levels); a bottom trip suggests no dim, since no larger
+    truncation reaches down.
     """
     levels = sum(len(index) for index, *_ in sectors) // 2
     worst = 0.0
@@ -489,34 +480,24 @@ class SpectralPropagator:
     H is a SectorHamiltonian; each sector is diagonalized with
     hermitian_eig, so the cost is O(n²) per sector instead of a dense
     O(n³) complex eigh.  A state is projected onto the real eigenvectors
-    Q once per call of evolve_grid or lines, giving components c
-    (_banded).  The propagator
-    makes one cut, the band (_band_cut): a budget of PRUNE_TOL of the
-    state's weight, split evenly over the sectors, gives each tile of
-    TILE_ROWS levels the range of components it multiplies, dropping on
-    either side the eigenvectors whose norms over the tile, |c_j| times
-    Q's, sum to its share; a tile no component reaches writes zeros.
-    The evolved state is then off by a norm of at most √PRUNE_TOL·‖ψ‖
-    at every t.  Both calls hand the components and the dropped weight
-    once to the caller's guard, if any, so the leakage guard
-    (assert_leakage) needs no projection of its own.
+    Q once per call of evolve_grid, giving components c (_banded).  The
+    propagator makes one cut, the band (_band_cut): a budget of
+    PRUNE_TOL of the state's weight, split evenly over the sectors, gives
+    each tile of TILE_ROWS levels the range of components it multiplies,
+    dropping on either side the eigenvectors whose norms over the tile,
+    |c_j| times Q's, sum to its share; a tile no component reaches is
+    zero.  The evolved state is then off by a norm of at most
+    √PRUNE_TOL·‖ψ‖ at every t.  evolve_grid hands the components and the
+    dropped weight once to the caller's guard, if any, so the leakage
+    guard (assert_leakage) needs no projection of its own.
 
-    The states are never held for the whole grid: evolve_grid builds
-    them CHUNK_SAMPLES samples at a time, each tile as its band of the
-    eigenvectors (a view, never a copy) × float view of the band's
-    complex phases, and hands each chunk to the caller's reduction.
-    Memory per call is O(size·CHUNK_SAMPLES), plus one sector's Q²
-    while its cut is chosen, whatever the number of samples.  `lines`
-    builds no state at all: it turns a quadratic form of the same
-    band-cut state into a line spectrum, from one real matrix per sector
-    pair summed over the same tiles and bands (_pair_lines), a sector
+    No state is ever built: evolve_grid turns a quadratic form of the
+    band-cut state into a line spectrum (_lines), from one real matrix
+    per sector pair summed over the tiles' bands (_pair_lines), a sector
     with itself as a trace line plus, unless its bound fits the budget,
-    an imbalance matrix (_form_lines), for _line_sums to evaluate on a
-    uniform grid; its memory is a few sector-sized matrices and the kept
-    lines, whatever the number of samples.
-
-    evolve_grid phases each chunk at its own times, c·e^{−iwt} over the
-    span of the tiles' bands (_phases), on any grid.
+    an imbalance matrix (_form_lines), and sums the lines at the times
+    asked for (_line_sums).  Its memory is a few sector-sized matrices
+    and the kept lines, whatever the number of samples.
 
     `eigenvalues` holds every sector's eigenvalues, sector by sector
     (ascending within each).
@@ -573,22 +554,38 @@ class SpectralPropagator:
         return banded, pruned
 
     @_one_blas_thread()
-    def evolve_grid(self, psi, ts, reduce, guard=None):
-        """(reduced, pruned): psi evolved to every t in ts and reduced
-        chunk by chunk, and the weight dropped from the evolution
-        (_banded).
+    def evolve_grid(self, psi, ts, form, guard=None):
+        """The value of one quadratic form of psi evolved, at every t in
+        ts (flattened), as a complex array.
 
-        ts must be finite; it is flattened and walked in chunks of at most
-        CHUNK_SAMPLES samples, an empty ts as one empty chunk.  For each
-        chunk, reduce(block) gets the (size, chunk) array of states, one
-        column per t, zero in the tiles no eigencomponent reaches, and
-        returns an array whose last axis runs over that chunk's samples;
-        `reduced` is those arrays joined along the last axis.
-        `lambda block: block` returns the states themselves.  Each chunk
-        is phased at its own times.  guard(sectors, pruned), when given,
-        gets _banded's components and dropped weight once, before any
-        state is built (see assert_leakage).  The call, reduce and guard
-        included, runs on one BLAS thread (_one_blas_thread).
+        `form` lists sector pairs (i, j, w), w a real weight for each row
+        of sector i, in chain order, and stands for the sum over them of
+        ψ_iᴴ·diag(w)·ψ_j(t), ψ_S(t) the sector's rows of the band-cut
+        state, the two sectors' rows paired position by position (so
+        they must have as many rows).  Since ψ_S = Q_S·(c_S·e^{−iw_S t}),
+        band by band, the value is Σ_p C_p·e^{iΔ_p t}, a line p for each
+        pair of components (_lines).  A pair of two sectors is complex,
+        and its lines give it whole (_pair_lines).  A sector paired with
+        itself is real, and its lines give it as their real part only
+        (_form_lines): a form with such a pair is read by its real part.
+        At every t the kept lines are within √PRUNE_TOL·‖psi‖² of the
+        band-cut state's value, and a uniform grid's sums within as much
+        again of the lines'.
+
+        ts must be finite.  A grid uniform to rounding, each time within
+        2·eps·max|t| of t0 + i·dt (t0 the first time, dt the mean step),
+        is summed in one Taylor-expanded FFT pass (_line_sums).  Any other
+        grid is summed one time at a time, each a one-sample _line_sums
+        call, which is the direct sum Σ_p C_p·e^{iΔ_p t}: its cost is
+        lines × samples.  The Fock oracle's ρ_01 has 1,345 lines at
+        fig2's α = 5 (dim 96) and 48,671 at α = 30 (dim 1200); each time
+        off a uniform grid took 0.08 and 1.6 ms there, against 1.1 and
+        16 ms for a whole uniform grid of 400 samples, eigensolves
+        included (one BLAS thread, two-vCPU Xeon).  Only tests and scalar
+        t pass such grids.  guard(sectors, pruned), when given, gets
+        _banded's components and dropped weight once, before any line is
+        built (see assert_leakage).  The call, guard included, runs on
+        one BLAS thread (_one_blas_thread).
         """
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
@@ -596,78 +593,43 @@ class SpectralPropagator:
         banded, pruned = self._banded(psi)
         if guard is not None:
             guard(banded, pruned)
-        results = []
-        # an empty grid still gets one, empty, chunk: reduce sets the shape
-        for lo in range(0, len(ts) or 1, CHUNK_SAMPLES):
-            chunk = ts[lo:lo + CHUNK_SAMPLES]
-            n = len(chunk)
-            block = np.empty((self.size, n), dtype=complex)
-            for rows, w, Q, c, tiles in banded:
-                phases = (c[:, None] * _phases(w, chunk)).view(float)
-                # (re, im) pairs of this sector's rows
-                out = np.empty((len(rows), 2 * n))
-                for tile, a, b in tiles:
-                    if a < b:
-                        np.matmul(Q[tile, a:b], phases[a:b], out=out[tile])
-                    else:
-                        out[tile] = 0.0
-                block[rows] = out.view(complex)
-                # freed before the next sector's are made, so one sector's
-                # phases and products are alive at a time, and none in reduce
-                del phases, out
-            results.append(reduce(block))
-        return np.concatenate(results, axis=-1), pruned
-
-    @_one_blas_thread()
-    def lines(self, psi, weights, guard=None):
-        """(C, Δ, dropped): the line spectrum of one quadratic form of psi
-        evolved.
-
-        `weights` holds one real array per sector with a weight for each
-        of its rows, in chain order.  The form's value at t is
-        ‖Σ_S diag(weights_S)·ψ_S(t)‖², the sectors' rows paired position
-        by position (so every sector must have as many rows), ψ_S(t) the
-        sector's rows of the state evolve_grid builds.  Since
-        ψ_S = Q_S·(c_S·e^{−iw_S t}), band by band, the value is
-        Re Σ_p C_p·e^{iΔ_p t}, a line p for each pair of components,
-        built sector pair by sector pair: C complex, Δ = w_j − w'_k.
-        Two sectors' cross form comes from _pair_lines.  A sector's own
-        form comes from _form_lines, split as trace plus imbalance: one
-        line at Δ = 0 for the mid-range of its squared weights, and the
-        lines of the rest or, when their bound fits the pair's budget,
-        that bound in their place.  `dropped` bounds the summed |C| of the
-        lines left out, at most √PRUNE_TOL·‖psi‖² split evenly over the
-        sector pairs, so at every t the kept lines are within `dropped`
-        of the value, its trace parts taken over the span's components
-        uncut (see _form_lines).  guard(sectors, pruned), when given, gets
-        _banded's components and dropped weight once, before any line is
-        built (see assert_leakage).  The call runs on one BLAS thread
-        (_one_blas_thread).
-        """
-        banded, pruned = self._banded(psi)
-        if guard is not None:
-            guard(banded, pruned)
         budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
-        n = len(banded)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        share = budget / len(pairs)
-        parts = [_form_lines(banded[i], weights[i] ** 2, share) if i == j
-                 else _pair_lines(banded[i], banded[j],
-                                  weights[i] * weights[j], share)
-                 for i, j in pairs]
-        return (np.concatenate([C for C, _, _ in parts]),
-                np.concatenate([d for _, d, _ in parts]),
-                sum(dropped for _, _, dropped in parts))
+        C, delta, _ = _lines(banded, form, budget)
+        n = len(ts)
+        t0 = ts[0] if n else 0.0
+        dt = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
+        off = np.abs(ts - (t0 + np.arange(n) * dt))
+        rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
+        if np.max(off, initial=0.0) <= rounding:
+            return _line_sums(C, delta, t0, dt, n, budget)[0]
+        return np.array([_line_sums(C, delta, t, 0.0, 1, budget)[0][0]
+                         for t in ts])
 
 
-def _form_lines(sector, squares, budget):
-    """(C, Δ, dropped): the lines of ψᴴ·diag(squares)·ψ(t) for one
-    sector as _banded gives it, split as trace plus imbalance.
+def _lines(sectors, form, budget):
+    """(C, Δ, dropped): the lines of a form, as evolve_grid takes it, of
+    the band-cut state whose sectors _banded gives, entry by entry:
+    _form_lines for a sector with itself, _pair_lines for two sectors,
+    each with an even share of `budget` for the lines it leaves out.
+    `dropped` bounds the summed |C| of all lines left out, at most
+    `budget`."""
+    share = budget / len(form)
+    parts = [_form_lines(sectors[i], w, share) if i == j
+             else _pair_lines(sectors[i], sectors[j], w, share)
+             for i, j, w in form]
+    return (np.concatenate([C for C, _, _ in parts]),
+            np.concatenate([d for _, d, _ in parts]),
+            sum(dropped for _, _, dropped in parts))
 
-    With a = (max + min)/2 of `squares` and d = squares − a, the a-part
+
+def _form_lines(sector, weights, budget):
+    """(C, Δ, dropped): lines whose real part is ψᴴ·diag(weights)·ψ(t)
+    for one sector as _banded gives it, split as trace plus imbalance.
+
+    With a = (max + min)/2 of `weights` and d = weights − a, the a-part
     is a·‖ψ(t)‖² = a·Σ_j |c_j|² at every t: one line at Δ = 0, over the
     span's components uncut; the band-cut state's a·‖ψ(t)‖² differs from
-    it by at most a·(2‖c‖√pruned + pruned), within the band cut's own
+    it by at most |a|·(2‖c‖√pruned + pruned), within the band cut's own
     error.
 
     The d-part's lines have summed |C| of at most δ·(Σ_j |c_j|)², δ the
@@ -676,8 +638,8 @@ def _form_lines(sector, squares, budget):
     that bound, else its lines come from _pair_lines with weights d.
     """
     _, _, _, c, _ = sector
-    a = 0.5 * (float(np.max(squares)) + float(np.min(squares)))
-    d = squares - a
+    a = 0.5 * (float(np.max(weights)) + float(np.min(weights)))
+    d = weights - a
     bound = float(np.max(np.abs(d))) * float(np.sum(np.abs(c))) ** 2
     trace = np.array([a * float(np.vdot(c, c).real)], dtype=complex)
     if bound <= budget:
@@ -687,18 +649,19 @@ def _form_lines(sector, squares, budget):
 
 
 def _pair_lines(one, two, weights, budget):
-    """(C, Δ, dropped): the lines of 2·Re ψ_oneᴴ·diag(weights)·ψ_two(t),
-    or of ψ_oneᴴ·diag(weights)·ψ_one(t) when `one` is `two` (the
-    imbalance part of _form_lines, its weights of either sign), for two
-    sectors as _banded gives them, rows paired position by position.
+    """(C, Δ, dropped): the lines of ψ_oneᴴ·diag(weights)·ψ_two(t) for two
+    sectors as _banded gives them, rows paired position by position; when
+    `one` is `two` (the imbalance part of _form_lines, its weights of
+    either sign), lines whose real part is that real form.
 
     The form's matrix between the components, M_jk = Σ_r weights_r·
     Q[r, j]·Q'[r, k], is summed tile by tile over the tiles' bands into
     one real accumulator over the components they reach, and each of its
-    entries is a line C = c̄_j·M_jk·c'_k at Δ = w_j − w'_k, doubled; of
-    one sector's symmetric M only the upper triangle is kept, its
-    diagonal not doubled.  The smallest lines whose |C| sum to at most
-    `budget` are left out (_prune), and `dropped` bounds that sum.
+    entries is a line C = c̄_j·M_jk·c'_k at Δ = w_j − w'_k.  Of one
+    sector's symmetric M only the upper triangle is kept, its entries off
+    the diagonal doubled, since each stands for itself and its conjugate
+    mirror.  The smallest lines whose |C| sum to at most `budget` are
+    left out (_prune), and `dropped` bounds that sum.
     """
     _, w1, Q1, c1, tiles1 = one
     _, w2, Q2, c2, tiles2 = two
@@ -712,12 +675,12 @@ def _pair_lines(one, two, weights, budget):
         return np.zeros(0, dtype=complex), np.zeros(0), 0.0
     j0, k0 = min(blk[1] for blk in blocks), min(blk[3] for blk in blocks)
     j1, k1 = max(blk[2] for blk in blocks), max(blk[4] for blk in blocks)
-    M = np.zeros((j1 - j0, k1 - k0))      # 2·M_jk, doubled exactly
+    M = np.zeros((j1 - j0, k1 - k0))
     for rows, a, b, a2, b2 in blocks:
         M[a - j0:b - j0, a2 - k0:b2 - k0] += (
-            (2.0 * weights[rows, None] * Q1[rows, a:b]).T @ Q2[rows, a2:b2])
+            (weights[rows, None] * Q1[rows, a:b]).T @ Q2[rows, a2:b2])
     if one is two:      # one sector's tiles: j0 = k0, and M is square
-        M = np.triu(M)
+        M = 2.0 * np.triu(M)
         M.ravel()[::len(M) + 1] *= 0.5
     c1, c2 = c1[j0:j1], c2[k0:k1]
     mag = np.abs(M)
@@ -752,11 +715,11 @@ def _prune(mag, budget):
             below + (float(run[cut - 1]) if cut else 0.0))
 
 
-def _line_sums(sets, t0, dt, n, budget):
-    """(values, tail): Σ_p C_p·e^{iΔ_p·t} at the n times t = t0 + i·dt for
-    each (C, Δ) in `sets`, as a (len(sets), n) complex array, and the
-    bound on each set's error from the expansion below, per unit of its
-    summed |C|.  A set without lines is zero and costs nothing.
+def _line_sums(C, delta, t0, dt, n, budget):
+    """(values, tail): Σ_p C_p·e^{iΔ_p·t} at the n times t = t0 + i·dt, as
+    a complex array of n values, and the bound on their error from the
+    expansion below, per unit of the summed |C|.  No lines sum to zero
+    and cost nothing.
 
     A type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14,
     1368 (1993)) in its Taylor-expanded form (Anderson & Dahleh, SIAM J.
@@ -768,33 +731,28 @@ def _line_sums(sets, t0, dt, n, budget):
 
     so each order l is one np.bincount of the weights
     C·e^{iΔt0 + iεh}·u^l into N' bins (k modulo N': exact, by
-    periodicity) and one inverse FFT, u = ε·max(h, 1), each set in bins
-    of its own along one FFT axis.  With |ε(i − h)| ≤ |u| ≤ x = max|u|
-    (at most π/(2·LINE_OVERSAMPLE) once n ≥ 2), the orders l ≤ L leave
-    an error of at most x^{L+1}/(L+1)! per unit of |C| (`tail`), and L
-    is the least with summed |C| × tail ≤ `budget`: 15 orders at fig4's
-    α = 30.  Rounding adds about eps·|Δ|·max|t| of phase per line.
+    periodicity) and one inverse FFT, u = ε·max(h, 1).  With
+    |ε(i − h)| ≤ |u| ≤ x = max|u| (at most π/(2·LINE_OVERSAMPLE) once
+    n ≥ 2), the orders l ≤ L leave an error of at most x^{L+1}/(L+1)!
+    per unit of |C| (`tail`), and L is the least with summed |C| × tail
+    ≤ `budget`: 15 orders at fig4's α = 30.  One sample (n = 1, dt = 0)
+    has ε = 0, so it takes order 0 alone: the direct sum.  Rounding adds
+    about eps·|Δ|·max|t| of phase per line.
     """
-    values = np.zeros((len(sets), n), dtype=complex)
-    live = [i for i, (c, _) in enumerate(sets) if len(c)]
-    if not live or not n:
-        return values, 0.0
+    if not len(C) or not n:
+        return np.zeros(n, dtype=complex), 0.0
     size = LINE_OVERSAMPLE * n
     mid = 0.5 * (n - 1)
     scale = max(mid, 1.0)
-    C = np.concatenate([sets[i][0] for i in live])
-    delta = np.concatenate([sets[i][1] for i in live])
     step = delta * dt
     k = np.rint(step * (size / (2.0 * math.pi)))
     eps = step - k * (2.0 * math.pi / size)
     weight = C * np.exp(1j * (delta * t0 + eps * mid))
     u = eps * scale
-    # (re, im) of bin b of set s at 2·(s·size + b) and the one after it
-    slot = np.repeat(np.arange(len(live)) * size,
-                     [len(sets[i][0]) for i in live])
-    pos = 2 * (slot + k.astype(np.int64) % size)
+    # (re, im) of bin b at 2·b and the one after it
+    pos = 2 * (k.astype(np.int64) % size)
     pos = np.stack([pos, pos + 1], axis=-1).ravel()
-    x = float(np.max(np.abs(u), initial=0.0))
+    x = float(np.max(np.abs(u)))
     total = float(np.sum(np.abs(C)))
     order, tail = 0, x
     while total * tail > budget:
@@ -802,34 +760,21 @@ def _line_sums(sets, t0, dt, n, budget):
         tail *= x / (order + 1)
     r = (np.arange(n) - mid) / scale
     power = np.ones(n, dtype=complex)
-    sums = np.zeros((len(live), n), dtype=complex)
+    sums = np.zeros(n, dtype=complex)
     for l in range(order + 1):
         if l:
             weight = weight * u
             power *= (1j / l) * r
-        grid = np.bincount(pos, weight.view(float),
-                           minlength=2 * len(live) * size)
-        sums += np.fft.ifft(grid.view(complex).reshape(len(live), size),
-                            norm="forward")[:, :n] * power
-    values[live] = sums
-    return values, tail
-
-
-def _phases(w, t):
-    """e^{−iwt} as a (len(w), len(t)) complex array, one cos and one sin
-    pass written in place."""
-    table = np.empty((len(w), len(t)), dtype=complex)
-    np.outer(w, -t, out=table.imag)
-    np.cos(table.imag, out=table.real)
-    np.sin(table.imag, out=table.imag)
-    return table
+        grid = np.bincount(pos, weight.view(float), minlength=2 * size)
+        sums += np.fft.ifft(grid.view(complex), norm="forward")[:n] * power
+    return sums, tail
 
 
 def _band_cut(Q, c, budget):
-    """(lo, hi, dropped): which entries of a sector's product
-    Q @ (c·phases) evolve_grid computes, Q levels × eigencomponents,
-    and so which entries of Q each tile brings to lines' sums (_banded
-    makes the one cut both routes share).
+    """(lo, hi, dropped): which entries of a sector's Q, levels ×
+    eigencomponents, each tile brings to a form's lines: the band-cut
+    state is the product Q @ (c·e^{−iwt}) over those entries only
+    (_banded makes the cut once per evolve_grid call).
 
     The levels are cut into tiles of TILE_ROWS rows, and tile i
     multiplies only the columns [lo[i], hi[i]) (none when

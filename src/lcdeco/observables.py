@@ -3,10 +3,10 @@
 The measured quantity is the charge-state occupation P_c(t) of the probe
 junction; the average current is I = −2q·dP_c/dt.  An analytic form
 (valid in the dispersive regime for equal-weight superpositions) and a
-numeric form (finite differences of the full model's exact P_c, summed
-from its line spectrum) are provided, plus spectral utilities to pull
-carrier frequency, sideband positions, modulation period, and envelope
-depth out of sampled traces.
+numeric form (finite differences of the full model's exact P_c, a
+quadratic form of the evolved state summed from its line spectrum) are
+provided, plus spectral utilities to pull carrier frequency, sideband
+positions, modulation period, and envelope depth out of sampled traces.
 """
 
 import math
@@ -17,11 +17,11 @@ import numpy as np
 from .circuit import ModelParams
 from .config import SQRT_HALF
 # decoherence_exact and assert_leakage (the one leakage guard, which
-# evolve_joint and evolve_charge call from decoherence) are not called
-# here, but perfbench/spans.py patches them at this module, so they stay
-# importable from it
+# evolve_form calls from decoherence) are not called here, but
+# perfbench/spans.py patches them at this module, so they stay importable
+# from it
 from .decoherence import (decoherence_approx, decoherence_exact,  # noqa: F401
-                          evolve_charge, evolve_joint)
+                          evolve_form, level_masks)
 from .fock import assert_leakage, coherent_state, joint_state  # noqa: F401
 from .hamiltonians import build_full_hamiltonian, lowest_level
 
@@ -31,19 +31,21 @@ def sampling_limit(m: ModelParams):
     return 2.0 * np.pi / (20.0 * max(m.omega_a, m.Omega))
 
 
-def charge_occupation(states, theta):
-    """P_c = |⟨1_c|ψ⟩|² with |1⟩_c = sin(θ/2)|0⟩ + cos(θ/2)|1⟩.
-
-    `states` is a joint vector (2·dim,) or a grid (2·dim, nt); the
-    oscillator part is traced by summing the projected amplitudes.
-    """
-    arr = np.asarray(states, dtype=complex)
-    vecs = arr[:, None] if arr.ndim == 1 else arr
-    dim = vecs.shape[0] // 2
-    b = (math.sin(0.5 * theta) * vecs[:dim, :]
-         + math.cos(0.5 * theta) * vecs[dim:, :])
-    p = np.sum(np.abs(b) ** 2, axis=0)
-    return float(p[0]) if arr.ndim == 1 else p
+def charge_form(H, theta):
+    """The form (see decoherence.evolve_form) whose value's real part is
+    P_c = Σ_n |sin(θ/2)·ψ_{0,n} + cos(θ/2)·ψ_{1,n}|² over the full H's
+    sectors: with w_S each sector's row weights, sin(θ/2) on its qubit-0
+    rows and cos(θ/2) on its qubit-1 rows (decoherence.level_masks),
+    (S, S, w_S²) for each sector and (S, S', 2·w_S·w_S') for each pair
+    S < S', whose value's real part is the cross terms of S with S' and
+    of S' with S together."""
+    half = 0.5 * theta
+    weights = [np.where(mask, math.sin(half), math.cos(half))
+               for mask in level_masks(H)]
+    n = len(weights)
+    return [(i, j, weights[i] ** 2 if i == j
+             else 2.0 * weights[i] * weights[j])
+            for i in range(n) for j in range(i, n)]
 
 
 def current_analytic(m: ModelParams, alpha, t):
@@ -71,14 +73,11 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
     grid, with P_c at θ = m.theta and I in units of e·ω.
 
     The evolution runs on the oscillator levels [lowest_level(m, α),
-    dim), leakage-guarded at both edges.  P_c comes from its line
-    spectrum, with no state built (decoherence.evolve_charge), at
-    ts[0] + i·dt, dt the grid's mean step; a grid off those times by
-    more than 2·eps·max|t|, the rounding of t itself (a linspace grid is
-    not), gets P_c reduced from the states at its own times
-    (decoherence.evolve_joint) instead.  I is the second-order finite
-    difference of −2·P_c (central in the interior, one-sided at the
-    ends).  The grid must be uniform with a positive step
+    dim), leakage-guarded at both edges.  P_c is the real part of
+    charge_form's value, summed from its line spectrum with no state
+    built (decoherence.evolve_form), at the grid's own times.  I is the
+    second-order finite difference of −2·P_c (central in the interior,
+    one-sided at the ends).  The grid must be uniform with a positive step
     dt ≤ 2π/(20·max(ω_a, Ω)), the sampling criterion, each step within
     1e-9·dt of the first.
     """
@@ -97,14 +96,7 @@ def current_numeric(m: ModelParams, alpha, ts, dim, c0=SQRT_HALF,
     n_lo = lowest_level(m, alpha)
     psi = joint_state(c0, c1, coherent_state(alpha, dim, n_lo))
     H = build_full_hamiltonian(m, dim, n_lo)
-    mean_step = (ts[-1] - ts[0]) / (len(ts) - 1)
-    off = ts - (ts[0] + np.arange(len(ts)) * mean_step)
-    rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(ts))
-    if np.max(np.abs(off)) <= rounding:
-        pc = evolve_charge(H, psi, ts, m.theta, n_lo)
-    else:
-        pc = evolve_joint(H, psi, ts, lambda block: charge_occupation(
-            block, m.theta), n_lo)
+    pc = evolve_form(H, psi, ts, charge_form(H, m.theta), n_lo).real
     current = -2.0 * np.gradient(pc, ts, edge_order=2)
     return pc, current
 

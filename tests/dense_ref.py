@@ -1,8 +1,10 @@
 """Dense operator references for the tests.
 
 lcdeco builds its Hamiltonians as real tridiagonal parity sectors and
-never forms these operators; the tests compare the builders, states and
-propagators against them.
+never forms these operators, nor evolved states: its propagator returns
+quadratic forms of the state (the qubit coherence ρ_01, the charge
+occupation P_c).  The tests compare the builders and those forms against
+the dense operators and states here.
 
 Conventions (pinned here, and through the exact builder comparison in
 test_hamiltonians, for the package): joint vectors are qubit-slow, so
@@ -10,6 +12,8 @@ np.kron(qubit, oscillator) puts |k⟩⊗|n⟩ at index k*dim + n;
 sigma_z = |0⟩⟨0| − |1⟩⟨1|, sigma_y = −i(|1⟩⟨0| − |0⟩⟨1|) (the
 sign-flipped standard Pauli y), sigma_x = |1⟩⟨0| + |0⟩⟨1|.
 """
+
+import math
 
 import numpy as np
 
@@ -34,6 +38,29 @@ def dense_evolution(H, psi, ts):
     dense eigendecomposition, one column per t."""
     w, V = np.linalg.eigh(dense(H))
     return V @ (np.exp(-1j * np.outer(w, ts)) * (V.T @ psi)[:, None])
+
+
+def coherence(states):
+    """ρ_01 = Σ_n ψ_{0,n}·ψ̄_{1,n} of each joint column state (2·levels, nt),
+    or of one joint vector."""
+    arr = np.asarray(states, dtype=complex)
+    d = len(arr) // 2
+    return np.sum(arr[:d] * np.conj(arr[d:]), axis=0)
+
+
+def charge_occupation(states, theta):
+    """P_c = |⟨1_c|ψ⟩|² with |1⟩_c = sin(θ/2)|0⟩ + cos(θ/2)|1⟩.
+
+    `states` is a joint vector (2·dim,) or a grid (2·dim, nt); the
+    oscillator part is traced by summing the projected amplitudes.
+    """
+    arr = np.asarray(states, dtype=complex)
+    vecs = arr[:, None] if arr.ndim == 1 else arr
+    dim = vecs.shape[0] // 2
+    b = (math.sin(0.5 * theta) * vecs[:dim, :]
+         + math.cos(0.5 * theta) * vecs[dim:, :])
+    p = np.sum(np.abs(b) ** 2, axis=0)
+    return float(p[0]) if arr.ndim == 1 else p
 
 
 def edge_population(states, lo, hi):

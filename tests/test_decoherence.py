@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_ref import dense_evolution
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_fock_oracle,
@@ -113,16 +114,16 @@ def test_fock_oracle_guard_trips_below_leak_levels():
 
 def test_fock_oracle_branch_symmetry():
     """Swapping the two branch Hamiltonians cannot change |<s1|s0>|, and
-    the oracle's one direct-sum evolution matches the two branches
-    evolved separately, the reference kept here."""
-    from lcdeco.fock import SpectralPropagator, coherent_state
+    the oracle's one direct-sum form matches the two branches evolved
+    separately by the dense reference to 1e-12."""
+    from lcdeco.fock import coherent_state
     from lcdeco.hamiltonians import build_effective_hamiltonian
 
     dim = 64
     ts = _grid(M_REF, periods=1.0, n=50)
     psi0 = coherent_state(2.0, dim)
-    grids = [SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
-             .evolve_grid(psi0, ts, lambda b: b)[0] for k in (0, 1)]
+    grids = [dense_evolution(build_effective_hamiltonian(k, M_REF, dim),
+                             psi0, ts) for k in (0, 1)]
     d01 = np.abs(np.sum(np.conj(grids[1]) * grids[0], axis=0))
     d10 = np.abs(np.sum(np.conj(grids[0]) * grids[1], axis=0))
     assert np.max(np.abs(d01 - d10)) < 1e-12
@@ -132,11 +133,11 @@ def test_fock_oracle_branch_symmetry():
 
 def test_fock_oracle_joint_guard_trips_no_later_than_either_branch():
     """The oracle guards both branches' top levels summed: at the regime
-    of test_fock's streamed callers (omega_a = 4, g = 0.5, alpha = 3,
+    of test_fock's guarded callers (omega_a = 4, g = 0.5, alpha = 3,
     dim = 40) it trips by the first sample at which either branch,
-    evolved on its own, holds LEAK_TOL in its top LEAK_LEVELS levels."""
-    from lcdeco.fock import (LEAK_LEVELS, LEAK_TOL, SpectralPropagator,
-                             coherent_state)
+    evolved on its own by the dense reference, holds LEAK_TOL in its top
+    LEAK_LEVELS levels."""
+    from lcdeco.fock import LEAK_LEVELS, LEAK_TOL, coherent_state
     from lcdeco.hamiltonians import build_effective_hamiltonian
     from lcdeco.observables import sampling_limit
 
@@ -144,10 +145,9 @@ def test_fock_oracle_joint_guard_trips_no_later_than_either_branch():
     dim = 40
     ts = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
     psi0 = coherent_state(3.0, dim)
-    top = [np.sum(np.abs(SpectralPropagator(
-        build_effective_hamiltonian(k, m, dim)).evolve_grid(
-            psi0, ts, lambda b: b)[0][dim - LEAK_LEVELS:]) ** 2, axis=0)
-        for k in (0, 1)]
+    top = [np.sum(np.abs(dense_evolution(
+        build_effective_hamiltonian(k, m, dim), psi0,
+        ts)[dim - LEAK_LEVELS:]) ** 2, axis=0) for k in (0, 1)]
     reached = np.flatnonzero(np.maximum(*top) >= LEAK_TOL)
     assert len(reached) > 0, "the regime never reached the leakage tolerance"
     with pytest.raises(TruncationError):

@@ -1,5 +1,7 @@
 """Truncated-Fock-space basics: coherent and joint states, the leakage
-guard, evolution, and the streamed evolution as its callers reduce it."""
+guard, and evolution, read through the quadratic forms its callers
+take (the qubit coherence ρ_01 and the charge occupation P_c), held to
+the dense reference."""
 
 import ast
 import math
@@ -11,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                       annihilation_op, dense, dense_evolution,
-                       edge_population, fock_state, number_op,
-                       partial_trace_qubit, position_quad)
+                       annihilation_op, charge_occupation, coherence, dense,
+                       dense_evolution, edge_population, fock_state,
+                       number_op, partial_trace_qubit, position_quad)
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
                          Sector, SectorHamiltonian, SpectralPropagator,
@@ -337,40 +339,64 @@ def test_position_quad_is_hermitian():
     assert np.array_equal(P, P.conj().T)
 
 
+def _number_pair(dim, omegas):
+    """ω_k·a†a on dim levels for each branch k, one diagonal sector each:
+    the direct sum of two rotating oscillators."""
+    return SectorHamiltonian(2 * dim, [
+        Sector(np.arange(dim) + k * dim, omega * np.arange(dim),
+               np.zeros(dim - 1)) for k, omega in enumerate(omegas)])
+
+
+def _rho01_form(H):
+    """ρ_01 = Σ_n ψ_{0,n}·ψ̄_{1,n} as a form over the full H's two sectors,
+    as full_model_coherence reads it."""
+    from lcdeco.decoherence import level_masks
+
+    mask_a, mask_b = level_masks(H)
+    return [(1, 0, mask_a), (0, 1, mask_b)]
+
+
+def _charge_form(H, theta=1.1):
+    """P_c's form at θ = 1.1, where each sector's own form keeps its
+    imbalance lines."""
+    from lcdeco.observables import charge_form
+
+    return charge_form(H, theta)
+
+
 def test_evolve_t0_identity():
-    psi = coherent_state(1.0, 32)
-    out = SpectralPropagator(_number_hamiltonian(32)).evolve_grid(
-        psi, [0.0], lambda b: b)[0][:, 0]
-    assert np.max(np.abs(out - psi)) < 1e-12
+    """At t = 0 every form reads the initial state: ρ_01 and P_c of the
+    full H."""
+    _, H, psi = _full_model(8.0, 0.35, 1.0, 24)
+    psi = joint_state(0.6, 0.8j, coherent_state(1.0, 24))
+    P = SpectralPropagator(H)
+    assert abs(P.evolve_grid(psi, [0.0], _rho01_form(H))[0]
+               - coherence(psi)) < 1e-12
+    assert abs(P.evolve_grid(psi, [0.0], _charge_form(H))[0].real
+               - charge_occupation(psi, 1.1)) < 1e-12
 
 
 def test_evolve_rotating_coherent_state():
-    # H = w a+a sends |alpha> to |alpha e^{-iwt}> up to a global phase
+    """ω_k·a†a sends |α⟩ to |α·e^{−iω_k t}⟩, so the overlap of two
+    branches rotating at ω₀ and ω₁ is exp(|α|²(e^{i(ω₁−ω₀)t} − 1))."""
     dim = 48
-    omega, t, alpha = 1.3, 2.1, 1.5
-    out = SpectralPropagator(_number_hamiltonian(dim, omega)).evolve_grid(
-        coherent_state(alpha, dim), [t], lambda b: b)[0][:, 0]
-    ref = coherent_state(alpha * np.exp(-1j * omega * t), dim)
-    fidelity = abs(np.vdot(ref, out))
-    assert fidelity >= 1.0 - 1e-10
-
-
-def test_evolve_composition():
-    dim = 32
-    rng = np.random.default_rng(11)
-    prop = SpectralPropagator(_one_sector(dim, rng.normal(size=dim),
-                                          rng.normal(size=dim - 1)))
-    psi = coherent_state(0.8, dim)
-    mid = prop.evolve_grid(psi, [0.7], lambda b: b)[0][:, 0]
-    one = prop.evolve_grid(mid, [1.9], lambda b: b)[0][:, 0]
-    two = prop.evolve_grid(psi, [2.6], lambda b: b)[0][:, 0]
-    assert np.linalg.norm(one - two) < 1e-10
+    omegas, alpha = (1.3, 0.4), 1.5
+    ts = np.linspace(0.0, 4.0, 9)
+    osc = coherent_state(alpha, dim)
+    got = SpectralPropagator(_number_pair(dim, omegas)).evolve_grid(
+        np.concatenate([osc, osc]), ts, [(1, 0, np.ones(dim))])
+    ref = np.exp(alpha ** 2 * (np.exp(1j * (omegas[1] - omegas[0]) * ts)
+                               - 1.0))
+    assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 def test_evolve_full_model_unitarity():
-    """One jump period under the full Hamiltonian: norm exact, energy
-    drift at rounding level."""
+    """One jump period under the full Hamiltonian: the norm form (each
+    sector with itself, unit weights) stays 1 to rounding, and the
+    qubit-0 population, whose form keeps each sector's imbalance lines,
+    matches the dense reference."""
     from lcdeco.circuit import model_params
+    from lcdeco.decoherence import level_masks
     from lcdeco.hamiltonians import build_full_hamiltonian
 
     m = model_params(1.0, 1.8, 0.056)    # gamma = 0.07
@@ -379,13 +405,13 @@ def test_evolve_full_model_unitarity():
     psi = joint_state(1.0, 1.0, coherent_state(2.0, dim))
     prop = SpectralPropagator(H)
     ts = np.linspace(0.0, math.pi / m.Omega, 40)
-    grid, _ = prop.evolve_grid(psi, ts, lambda b: b)
-    norms = np.linalg.norm(grid, axis=0)
+    ones = np.ones(dim)
+    norms = prop.evolve_grid(psi, ts, [(0, 0, ones), (1, 1, ones)]).real
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    Hd = dense(H)
-    e0 = np.vdot(psi, Hd @ psi).real
-    energies = np.real(np.sum(np.conj(grid) * (Hd @ grid), axis=0))
-    assert np.max(np.abs(energies - e0)) <= 1e-10 * max(abs(e0), 1.0)
+    mask_a, mask_b = level_masks(H)
+    p0 = prop.evolve_grid(psi, ts, [(0, 0, mask_a), (1, 1, mask_b)]).real
+    ref = np.sum(np.abs(dense_evolution(H, psi, ts)[:dim]) ** 2, axis=0)
+    assert np.max(np.abs(p0 - ref)) <= 1e-12
 
 
 def test_sector_dense_layout():
@@ -432,18 +458,22 @@ def _full_model(omega_a, g, alpha, dim):
 
 def test_pruned_weight_bounded_and_reproduced():
     """A coherent state far from the vacuum has eigencomponents of weight
-    far below PRUNE_TOL; the dropped weight stays within PRUNE_TOL and
-    the kept part reproduces the unpruned evolution to √PRUNE_TOL."""
+    far below PRUNE_TOL; the dropped weight stays within PRUNE_TOL and a
+    form of the kept part, Σ_n w_n·|ψ_n(t)|² with weights that differ
+    level to level, reproduces the unpruned evolution's to 1e-12."""
     dim = 160
     rng = np.random.default_rng(4)
     H = _one_sector(dim, np.arange(dim) + 0.1 * rng.normal(size=dim),
                     0.3 * np.sqrt(np.arange(1.0, dim)))
     psi = coherent_state(7.0, dim)
     ts = np.linspace(0.0, 5.0, 7)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
+    P = SpectralPropagator(H)
+    _, pruned = P._banded(psi)
     assert 0.0 < pruned <= PRUNE_TOL
-    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
-        <= math.sqrt(PRUNE_TOL) + 1e-13
+    w = np.linspace(0.5, 1.0, dim)
+    got = P.evolve_grid(psi, ts, [(0, 0, w)]).real
+    ref = w @ np.abs(dense_evolution(H, psi, ts)) ** 2
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def _recorded_cuts(monkeypatch):
@@ -464,47 +494,40 @@ def _recorded_cuts(monkeypatch):
 
 
 def test_one_band_cut_per_sector_serves_every_chunk(monkeypatch):
-    """Full H at α = 10 on 240 levels, in 4 chunks of at most 3 samples:
-    the cut is chosen once per sector per call, every chunk has the same
-    zero pattern, a tile multiplies fewer than all eigencomponents, and
-    the grid still matches the dense reference to √PRUNE_TOL."""
-    from lcdeco import fock
-
+    """Full H at α = 10 on 240 levels, a grid evaluated in 4 chunks of at
+    most 3 samples, one evolve_grid call each: each call chooses the cut
+    once per sector, every call the same cut, a tile multiplies fewer
+    than all eigencomponents, and every chunk's ρ_01 matches the dense
+    reference to 1e-12."""
     dim = 240
     m, H, psi = _full_model(8.0, 0.35, 10.0, dim)
     ts = np.linspace(0.0, math.pi / m.Omega, 10)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 3)
     cuts = _recorded_cuts(monkeypatch)
-    zero_rows = []
-
-    def reduce(block):
-        zero_rows.append(np.flatnonzero(np.all(block == 0.0, axis=1)))
-        return block
-
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, reduce)
-    assert len(cuts) == len(H.sectors)
-    assert len(zero_rows) == 4
-    for rows in zero_rows:
-        assert np.array_equal(rows, zero_rows[0])
+    P = SpectralPropagator(H)
+    rho01 = np.concatenate([P.evolve_grid(psi, ts[lo:lo + 3], _rho01_form(H))
+                            for lo in range(0, len(ts), 3)])
+    sectors = len(H.sectors)
+    assert len(cuts) == 4 * sectors
+    for k, (_, lo, hi) in enumerate(cuts):
+        _, lo0, hi0 = cuts[k % sectors]
+        assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
     assert any(0 < np.count_nonzero(c[a:b]) < np.count_nonzero(c)
                for c, lo, hi in cuts for a, b in zip(lo, hi))
+    _, pruned = P._banded(psi)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
-        <= math.sqrt(PRUNE_TOL) + 1e-13
+    assert np.max(np.abs(rho01 - coherence(dense_evolution(H, psi, ts)))) \
+        <= 1e-12
 
 
 def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     """At fig4's point (α = 30 on levels lowest_level to 1200) each
     eigenvector reaches only a band of levels: summed over the tiles,
     each sector multiplies at most 15 % of its levels × eigencomponents
-    (about 11.5 % measured), so a fall back to whole-sector products
-    fails here.  That holds on fig4's own route, the line spectrum
-    decoherence.evolve_charge takes through SpectralPropagator.lines,
-    and on evolve_grid, which makes the same cut and phases each chunk
-    over only the union of its tiles' bands."""
+    (about 11.5 % measured) in P_c's lines, so a fall back to
+    whole-sector products fails here."""
     from lcdeco import fock
     from lcdeco.circuit import params_from_dimensionless
-    from lcdeco.decoherence import evolve_charge
+    from lcdeco.decoherence import evolve_form
     from lcdeco.hamiltonians import build_full_hamiltonian, lowest_level
 
     m = params_from_dimensionless(8.0, 0.35)
@@ -512,30 +535,13 @@ def test_fig4_tiles_multiply_at_most_15_percent_of_each_sector(monkeypatch):
     H = build_full_hamiltonian(m, 1200, n_lo)
     psi = joint_state(1.0, 1.0, coherent_state(30.0, 1200, n_lo))
     cuts = _recorded_cuts(monkeypatch)
-    evolve_charge(H, psi, [0.0, 0.1, 0.2], m.theta, n_lo)
-    line_cuts = list(cuts)
-    del cuts[:]
-    phase_rows = []
-    phases = fock._phases
-
-    def recording_phases(w, t):
-        phase_rows.append(len(w))
-        return phases(w, t)
-
-    monkeypatch.setattr(fock, "_phases", recording_phases)
-    _, pruned = SpectralPropagator(H).evolve_grid(psi, [0.0], lambda b: b)
-    assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert len(line_cuts) == len(cuts) == len(phase_rows) == len(H.sectors)
-    for (c, lo, hi), (_, line_lo, line_hi), rows in zip(cuts, line_cuts,
-                                                        phase_rows):
-        assert np.array_equal(lo, line_lo) and np.array_equal(hi, line_hi)
+    evolve_form(H, psi, [0.0, 0.1, 0.2], _charge_form(H, m.theta), n_lo)
+    assert len(cuts) == len(H.sectors)
+    for c, lo, hi in cuts:
         n = len(c)
         tile_rows = np.diff(np.r_[np.arange(0, n, fock.TILE_ROWS), n])
         multiplied = np.sum(tile_rows * np.maximum(hi - lo, 0))
         assert multiplied <= 0.15 * n * n
-        # the phases span the union of the bands, no more
-        banded = lo < hi
-        assert rows == hi[banded].max() - lo[banded].min() < n
 
 
 @settings(max_examples=80, deadline=None)
@@ -571,7 +577,7 @@ def test_leakage_guard_sees_an_empty_top_tile():
     the top LEAK_LEVELS levels in it, is within the dropped weight, and
     the guard reads between that weight and four times it, and
     passes."""
-    from lcdeco.decoherence import evolve_joint
+    from lcdeco.decoherence import evolve_form
 
     dim = 160
     m, H, psi = _full_model(8.0, 0.35, 6.0, dim)
@@ -583,7 +589,7 @@ def test_leakage_guard_sees_an_empty_top_tile():
     assert 0.0 < pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
     assert pruned <= assert_leakage(sectors, pruned) <= 4.0 * pruned
     ts = np.linspace(0.0, math.pi / m.Omega, 9)
-    evolve_joint(H, psi, ts, lambda block: block)   # the guard passes
+    evolve_form(H, psi, ts, _charge_form(H))   # the guard passes
 
 
 @settings(max_examples=40, deadline=None)
@@ -593,15 +599,20 @@ def test_leakage_guard_sees_an_empty_top_tile():
 def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
                                                  extra, ts):
     """Random valid regimes of the full H, with truncations from tight to
-    roomy: the banded evolution stays within √PRUNE_TOL of the dense
-    reference, and the dropped weight within its budget.  t stays below
-    4, where the dense reference itself holds ~1e-13."""
+    roomy and times in any order: ρ_01 and P_c of the banded evolution
+    stay within 1e-12 of the dense reference, and the dropped weight
+    within its budget.  t stays below 4, where the dense reference itself
+    holds ~1e-13."""
     dim = min_adequate_dim(alpha) + extra
     _, H, psi = _full_model(omega_a, gamma * (omega_a - 1.0), alpha, dim)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
+    P = SpectralPropagator(H)
+    _, pruned = P._banded(psi)
     assert pruned <= PRUNE_TOL * np.linalg.norm(psi) ** 2
-    assert np.max(np.abs(grid - dense_evolution(H, psi, ts))) \
-        <= math.sqrt(PRUNE_TOL) + 1e-13
+    states = dense_evolution(H, psi, ts)
+    assert np.max(np.abs(P.evolve_grid(psi, ts, _rho01_form(H))
+                         - coherence(states))) <= 1e-12
+    assert np.max(np.abs(P.evolve_grid(psi, ts, _charge_form(H)).real
+                         - charge_occupation(states, 1.1))) <= 1e-12
 
 
 def _edge_case(name):
@@ -627,17 +638,23 @@ def _edge_case(name):
                                   "empty ts"])
 def test_evolution_with_nothing_to_cut(name):
     """A zero state, a state in one sector only (the other keeps no
-    eigencomponent), a one-level sector and an empty grid: the states
-    are the dense reference's, of shape (size, samples), and nothing is
-    reported dropped."""
+    eigencomponent), a one-level sector and an empty grid: the form
+    Σ_S ψ_Sᴴ·diag(w_S)·ψ_S, weights that differ row to row, is the dense
+    reference's, of shape (samples,), and nothing is reported
+    dropped."""
     H, psi, ts = _edge_case(name)
-    grid, pruned = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
-    assert grid.shape == (H.size, len(ts))
+    P = SpectralPropagator(H)
+    _, pruned = P._banded(psi)
     assert pruned == 0.0
-    assert np.max(np.abs(grid - dense_evolution(H, psi, ts)),
-                  initial=0.0) <= 1e-13
+    weights = [np.linspace(0.5, 1.0, len(s.index)) for s in H.sectors]
+    forms = [(k, k, w) for k, w in enumerate(weights)]
+    got = P.evolve_grid(psi, ts, forms)
+    assert got.shape == (len(ts),)
+    states = np.abs(dense_evolution(H, psi, ts)) ** 2
+    ref = sum(w @ states[s.index] for s, w in zip(H.sectors, weights))
+    assert np.max(np.abs(got.real - ref), initial=0.0) <= 1e-13
     if name == "one sector":
-        assert np.all(grid[H.sectors[1].index] == 0.0)
+        assert np.all(P.evolve_grid(psi, ts, forms[1:]) == 0.0)
 
 
 def _fig4_span_grids(m, samples):
@@ -651,74 +668,116 @@ def _fig4_span_grids(m, samples):
             "geometric": np.geomspace(1e-3, t_max, samples)}
 
 
-def test_chunked_uniform_grid_matches_one_chunk_out_to_fig4_span(
-        monkeypatch):
-    """1025 samples over fig4's span in 147 chunks of 7 (the last one
-    short), each phased at its own times: within √PRUNE_TOL + 1e-13 of
-    one chunk and of the dense reference.  α = 1 on 24 levels keeps
-    |w|·t, and so the dense reference's own rounding, small at t = 24."""
-    from lcdeco import fock
-
+def test_chunked_uniform_grid_matches_one_chunk_out_to_fig4_span():
+    """1025 samples over fig4's span, evaluated in 147 chunks of 7 (the
+    last one short), one evolve_grid call each, so each its own uniform
+    pass from its own first time: ρ_01 and P_c within √PRUNE_TOL + 1e-13
+    of one call over the whole grid and of the dense reference.  α = 1
+    on 24 levels keeps |w|·t, and so the dense reference's own
+    rounding, small at t = 24."""
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 1025)["uniform"]
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
-    whole, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    chunked, _ = SpectralPropagator(H).evolve_grid(psi, ts, lambda b: b)
+    P = SpectralPropagator(H)
+    states = dense_evolution(H, psi, ts)
     bound = math.sqrt(PRUNE_TOL) + 1e-13
-    assert np.max(np.abs(chunked - whole)) <= bound
-    assert np.max(np.abs(chunked - dense_evolution(H, psi, ts))) <= bound
+    # P_c is its form's real part
+    for form, ref, read in (
+            (_rho01_form(H), coherence(states), np.asarray),
+            (_charge_form(H), charge_occupation(states, 1.1), np.real)):
+        whole = read(P.evolve_grid(psi, ts, form))
+        chunked = read(np.concatenate([
+            P.evolve_grid(psi, ts[lo:lo + 7], form)
+            for lo in range(0, len(ts), 7)]))
+        assert np.max(np.abs(chunked - whole)) <= bound
+        assert np.max(np.abs(chunked - ref)) <= bound
 
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
-def test_grid_matches_single_sample_evolution(monkeypatch, grid):
-    """In chunks of 7, every sample of the grid is what evolving to its
-    time alone gives; a chunk phased at another chunk's offsets would be
-    ~1e-8 off across the jitter."""
-    from lcdeco import fock
-
+def test_grid_matches_single_sample_evolution(grid):
+    """Every sample of the grid is what evolving to its time alone gives,
+    for ρ_01 and P_c: on the uniform grid one Taylor-expanded pass
+    against direct sums, off it direct sums both."""
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 99)[grid]
-    prop = SpectralPropagator(H)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    states, _ = prop.evolve_grid(psi, ts, lambda b: b)
-    single = np.column_stack([prop.evolve_grid(psi, [t], lambda b: b)[0]
-                              for t in ts])
-    assert np.max(np.abs(states - single)) <= math.sqrt(PRUNE_TOL) + 1e-13
+    P = SpectralPropagator(H)
+    # P_c is its form's real part
+    for form, read in ((_rho01_form(H), np.asarray),
+                       (_charge_form(H), np.real)):
+        values = read(P.evolve_grid(psi, ts, form))
+        single = read(np.concatenate([P.evolve_grid(psi, [t], form)
+                                      for t in ts]))
+        assert np.max(np.abs(values - single)) \
+            <= math.sqrt(PRUNE_TOL) + 1e-13
 
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
 def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
-    """On a grid of 3 chunks of at most 7 samples, whether uniform or
-    not, call i of _phases for each sector gets exactly chunk i's times
-    ts[7i:7i + 7], and there is one call per sector and chunk."""
+    """A grid of 20 samples evaluated in 3 chunks of at most 7, one
+    evolve_grid call each: a uniform chunk is one _line_sums pass from
+    its own first time at its own step, and a chunk off uniform one
+    one-sample call per time, at that time, so every sample is phased at
+    its own time."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 20)[grid]
-    prop = SpectralPropagator(H)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
+    P = SpectralPropagator(H)
     calls = []
-    phases = fock._phases
+    line_sums = fock._line_sums
 
-    def recording_phases(w, t):
-        calls.append(np.array(t))
-        return phases(w, t)
+    def recording(C, delta, t0, dt, n, budget):
+        calls.append((t0, dt, n))
+        return line_sums(C, delta, t0, dt, n, budget)
 
-    monkeypatch.setattr(fock, "_phases", recording_phases)
-    prop.evolve_grid(psi, ts, lambda b: b)
-    sectors = len(H.sectors)
-    assert len(calls) == 3 * sectors
-    for k, t in enumerate(calls):
-        lo = 7 * (k // sectors)     # chunk by chunk, each sector in turn
-        assert np.array_equal(t, ts[lo:lo + 7])
+    monkeypatch.setattr(fock, "_line_sums", recording)
+    expected = []
+    for lo in range(0, 20, 7):
+        chunk = ts[lo:lo + 7]
+        P.evolve_grid(psi, chunk, _rho01_form(H))
+        if grid == "uniform":
+            expected.append((chunk[0], (chunk[-1] - chunk[0])
+                             / (len(chunk) - 1), len(chunk)))
+        else:
+            expected += [(t, 0.0, 1) for t in chunk]
+    assert calls == expected
+
+
+@pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
+def test_forms_match_the_dense_reference_on_any_grid(grid):
+    """fig4's span sampled uniformly, with a jitter and geometrically:
+    the Fock oracle's ρ_01 (H₀ ⊕ H₁), the full model's ρ_01 and P_c, each
+    within 1e-12 of the dense reference, and the public routes'
+    |ρ_01| too."""
+    from lcdeco.decoherence import (decoherence_fock_oracle,
+                                    full_model_coherence)
+
+    m, _, _ = _full_model(8.0, 0.35, 1.0, 24)
+    ts = _fig4_span_grids(m, 99)[grid]
+    oracle, pair = _guarded_model(False, m, 1.0, 24, 0)
+    rho01 = SpectralPropagator(oracle).evolve_grid(pair, ts, [
+        (2 + p, p, np.ones(len(s.index)))
+        for p, s in enumerate(oracle.sectors[:2])])
+    ref = coherence(dense_evolution(oracle, pair, ts))
+    assert np.max(np.abs(rho01 - ref)) <= 1e-12
+    assert np.max(np.abs(decoherence_fock_oracle(m, 1.0, ts, 24)
+                         - np.abs(ref))) <= 1e-12
+    H, psi = _guarded_model(True, m, 1.0, 24, 0)
+    states = dense_evolution(H, psi, ts)
+    P = SpectralPropagator(H)
+    assert np.max(np.abs(P.evolve_grid(psi, ts, _rho01_form(H))
+                         - coherence(states))) <= 1e-12
+    assert np.max(np.abs(
+        full_model_coherence(m, math.sqrt(0.5), math.sqrt(0.5), 1.0, ts, 24)
+        - 2.0 * np.abs(coherence(states)))) <= 1e-12
+    assert np.max(np.abs(P.evolve_grid(psi, ts, _charge_form(H)).real
+                         - charge_occupation(states, 1.1))) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_evolve_grid_rejects_non_finite_times(t):
     with pytest.raises(ValueError):
         SpectralPropagator(_number_hamiltonian(16)).evolve_grid(
-            coherent_state(0.5, 16), [0.0, t, 1.0], lambda b: b)
+            coherent_state(0.5, 16), [0.0, t, 1.0], [(0, 0, np.ones(16))])
 
 
 def _guard(psi, pruned=0.0, n_lo=0):
@@ -880,18 +939,18 @@ def test_leakage_bound_never_below_the_dense_edge_population(
 
 
 @pytest.mark.parametrize("n_lo, trips", [(260, False), (300, True)])
-def test_leakage_bound_holds_both_edges_on_both_routes(monkeypatch, n_lo,
+def test_leakage_bound_holds_both_edges_for_every_form(monkeypatch, n_lo,
                                                        trips):
     """At ω_a = 4, γ = 0.15, α = 20 on levels n_lo to 560 (the rule would
     start at level 4), both edges hold population over a jump period:
     ~3e-11 at the top and from 6e-11 (n_lo = 260) to 1e-5 (n_lo = 300)
-    at the bottom (dense reference).  Both routes, evolve_joint and
-    evolve_charge, hand the guard the same bounds, each at least its
-    edge's population at every sample; the guard passes at n_lo = 260
-    and trips the bottom edge at n_lo = 300 on both routes."""
+    at the bottom (dense reference).  The guarded entry, evolve_form,
+    hands the guard the same bounds whatever the form, ρ_01 or P_c, each
+    at least its edge's population at every sample; the guard passes at
+    n_lo = 260 and trips the bottom edge at n_lo = 300 for both forms."""
     from lcdeco import decoherence
     from lcdeco.circuit import params_from_dimensionless
-    from lcdeco.decoherence import evolve_charge, evolve_joint
+    from lcdeco.decoherence import evolve_form
     from lcdeco.fock import _edge_bounds
     from lcdeco.hamiltonians import build_full_hamiltonian
 
@@ -914,11 +973,9 @@ def test_leakage_bound_holds_both_edges_on_both_routes(monkeypatch, n_lo,
 
     monkeypatch.setattr(decoherence, "assert_leakage", recording)
     outcomes = []
-    for run in (lambda: evolve_joint(H, psi, ts, lambda block: block[0],
-                                     n_lo),
-                lambda: evolve_charge(H, psi, ts, m.theta, n_lo)):
+    for form in (_rho01_form(H), _charge_form(H, m.theta)):
         try:
-            run()
+            evolve_form(H, psi, ts, form, n_lo)
             outcomes.append(False)
         except TruncationError as err:
             assert err.args[0].startswith("leakage guard tripped: bottom-")
@@ -1038,11 +1095,12 @@ def test_hermitian_eig_is_the_only_eigensolver():
 
 def test_evolve_joint_is_the_only_propagation():
     """No code in lcdeco builds a SpectralPropagator or calls the leakage
-    guard except decoherence's two guarded entries, evolve_joint (states)
-    and evolve_charge (line spectra), so every evolution is guarded by
-    the one guard, assert_leakage, which both entries call."""
+    guard except decoherence's one guarded entry, evolve_form, which
+    every truncated-space evolution (ρ_01 of the Fock oracle and of the
+    full model, the probe current's P_c) goes through, so every
+    evolution is guarded by the one guard, assert_leakage."""
     names = {"SpectralPropagator", "assert_leakage"}
-    entries = {"decoherence.py": {"evolve_joint", "evolve_charge"}}
+    entries = {"decoherence.py": {"evolve_form"}}
     found = []
     calls = {}
     for name in sorted(os.listdir(SRC)):
@@ -1068,22 +1126,19 @@ def test_evolve_joint_is_the_only_propagation():
             else:
                 found.append("%s:%d %s" % (name, node.lineno, called))
     assert found == []
-    assert calls == {
-        "evolve_joint": {"SpectralPropagator", "assert_leakage"},
-        "evolve_charge": {"SpectralPropagator", "assert_leakage"}}
+    assert calls == {"evolve_form": {"SpectralPropagator", "assert_leakage"}}
 
 
 # ---------------------------------------------------------------------------
-# streamed evolution: every caller of evolve_grid reduces chunk by chunk
+# the guarded callers: the qubit coherence ρ_01 of the Fock oracle and of
+# the full model, and the probe current's P_c
 
-STREAM_CALLERS = ["full_model_coherence", "decoherence_fock_oracle"]
+RHO_CALLERS = ["full_model_coherence", "decoherence_fock_oracle"]
 
-# every guarded route: the two above, and the probe current's P_c from its
-# line spectrum (decoherence.evolve_charge), which has no chunks
-GUARDED_CALLERS = ["current_numeric"] + STREAM_CALLERS
+GUARDED_CALLERS = ["current_numeric"] + RHO_CALLERS
 
 
-def _stream_callers(dim):
+def _guarded_callers(dim):
     """{name: run(ts)} for the guarded callers at truncation dim, in a
     regime (ω_a = 4, g = 0.5, α = 3) whose squeezed spread reaches the
     top of 40 levels within a quarter jump period."""
@@ -1104,46 +1159,22 @@ def _stream_callers(dim):
     }
 
 
-@pytest.mark.parametrize("caller", STREAM_CALLERS)
+@pytest.mark.parametrize("caller", RHO_CALLERS)
 @pytest.mark.parametrize("samples", [1, 7, 8, 23])
-def test_chunked_evolution_matches_one_chunk(monkeypatch, caller, samples):
-    """Chunks of 7 samples give the same reduced trace as one chunk, for
-    sample counts below, at, just above and well above a chunk."""
-    from lcdeco import fock
+def test_chunked_evolution_matches_one_chunk(caller, samples):
+    """A grid of 1, 7, 8 and 23 samples evaluated in chunks of 7, one
+    call each, so each chunk summed from its own first time, or at its
+    one time, gives the same trace as one call over the whole grid."""
     from lcdeco.observables import sampling_limit
 
-    m, callers = _stream_callers(64)
+    m, callers = _guarded_callers(64)
     run = callers[caller]
     ts = np.arange(samples) * sampling_limit(m)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 10 ** 6)
     whole = run(ts)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    chunked = run(ts)
+    chunked = np.concatenate([run(ts[lo:lo + 7])
+                              for lo in range(0, samples, 7)])
     assert chunked.shape == whole.shape
     assert np.max(np.abs(chunked - whole)) <= 1e-14
-
-
-@pytest.mark.parametrize("samples", [1, 7, 8, 23])
-def test_line_charge_matches_chunked_states(monkeypatch, samples):
-    """P_c from the line spectrum (evolve_charge) is P_c reduced from
-    evolve_grid's states in chunks of 7 (charge_occupation), to the
-    lines' budget of 2·√PRUNE_TOL, for sample counts below, at, just
-    above and well above a chunk."""
-    from lcdeco import fock
-    from lcdeco.decoherence import evolve_charge
-    from lcdeco.hamiltonians import build_full_hamiltonian
-    from lcdeco.observables import charge_occupation, sampling_limit
-
-    m, _ = _stream_callers(64)
-    H = build_full_hamiltonian(m, 64)
-    psi = joint_state(1.0, 1.0, coherent_state(3.0, 64))
-    ts = np.arange(samples) * sampling_limit(m)
-    monkeypatch.setattr(fock, "CHUNK_SAMPLES", 7)
-    states, _ = SpectralPropagator(H).evolve_grid(
-        psi, ts, lambda block: charge_occupation(block, m.theta))
-    lines = evolve_charge(H, psi, ts, m.theta)
-    assert lines.shape == states.shape == (samples,)
-    assert np.max(np.abs(lines - states)) <= 2.0 * math.sqrt(PRUNE_TOL)
 
 
 @pytest.mark.parametrize("caller", GUARDED_CALLERS)
@@ -1156,7 +1187,7 @@ def test_leakage_after_the_grid_ends_trips(caller):
     from lcdeco.observables import sampling_limit
 
     dim = 40
-    m, callers = _stream_callers(dim)
+    m, callers = _guarded_callers(dim)
     ts = np.arange(3) * sampling_limit(m)
     later = np.arange(0.0, math.pi / (2.0 * m.Omega), sampling_limit(m))
     psi = joint_state(1.0, 1.0, coherent_state(3.0, dim))
@@ -1171,8 +1202,8 @@ def test_leakage_after_the_grid_ends_trips(caller):
 
 def test_streamed_current_holds_no_state_grid():
     """current_numeric at the fig4 regime with α = 10, dim = 224 and 4096
-    samples allocates well under one joint state grid: the states exist
-    one chunk at a time."""
+    samples allocates well under one joint state grid: no state is ever
+    built, only P_c's lines and their sums."""
     import tracemalloc
 
     from lcdeco.circuit import params_from_dimensionless
@@ -1222,10 +1253,10 @@ def two_blas_threads():
 
 def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
                                                           monkeypatch):
-    """Inside hermitian_eig's eigensolver, inside evolve_grid's reduction,
-    inside both routes' guard and around each sector pair's products of
-    the line spectrum (SpectralPropagator.lines) every found library
-    reports one thread; afterwards each reports its count from before."""
+    """Inside hermitian_eig's eigensolver, inside evolve_grid's guard and
+    around each sector pair's products of the form's lines every found
+    library reports one thread; afterwards each reports its count from
+    before."""
     from lcdeco import fock
 
     solver = fock._dstevd()
@@ -1235,10 +1266,6 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
     def dstevd(diag, offdiag, compute_v):
         seen.append(("eigh", _blas_threads()))
         return solver(diag, offdiag, compute_v=compute_v)
-
-    def reduce(block):
-        seen.append(("reduce", _blas_threads()))
-        return block
 
     def guard(sectors, pruned):
         seen.append(("guard", _blas_threads()))
@@ -1253,13 +1280,13 @@ def test_eigensolve_and_evolution_run_on_one_blas_thread(two_blas_threads,
     monkeypatch.setattr(fock, "_pair_lines", spied_pair_lines)
     _, H, psi = _full_model(8.0, 0.35, 3.0, 40)
     P = SpectralPropagator(H)
-    P.evolve_grid(psi, np.linspace(0.0, 1.0, 9), reduce, guard)
-    # weights whose squares differ row to row, so each sector's own form
-    # keeps its imbalance part and all three sector pairs multiply
-    P.lines(psi, [np.linspace(0.5, 1.0, 40)] * 2, guard)
+    # weights that differ row to row, so each sector's own form keeps its
+    # imbalance part and all three sector pairs multiply
+    w = np.linspace(0.5, 1.0, 40)
+    P.evolve_grid(psi, np.linspace(0.0, 1.0, 9),
+                  [(0, 0, w ** 2), (0, 1, 2.0 * w * w), (1, 1, w ** 2)], guard)
     ones = [1] * len(two_blas_threads)
-    assert seen == ([("eigh", ones)] * 2 + [("guard", ones), ("reduce", ones),
-                                            ("guard", ones)]
+    assert seen == ([("eigh", ones)] * 2 + [("guard", ones)]
                     + [("lines", ones)] * 6)
     assert _blas_threads() == two_blas_threads
 
@@ -1269,14 +1296,14 @@ def test_blas_threads_restored_when_the_leakage_guard_trips(
     """A TruncationError raised inside the evolution, here by the leakage
     guard on a state at the top level, leaves every library on its
     count from before."""
-    from lcdeco.decoherence import evolve_joint
+    from lcdeco.decoherence import evolve_form
 
     dim = 20
     psi = np.zeros(2 * dim, dtype=complex)
     psi[dim - 1] = 1.0
     with pytest.raises(TruncationError, match="leakage guard tripped"):
-        evolve_joint(_number_hamiltonian(2 * dim), psi, [0.0, 1.0],
-                     lambda block: block)
+        evolve_form(_number_hamiltonian(2 * dim), psi, [0.0, 1.0],
+                    [(0, 0, np.ones(2 * dim))])
     assert _blas_threads() == two_blas_threads
 
 
@@ -1300,18 +1327,17 @@ FIRST_EVOLUTION = """\
 import json, sys
 import numpy as np
 from lcdeco import fock
-from lcdeco.decoherence import evolve_joint
 
 scipy_before = "scipy.linalg" in sys.modules
 seen = []
 
-def reduce(block):
+def guard(sectors, pruned):
     seen.append([get() for get, _ in fock._openblas_thread_calls()])
-    return block[0]
 
 H = fock.SectorHamiltonian(40, [fock.Sector(np.arange(40), np.arange(40.0),
                                             np.zeros(39))])
-evolve_joint(H, np.eye(40)[0], [0.0, 1.0], reduce)
+fock.SpectralPropagator(H).evolve_grid(np.eye(40)[0], [0.0, 1.0],
+                                       [(0, 0, np.ones(40))], guard)
 with open("/proc/self/maps") as fh:
     mapped = {line.split(None, 5)[5].strip() for line in fh
               if "openblas" in line.rsplit("/", 1)[-1]}
@@ -1358,7 +1384,7 @@ def test_readme_layout_states_the_fock_constants():
         row, = [line for line in fh if line.startswith("| `lcdeco.fock` |")]
     stated = dict(re.findall(r"`(\w+)` = (-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)",
                              row))
-    assert set(stated) == {"PRUNE_TOL", "TILE_ROWS", "CHUNK_SAMPLES",
-                           "LINE_OVERSAMPLE", "LEAK_LEVELS", "LEAK_TOL"}
+    assert set(stated) == {"PRUNE_TOL", "TILE_ROWS", "LINE_OVERSAMPLE",
+                           "LEAK_LEVELS", "LEAK_TOL"}
     for name, value in stated.items():
         assert float(value) == getattr(fock, name), name

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dense_ref import (SIGMA_Y, SIGMA_Z, annihilation_op, dense, number_op,
+from dense_ref import (SIGMA_Y, SIGMA_Z, annihilation_op, charge_occupation,
+                       coherence, dense, dense_evolution, number_op,
                        position_quad)
 from lcdeco.circuit import model_params, params_from_dimensionless
+from lcdeco.decoherence import level_masks
 from lcdeco.errors import RegimeError, TruncationError
-from lcdeco.fock import (SpectralPropagator, coherent_state, hermitian_eig,
-                         joint_state)
+from lcdeco.fock import (Sector, SectorHamiltonian, SpectralPropagator,
+                         coherent_state, hermitian_eig, joint_state)
 from lcdeco.hamiltonians import (SW_LEVELS, branch_sign,
                                  build_effective_hamiltonian,
                                  build_full_hamiltonian, effective_block,
@@ -18,6 +20,7 @@ from lcdeco.hamiltonians import (SW_LEVELS, branch_sign,
                                  fit_branch_coefficients, predicted_moments,
                                  schrieffer_wolff_check,
                                  squeeze_coefficients)
+from lcdeco.observables import charge_form
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 
@@ -95,22 +98,36 @@ def _eigh_grid(H, psi, ts):
 
 
 def test_sector_propagation_matches_dense_eigh():
+    """ρ_01 and P_c (at θ = 1.1, so each sector's own form keeps its
+    imbalance lines) of the full H, and ρ_01 = ⟨s₁|s₀⟩ of the effective
+    model's H₀ ⊕ H₁, from SpectralPropagator.evolve_grid: each within
+    1e-12 of the dense eigendecomposition of the operator-defined H."""
     ts = np.linspace(0.0, 12.0, 25)
+    theta = 1.1
     for i, (m, dim) in enumerate(_random_regimes(43, 8)):
         dim = max(dim, 40)     # holds |alpha| ~ 1.5 with a clean tail
         alpha = 1.5 * np.exp(0.7j * (i + 1))
         osc = coherent_state(alpha, dim)
         psi = joint_state(0.6, 0.8j, osc)
-        got, _ = SpectralPropagator(build_full_hamiltonian(m, dim)) \
-            .evolve_grid(psi, ts, lambda b: b)
+        H = build_full_hamiltonian(m, dim)
+        mask_a, mask_b = level_masks(H)
+        P = SpectralPropagator(H)
         ref = _eigh_grid(_kron_full(m, dim), psi, ts)
-        assert np.max(np.abs(got - ref)) <= 1e-12
-        for k in (0, 1):
-            got, _ = SpectralPropagator(
-                build_effective_hamiltonian(k, m, dim)).evolve_grid(
-                    osc, ts, lambda b: b)
-            ref = _eigh_grid(_dense_effective(k, m, dim), osc, ts)
-            assert np.max(np.abs(got - ref)) <= 1e-12
+        rho01 = P.evolve_grid(psi, ts, [(1, 0, mask_a), (0, 1, mask_b)])
+        assert np.max(np.abs(rho01 - coherence(ref))) <= 1e-12
+        pc = P.evolve_grid(psi, ts, charge_form(H, theta)).real
+        assert np.max(np.abs(pc - charge_occupation(ref, theta))) <= 1e-12
+        h0, h1 = (build_effective_hamiltonian(k, m, dim) for k in (0, 1))
+        joint = SectorHamiltonian(2 * dim, h0.sectors + tuple(
+            Sector(s.index + dim, s.diag, s.offdiag) for s in h1.sectors))
+        overlap = SpectralPropagator(joint).evolve_grid(
+            np.concatenate([osc, osc]), ts,
+            [(2 + p, p, np.ones(len(s.index)))
+             for p, s in enumerate(h0.sectors)])
+        branches = [_eigh_grid(_dense_effective(k, m, dim), osc, ts)
+                    for k in (0, 1)]
+        assert np.max(np.abs(overlap - np.sum(
+            branches[0] * np.conj(branches[1]), axis=0))) <= 1e-12
 
 
 def test_full_hamiltonian_uncoupled_spectrum():
@@ -213,7 +230,8 @@ def test_evolution_coefficients_start_at_identity():
 
 
 def test_moments_match_fock_evolution():
-    """<a>, <a^2>, <a+a> of the evolved coherent state agree with the
+    """<a>, <a^2>, <a+a> of the coherent state evolved under H_k on the
+    truncated space (the dense reference) agree with the
     Bogoliubov-predicted Gaussian moments.  This is the operational
     content of the closed-form squeeze solution."""
     dim = 64
@@ -222,10 +240,11 @@ def test_moments_match_fock_evolution():
     a2 = a @ a
     nn = number_op(dim)
     psi0 = coherent_state(alpha, dim)
+    ts = [0.0, 0.3, math.pi / (2 * M_REF.Omega), 2.7]
     for k in (0, 1):
-        prop = SpectralPropagator(build_effective_hamiltonian(k, M_REF, dim))
-        for t in (0.0, 0.3, math.pi / (2 * M_REF.Omega), 2.7):
-            psi = prop.evolve_grid(psi0, [t], lambda b: b)[0][:, 0]
+        states = dense_evolution(build_effective_hamiltonian(k, M_REF, dim),
+                                 psi0, ts)
+        for t, psi in zip(ts, states.T):
             ma, m2, mn = predicted_moments(k, M_REF, alpha, t)
             assert abs(np.vdot(psi, a @ psi) - ma) < 1e-6
             assert abs(np.vdot(psi, a2 @ psi) - m2) < 1e-6

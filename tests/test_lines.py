@@ -1,5 +1,6 @@
 """P_c(t) from its line spectrum: the Taylor-expanded FFT evaluator, the
-lines against dense evolution, and the dropped lines' weight."""
+lines against dense evolution, the dropped lines' weight, and grids that
+are not uniform."""
 
 import math
 
@@ -8,15 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_ref import dense_evolution
+from dense_ref import charge_occupation, dense_evolution
 from lcdeco import fock
 from lcdeco.circuit import params_from_dimensionless
-from lcdeco.decoherence import evolve_charge
-from lcdeco.fock import (PRUNE_TOL, SpectralPropagator, _line_sums,
+from lcdeco.decoherence import evolve_form
+from lcdeco.fock import (PRUNE_TOL, SpectralPropagator, _line_sums, _lines,
                          _poisson_reach, coherent_state, joint_state)
 from lcdeco.hamiltonians import build_full_hamiltonian
-from lcdeco.observables import (charge_occupation, current_numeric,
-                                sampling_limit)
+from lcdeco.observables import charge_form, current_numeric, sampling_limit
 
 EPS = np.finfo(float).eps
 
@@ -39,32 +39,28 @@ def test_line_sums_match_an_extended_precision_direct_sum(n, t0):
     """Lines from far below to five times the grid's Nyquist frequency,
     magnitudes over twelve decades, in two sets: each set's sum is
     within (1e-13 + 8·eps·max|Δ|·max|t|)·Σ|C| of the direct sum, and
-    the reported expansion tail keeps that budget."""
+    the reported expansion tail keeps its budget of 1e-14·Σ|C|."""
     rng = np.random.default_rng(n)
     dt = 0.05
     nyquist = math.pi / dt
-    sets = []
+    t_max = abs(t0) + (n - 1) * dt
     for size in (300, 41):
         delta = rng.uniform(-5.0 * nyquist, 5.0 * nyquist, size)
         delta[:5] = [0.0, nyquist, -nyquist, 1e-9, 2.0 * nyquist]
         C = (rng.normal(size=size) + 1j * rng.normal(size=size)) \
             * 10.0 ** rng.uniform(-12.0, 0.0, size)
-        sets.append((C, delta))
-    total = sum(np.sum(np.abs(C)) for C, _ in sets)
-    values, tail = _line_sums(sets, t0, dt, n, 1e-14 * total)
-    assert values.shape == (2, n)
-    assert tail * total <= 1e-14 * total
-    t_max = abs(t0) + (n - 1) * dt
-    for got, (C, delta) in zip(values, sets):
-        tol = (1e-13 + 8.0 * EPS * np.max(np.abs(delta)) * t_max) \
-            * np.sum(np.abs(C))
+        total = np.sum(np.abs(C))
+        got, tail = _line_sums(C, delta, t0, dt, n, 1e-14 * total)
+        assert got.shape == (n,)
+        assert tail * total <= 1e-14 * total
+        tol = (1e-13 + 8.0 * EPS * np.max(np.abs(delta)) * t_max) * total
         assert np.max(np.abs(got - _direct_sum(C, delta, t0, dt, n))) <= tol
 
 
 def test_line_sums_of_no_lines_are_zero():
-    empty = (np.zeros(0, dtype=complex), np.zeros(0))
-    values, tail = _line_sums([empty, empty], 1.0, 0.1, 5, 1e-13)
-    assert values.shape == (2, 5) and not values.any() and tail == 0.0
+    values, tail = _line_sums(np.zeros(0, dtype=complex), np.zeros(0), 1.0,
+                              0.1, 5, 1e-13)
+    assert values.shape == (5,) and not values.any() and tail == 0.0
 
 
 def _stretch(m):
@@ -74,6 +70,18 @@ def _stretch(m):
 def _dense_charge(H, psi, ts, theta):
     """P_c at ts of psi evolved by the dense eigendecomposition of H."""
     return charge_occupation(dense_evolution(H, psi, ts), theta)
+
+
+def _charge(H, psi, ts, theta):
+    """P_c at ts from its line spectrum, as current_numeric takes it."""
+    return evolve_form(H, psi, ts, charge_form(H, theta)).real
+
+
+def _charge_lines(H, psi, theta):
+    """(C, Δ, dropped) of P_c's form, as evolve_grid builds them."""
+    sectors, _ = SpectralPropagator(H)._banded(psi)
+    return _lines(sectors, charge_form(H, theta),
+                  math.sqrt(PRUNE_TOL) * np.vdot(psi, psi).real)
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,7 +106,7 @@ def test_charge_lines_match_dense_evolution_random(regime):
     psi = joint_state(math.cos(phi), math.sin(phi) * np.exp(1j * chi),
                       coherent_state(alpha, dim))
     ts = t0 + np.arange(n) * dt
-    got = evolve_charge(H, psi, ts, theta)
+    got = _charge(H, psi, ts, theta)
     assert np.max(np.abs(got - _dense_charge(H, psi, ts, theta))) <= 1e-12
 
 
@@ -123,10 +131,7 @@ def test_dropped_lines_weigh_at_most_their_budget(monkeypatch):
         return keep, dropped
 
     monkeypatch.setattr(fock, "_prune", recording)
-    levels = H.size // 2
-    charge = [np.where(s.index < levels, math.sin(0.5 * theta),
-                       math.cos(0.5 * theta)) for s in H.sectors]
-    lines = SpectralPropagator(H).lines(psi, charge)
+    lines = _charge_lines(H, psi, theta)
     assert len(left_out) == 3          # the pairs AA, AB and BB
     exact = sum(s for s, _, _ in left_out)
     assert exact > 0.0
@@ -135,29 +140,27 @@ def test_dropped_lines_weigh_at_most_their_budget(monkeypatch):
     assert exact <= lines[2] * (1.0 + 1e-12)
     assert lines[2] <= math.sqrt(PRUNE_TOL) * np.vdot(psi, psi).real
     ts = np.linspace(0.0, 3.0, 31)
-    got = evolve_charge(H, psi, ts, theta)
+    got = _charge(H, psi, ts, theta)
     assert np.max(np.abs(got - _dense_charge(H, psi, ts, theta))) <= 1e-12
 
 
-def test_evolve_charge_needs_one_row_per_level():
+def test_forms_need_one_row_per_level():
     """A sector whose rows run against the level order cannot be paired
-    level by level with another."""
+    level by level with another, so no form over it is built."""
     from lcdeco.fock import Sector, SectorHamiltonian
     H = SectorHamiltonian(4, [Sector([0, 3], [0.0, 1.0], [0.5]),
                               Sector([1, 2], [0.0, 1.0], [0.5])])
     with pytest.raises(ValueError, match="one row per level"):
-        evolve_charge(H, np.eye(4)[0], [0.0, 0.1, 0.2], 1.0)
+        charge_form(H, 1.0)
 
 
-def test_off_grid_times_take_the_states(monkeypatch):
+def test_off_grid_times_are_summed_at_their_own_times(monkeypatch):
     """A grid that current_numeric accepts as uniform (each step within
     1e-9·dt of the first) but whose times sit ~1e-10·dt off
-    ts[0] + i·dt, far above their rounding: the line sums, which sample
-    ts[0] + i·dt, miss the dense P_c at ts by more than 1e-12, so
-    current_numeric reduces P_c from the states at ts, within 1e-12 of
-    dense evolution, and never calls evolve_charge."""
-    from lcdeco import observables
-
+    ts[0] + i·dt, far above their rounding: the line sums at
+    ts[0] + i·dt miss the dense P_c at ts by more than 1e-12, so each
+    time is summed on its own, one one-sample _line_sums call per t,
+    and P_c is within 1e-12 of dense evolution at ts."""
     m = params_from_dimensionless(8.0, 0.35)
     dim, alpha = 64, 3.0
     dt = sampling_limit(m) / 2
@@ -168,9 +171,18 @@ def test_off_grid_times_take_the_states(monkeypatch):
     psi = joint_state(math.sqrt(0.5), math.sqrt(0.5),
                       coherent_state(alpha, dim))
     ref = _dense_charge(H, psi, ts, m.theta)
-    assert np.max(np.abs(evolve_charge(H, psi, ts, m.theta) - ref)) > 1e-12
-    monkeypatch.setattr(observables, "evolve_charge", None)
+    uniform = ts[0] + np.arange(100) * ((ts[-1] - ts[0]) / 99)
+    assert np.max(np.abs(_charge(H, psi, uniform, m.theta) - ref)) > 1e-12
+    calls = []
+    line_sums = fock._line_sums
+
+    def recording(C, delta, t0, step, n, budget):
+        calls.append((t0, step, n))
+        return line_sums(C, delta, t0, step, n, budget)
+
+    monkeypatch.setattr(fock, "_line_sums", recording)
     pc, _ = current_numeric(m, alpha, ts, dim)
+    assert calls == [(t, 0.0, 1) for t in ts]
     assert np.max(np.abs(pc - ref)) <= 1e-12
 
 
@@ -194,9 +206,6 @@ def test_same_sector_forms_at_half_mixing_are_one_trace_line(monkeypatch):
     dim = 160
     H = build_full_hamiltonian(m, dim)
     psi = joint_state(0.6, 0.8j, coherent_state(6.0, dim))
-    levels = H.size // 2
-    charge = [np.where(s.index < levels, math.sin(0.5 * theta),
-                       math.cos(0.5 * theta)) for s in H.sectors]
     forms = []
     form_lines = fock._form_lines
 
@@ -206,8 +215,7 @@ def test_same_sector_forms_at_half_mixing_are_one_trace_line(monkeypatch):
         return out
 
     monkeypatch.setattr(fock, "_form_lines", recording)
-    P = SpectralPropagator(H)
-    lines = P.lines(psi, charge)
+    lines = _charge_lines(H, psi, theta)
     assert len(forms) == 2
     left_out = 0.0
     for sector, squares, (C, delta, _) in forms:
@@ -217,5 +225,5 @@ def test_same_sector_forms_at_half_mixing_are_one_trace_line(monkeypatch):
     assert 0.0 < left_out <= lines[2]
     assert lines[2] <= math.sqrt(PRUNE_TOL) * np.vdot(psi, psi).real
     ts = np.linspace(0.0, 3.0, 31)
-    got = evolve_charge(H, psi, ts, theta)
+    got = _charge(H, psi, ts, theta)
     assert np.max(np.abs(got - _dense_charge(H, psi, ts, theta))) <= 1e-12

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from scipy.signal import hilbert
 
+from dense_ref import charge_occupation
 import lcdeco.observables as observables
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import decoherence_approx, decoherence_exact
 from lcdeco.fock import coherent_state, joint_state
-from lcdeco.observables import (analytic_signal, charge_occupation,
-                                current_analytic, current_numeric,
-                                envelope_metrics, sampling_limit,
-                                spectral_peaks, spectrum)
+from lcdeco.observables import (analytic_signal, current_analytic,
+                                current_numeric, envelope_metrics,
+                                sampling_limit, spectral_peaks, spectrum)
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 SQ = 1.0 / math.sqrt(2.0)
