@@ -6,7 +6,9 @@ junction; the average current is I = −2q·dP_c/dt.  An analytic form
 numeric form (finite differences of the full model's exact P_c, a
 quadratic form of the evolved state summed from its line spectrum) are
 provided, plus spectral utilities to pull carrier frequency, sideband
-positions, modulation period, and envelope depth out of sampled traces.
+positions and envelope depth out of sampled traces.  The modulation
+period is not read from a trace: the jumps revive at kπ/Ω, which
+decoherence.jump_metrics gives in closed form.
 """
 
 import math
@@ -141,12 +143,11 @@ def _refined_peak(w, mag, i):
     return w[i] + float(np.clip(shift, -0.5, 0.5)) * (w[1] - w[0])
 
 
-def peak_frequency(w, mag, lo=0.0, hi=None):
-    """Frequency of the largest spectral magnitude in (lo, hi), refined
+def peak_frequency(w, mag, lo=0.0):
+    """Frequency of the largest spectral magnitude in (lo, w[-1]), refined
     by parabolic interpolation of the three bins around the maximum.
     Returns nan when the window contains no bins."""
-    hi = w[-1] if hi is None else hi
-    sel = np.flatnonzero((w > lo) & (w < hi))
+    sel = np.flatnonzero((w > lo) & (w < w[-1]))
     if len(sel) == 0:
         return float("nan")
     i = sel[np.argmax(mag[sel])]
@@ -170,14 +171,9 @@ def spectral_peaks(w, mag):
 @dataclass(frozen=True)
 class EnvelopeMetrics:
     carrier_period: float
-    modulation_period: float
     modulation_depth: float       # (max−min)/(max+min) of the envelope
     envelope_width_ratio: float   # fraction of time below the mid level
 
-
-# envelopes with depth at or below this are reported as unmodulated
-# (infinite modulation period) instead of chasing noise peaks
-FLAT_ENVELOPE_DEPTH = 0.01
 
 # fraction of the envelope dropped at each end (transform edge ripple)
 ENVELOPE_TRIM = 0.08
@@ -191,51 +187,34 @@ PEAK_FLOOR = 0.05
 
 
 def envelope_metrics(ts, x):
-    """Carrier/modulation periods and envelope depth of a sampled trace.
+    """Carrier period, envelope depth and envelope width of a sampled
+    trace.
 
-    The envelope is the magnitude of the numpy FFT analytic signal
-    (`analytic_signal`, the discrete Hilbert transform) with
-    ENVELOPE_TRIM of the samples dropped at each end to discard
-    transform edge ripple.  The modulation peak is searched only below
-    0.6× the carrier so residual carrier ripple in the envelope cannot
-    masquerade as modulation.  An essentially flat envelope
-    (depth ≤ FLAT_ENVELOPE_DEPTH) is reported with an infinite
-    modulation period, decided before any peak is searched, so no
-    noise or edge-ripple peak is fitted.  Meaningful only
-    when the carrier is well above the modulation frequency
-    (ω_a ≳ 3Ω here).
+    The carrier is the dominant tone of the trace's spectrum above one
+    cycle per window.  The envelope is the magnitude of the numpy FFT
+    analytic signal (`analytic_signal`, the discrete Hilbert transform)
+    with ENVELOPE_TRIM of the samples dropped at each end to discard
+    transform edge ripple.  Raises ValueError for a trace of fewer than
+    16 samples or a constant one, which has neither carrier nor
+    envelope.  The depth and width are meaningful only when the carrier
+    is well above the modulation frequency (ω_a ≳ 3Ω here).
     """
     ts = np.asarray(ts, dtype=float)
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n < 16:
         raise ValueError("trace too short for envelope analysis")
+    if np.all(x == x[0]):
+        raise ValueError("constant trace: no carrier or envelope to analyse")
     w, mag = spectrum(ts, x)
     # carrier: the dominant tone above one cycle per window
     wc = peak_frequency(w, mag, lo=2.0 * np.pi / (ts[-1] - ts[0]))
     env = np.abs(analytic_signal(x - x.mean()))
     k = max(int(ENVELOPE_TRIM * n), 1)
-    te = ts[k:n - k]
     ee = env[k:n - k]
     lo, hi = float(np.min(ee)), float(np.max(ee))
-    depth = (hi - lo) / (hi + lo) if hi + lo > 0 else 0.0
-    if depth <= FLAT_ENVELOPE_DEPTH:
-        mod_period = float("inf")
-    else:
-        we, me = spectrum(te, ee)
-        span = te[-1] - te[0]
-        wm = peak_frequency(we, me, lo=2.0 * np.pi / span, hi=0.6 * wc)
-        if not np.isfinite(wm):
-            raise ValueError("no modulation peak below the carrier; trace "
-                             "too short or carrier/modulation not separated")
-        mod_period = 2.0 * np.pi / wm
-        if span < 2.0 * mod_period:
-            raise ValueError("trace spans %.3g < 2 modulation periods (%.3g)"
-                             % (span, mod_period))
     mid = 0.5 * (hi + lo)
-    width_ratio = float(np.mean(ee < mid))
     return EnvelopeMetrics(
         carrier_period=2.0 * np.pi / wc,
-        modulation_period=mod_period,
-        modulation_depth=depth,
-        envelope_width_ratio=width_ratio)
+        modulation_depth=(hi - lo) / (hi + lo),
+        envelope_width_ratio=float(np.mean(ee < mid)))

@@ -174,12 +174,9 @@ def _envelope_echo(ts, trace, time_scale):
     {"skipped": reason} when the trace has none to report."""
     try:
         em = envelope_metrics(ts, trace)
-    except ValueError as exc:   # analysis needs carrier >> modulation
+    except ValueError as exc:   # too short or constant
         return {"skipped": str(exc)}
-    if not math.isfinite(em.modulation_period):
-        return {"skipped": "flat envelope: no modulation to report"}
     return {"carrier_period": em.carrier_period * time_scale,
-            "modulation_period": em.modulation_period * time_scale,
             "modulation_depth": em.modulation_depth,
             "envelope_width_ratio": em.envelope_width_ratio}
 

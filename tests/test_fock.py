@@ -1093,7 +1093,7 @@ def test_hermitian_eig_is_the_only_eigensolver():
     assert found == []
 
 
-def test_evolve_joint_is_the_only_propagation():
+def test_evolve_form_is_the_only_propagation():
     """No code in lcdeco builds a SpectralPropagator or calls the leakage
     guard except decoherence's one guarded entry, evolve_form, which
     every truncated-space evolution (ρ_01 of the Fock oracle and of the

@@ -189,7 +189,6 @@ def test_envelope_flat_for_uncoupled():
     trace = current_analytic(m0, 5.0, ts)
     em = envelope_metrics(ts, trace)
     assert em.modulation_depth <= 0.01
-    assert math.isinf(em.modulation_period)
 
 
 @pytest.mark.parametrize("eps, flat", [(0.002, True), (0.005, True),
@@ -197,30 +196,21 @@ def test_envelope_flat_for_uncoupled():
 def test_flat_envelope_has_no_modulation_period(eps, flat):
     """A carrier modulated by 1 + ε·cos(2πt/40): at ε = 0.002 and 0.005
     the envelope's depth, edge ripple included, reads 0.0046 and 0.0075,
-    at most FLAT_ENVELOPE_DEPTH, so its modulation period is infinite
-    although its spectrum peaks at 40; at ε = 0.009 (depth 0.0115) the
-    period is 40 to within one bin of the envelope's spectrum."""
+    at most 0.01; at ε = 0.009 it reads 0.0115, above it."""
     ts = np.linspace(0.0, 200.0, 8192)
     trace = (1.0 + eps * np.cos(2.0 * math.pi * ts / 40.0)) * np.sin(8.0 * ts)
     em = envelope_metrics(ts, trace)
-    assert (em.modulation_depth <= observables.FLAT_ENVELOPE_DEPTH) == flat
-    if flat:
-        assert math.isinf(em.modulation_period)
-    else:
-        # the bin of the spectrum of the trimmed envelope
-        kept = len(ts) - 2 * int(observables.ENVELOPE_TRIM * len(ts))
-        bin_w = 2.0 * math.pi / (observables.SPECTRUM_PAD * kept
-                                 * (ts[1] - ts[0]))
-        assert (abs(2.0 * math.pi / em.modulation_period
-                    - 2.0 * math.pi / 40.0) <= bin_w)
+    assert (em.modulation_depth <= 0.01) == flat
 
 
 def test_envelope_modulation_period():
+    """The fig4 analytic trace over 8 jump periods: carrier 2π/ω_a and
+    an envelope below its mid level for part of the span.  The
+    modulation period itself is π/Ω in closed form and is not read from
+    the trace."""
     m = params_from_dimensionless(8.0, 0.35)
     ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 4096)
     em = envelope_metrics(ts, current_analytic(m, 30.0, ts))
-    ref = math.pi / m.Omega
-    assert abs(em.modulation_period - ref) / ref < 0.02
     assert abs(em.carrier_period - 2.0 * math.pi / m.omega_a) \
         / em.carrier_period < 0.02
     assert 0.0 < em.envelope_width_ratio < 1.0
@@ -248,7 +238,7 @@ def test_analytic_signal_matches_scipy_hilbert(n):
 
 def test_envelope_metrics_same_as_scipy_route(monkeypatch):
     """The fig4 analytic trace (alpha = 30, 8 jump periods, 4096
-    samples) gives the same four envelope fields as with
+    samples) gives the same three envelope fields as with
     scipy.signal.hilbert in place of analytic_signal."""
     m = params_from_dimensionless(8.0, 0.35)
     ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 4096)
@@ -256,18 +246,36 @@ def test_envelope_metrics_same_as_scipy_route(monkeypatch):
     got = envelope_metrics(ts, trace)
     monkeypatch.setattr(observables, "analytic_signal", hilbert)
     ref = envelope_metrics(ts, trace)
-    for field in ("carrier_period", "modulation_period",
-                  "modulation_depth", "envelope_width_ratio"):
+    for field in ("carrier_period", "modulation_depth",
+                  "envelope_width_ratio"):
         a, b = getattr(got, field), getattr(ref, field)
         assert abs(a - b) <= 1e-12 * abs(b), field
 
 
 def test_envelope_too_short():
+    """A trace spanning 1.2 jump periods is analysed, its carrier read to
+    2 %; one of 15 samples is refused as too short."""
     m = params_from_dimensionless(8.0, 0.35)
-    # spans less than two modulation periods with visible modulation
     ts = np.linspace(0.0, 1.2 * math.pi / m.Omega, 1024)
-    with pytest.raises(ValueError):
-        envelope_metrics(ts, current_analytic(m, 30.0, ts))
+    em = envelope_metrics(ts, current_analytic(m, 30.0, ts))
+    assert abs(em.carrier_period - 2.0 * math.pi / m.omega_a) \
+        / em.carrier_period < 0.02
+    with pytest.raises(ValueError, match="too short"):
+        envelope_metrics(ts[:15], current_analytic(m, 30.0, ts[:15]))
+
+
+def test_envelope_of_constant_trace_refused():
+    """At θ = 0 the analytic current is identically zero: a constant
+    trace has no carrier to read, so it is refused by name, as is any
+    other constant trace, instead of reporting a bin of a zero
+    spectrum."""
+    m = model_params(1.0, 8.0, 0.35, 0.0)
+    ts = np.linspace(0.0, 8.0 * math.pi / m.Omega, 1024)
+    trace = current_analytic(m, 3.0, ts)
+    assert not np.any(trace)
+    for x in (trace, np.full(len(ts), 0.1)):
+        with pytest.raises(ValueError, match="constant trace"):
+            envelope_metrics(ts, x)
 
 
 def test_sampling_limit_value():

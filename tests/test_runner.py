@@ -130,24 +130,30 @@ def test_fig4_uncoupled_columns(tmp_path):
     assert np.max(np.abs(inum - ia)) <= 0.005 * np.max(np.abs(ia))
 
 
-def test_fig4_flat_envelope_recorded_as_skipped(tmp_path):
-    """Without coupling both envelopes are flat: the manifest says so for
-    each trace instead of leaving its metrics out."""
+ENVELOPE_FIELDS = {"carrier_period", "modulation_depth",
+                   "envelope_width_ratio"}
+
+
+def test_fig4_flat_envelope_recorded(tmp_path):
+    """Without coupling both envelopes are flat: each trace is recorded
+    in full, with a depth of at most 0.01, on disk as returned."""
     manifest, _ = run_scenario(parse_config(FIG4_UNCOUPLED),
                                out_dir=str(tmp_path))
-    skipped = {"skipped": "flat envelope: no modulation to report"}
-    assert manifest["params"]["envelope_analytic"] == skipped
-    assert manifest["params"]["envelope_numeric"] == skipped
+    for name in ("envelope_analytic", "envelope_numeric"):
+        record = manifest["params"][name]
+        assert set(record) == ENVELOPE_FIELDS, name
+        assert record["modulation_depth"] <= 0.01, name
     with open(tmp_path / "manifest.json") as fh:
-        assert json.load(fh)["params"]["envelope_numeric"] == skipped
+        on_disk = json.load(fh)["params"]
+    assert on_disk["envelope_numeric"] == manifest["params"]["envelope_numeric"]
 
 
 def test_fig4_coupled_envelope_recorded(tmp_path):
     """A coupled fig4 run records the analytic trace's envelope metrics:
-    the carrier period 2π/ω_a and the modulation period π/Ω, each to the
-    2 % that test_envelope_modulation_period allows.  The numeric trace
-    comes from the full H, whose envelope is not the effective model's
-    (ROADMAP item 2), so its record is not pinned here."""
+    the carrier period 2π/ω_a, to the 2 % that
+    test_envelope_modulation_period allows.  The numeric trace comes from
+    the full H, whose envelope is not the effective model's (ROADMAP
+    item 2), so its record is not pinned here."""
     cfg = parse_config(FIG4_UNCOUPLED.replace("g = 0.0", "g = 0.35")
                        .replace("alpha = 2", "alpha = 5")
                        .replace("dim = 32", "dim = 96")
@@ -156,10 +162,46 @@ def test_fig4_coupled_envelope_recorded(tmp_path):
     manifest, _ = run_scenario(cfg, out_dir=str(tmp_path))
     model = manifest["params"]["model"]
     carrier = 2.0 * math.pi / model["omega_a"]
-    modulation = math.pi / model["Omega"]
     record = manifest["params"]["envelope_analytic"]
+    assert set(record) == ENVELOPE_FIELDS
     assert abs(record["carrier_period"] - carrier) <= 0.02 * carrier
-    assert abs(record["modulation_period"] - modulation) <= 0.02 * modulation
+
+
+def test_fig4_constant_trace_recorded_as_skipped(tmp_path):
+    """At θ = 0 the analytic current is identically zero: its record is
+    skipped with the reason envelope_metrics gives, while the numeric
+    trace of the full H still moves and is recorded in full."""
+    cfg = parse_config(FIG4_UNCOUPLED.replace("g = 0.0", "g = 0.35")
+                       .replace("alpha = 2", "alpha = 3\ntheta = 0")
+                       .replace("dim = 32", "dim = 64")
+                       .replace("samples = 4096", "samples = 1024")
+                       .replace("t_max = 6.283185307179586\n", ""))
+    manifest, _ = run_scenario(cfg, out_dir=str(tmp_path))
+    assert manifest["params"]["model"]["theta"] == 0.0
+    assert manifest["params"]["envelope_analytic"] == {
+        "skipped": "constant trace: no carrier or envelope to analyse"}
+    assert set(manifest["params"]["envelope_numeric"]) == ENVELOPE_FIELDS
+
+
+def test_fig4_small_alpha_envelope_recorded(tmp_path):
+    """A small-α fig4 op of the regime-scan workload (α = 0.667,
+    ω_a ≈ 7.7, 612 samples over 8 jump periods), shallowly modulated:
+    its analytic record holds the three fields, the carrier within 2 %
+    of 2π/ω_a."""
+    text = """\
+scenario = fig4
+[model]
+omega_a = 7.701680380383707
+g = 0.19480483219896347
+alpha = 0.667
+dim = 39
+samples = 612
+"""
+    manifest, _ = run_scenario(parse_config(text), out_dir=str(tmp_path))
+    carrier = 2.0 * math.pi / 7.701680380383707
+    record = manifest["params"]["envelope_analytic"]
+    assert set(record) == ENVELOPE_FIELDS
+    assert abs(record["carrier_period"] - carrier) <= 0.02 * carrier
 
 
 def test_fig4_too_short_to_analyse_recorded_as_skipped(tmp_path):
