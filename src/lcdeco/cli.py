@@ -5,7 +5,8 @@ Exit codes:
     1   I/O error (an output file or directory could not be written)
     2   configuration error (every problem is listed on stderr)
     3   numeric or regime error (truncation, invalid regime, sampling,
-        a failed linear-algebra routine) or out of memory
+        a failed linear-algebra routine, an amplitude that overflows a
+        float) or out of memory
     4   one or more recorded checks ended in FAIL
 """
 
@@ -121,6 +122,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except (RegimeError, TruncationError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:   # overflow, e.g. |alpha|^2 at 1e200
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
         print("error: out of memory (%s); lower model.dim or model.samples"

@@ -273,33 +273,6 @@ def _poisson_reach(alpha):
     return 12.0 * abs(alpha) + 40.0
 
 
-def coherent_tail_mass(alpha, dim):
-    """Poisson mass of the untruncated coherent state above level dim−1,
-    P(n ≥ dim): the pmf summed directly over the _poisson_reach levels
-    above max(dim, |α|²), or 1 when dim lies that far below the mean."""
-    if alpha == 0:
-        return 0.0
-    lam, reach = abs(alpha) ** 2, _poisson_reach(alpha)
-    if dim <= lam - reach:
-        return 1.0
-    top = int(max(dim, lam) + reach)
-    return float(np.sum(np.exp(_poisson_log_pmf(alpha, dim, top))))
-
-
-def coherent_mass_below(alpha, n_lo):
-    """Poisson mass of the untruncated coherent state below level n_lo,
-    P(n < n_lo): the pmf summed directly over the _poisson_reach levels
-    below min(n_lo, |α|²), or 1 when n_lo lies that far above the
-    mean."""
-    if n_lo <= 0:
-        return 0.0
-    lam, reach = abs(alpha) ** 2, _poisson_reach(alpha)
-    if alpha == 0 or n_lo >= lam + reach:
-        return 1.0
-    bottom = int(max(min(n_lo, lam) - reach, 0))
-    return float(np.sum(np.exp(_poisson_log_pmf(alpha, bottom, n_lo))))
-
-
 def min_adequate_dim(alpha):
     """Smallest truncation (at least 2) with coherent tail mass below
     COHERENT_TAIL_TOL: the first level where the reverse cumulative sum
@@ -322,20 +295,29 @@ def coherent_state(alpha, dim, n_lo=0):
     level n_lo + i.
 
     Amplitudes are e^{½ ln P(n) + inφ}, built in the log domain so large
-    |α| does not overflow.  Raises TruncationError (with a suggested
-    dimension) when the tail mass at the requested truncation is not
-    below COHERENT_TAIL_TOL, and (without one) when the mass below n_lo
-    is not.
+    |α| does not overflow.  The same pmf, taken _poisson_reach levels
+    beyond [min(n_lo, |α|²), max(dim, |α|²)), gives the mass above dim − 1
+    (1 with no pmf built when dim lies that far below |α|²) and the mass
+    below n_lo.  Raises TruncationError (with a suggested dimension) when
+    the mass above is not below COHERENT_TAIL_TOL, and (without one) when
+    the mass below is not.
     """
     dim = _check_dim(dim)
-    tail = coherent_tail_mass(alpha, dim)
+    lam, reach = abs(alpha) ** 2, _poisson_reach(alpha)
+    lo = int(max(min(n_lo, lam) - reach, 0))
+    if alpha == 0 or dim <= lam - reach:
+        log_p, tail = None, float(alpha != 0)
+    else:
+        log_p = _poisson_log_pmf(alpha, lo, int(max(dim, lam) + reach))
+        tail = float(np.sum(np.exp(log_p[dim - lo:])))
     if tail >= COHERENT_TAIL_TOL:
         raise TruncationError(
             "coherent state alpha=%r needs a larger Fock space "
             "(tail mass %.3e at dim=%d)" % (alpha, tail, dim),
             suggested_dim=min_adequate_dim(alpha))
     _check_dim(dim, n_lo)
-    below = coherent_mass_below(alpha, n_lo)
+    below = (float(n_lo > 0) if log_p is None
+             else float(np.sum(np.exp(log_p[:n_lo - lo]))))
     if below >= COHERENT_TAIL_TOL:
         raise TruncationError(
             "coherent state alpha=%r needs levels below n_lo=%d (mass "
@@ -344,7 +326,7 @@ def coherent_state(alpha, dim, n_lo=0):
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
         return v
-    mag = np.exp(0.5 * _poisson_log_pmf(alpha, n_lo, dim))
+    mag = np.exp(0.5 * log_p[n_lo - lo:dim - lo])
     phase = np.exp(1j * np.arange(n_lo, dim) * np.angle(alpha))
     v = mag * phase
     return v / np.linalg.norm(v)

@@ -135,37 +135,21 @@ def spectrum(ts, x):
     return w, mag
 
 
-def _refined_peak(w, mag, i):
-    """w[i] moved to the vertex of the parabola through the three bins
-    around the maximum at i, by at most half a bin."""
+def spectral_peaks(w, mag, lo=0.0):
+    """(frequency, magnitude) rows of the local maxima above frequency lo
+    with magnitude ≥ PEAK_FLOOR·max, strongest first, ties in frequency
+    order.  A local maximum is an interior bin above its lower neighbour
+    and not below its upper one; its frequency is moved to the vertex of
+    the parabola through its three bins, by at most half a bin."""
+    mid = mag[1:-1]
+    i = 1 + np.flatnonzero((w[1:-1] > lo) & (mid >= PEAK_FLOOR * np.max(mag))
+                           & (mid > mag[:-2]) & (mid >= mag[2:]))
     den = mag[i - 1] - 2.0 * mag[i] + mag[i + 1]
-    shift = 0.5 * (mag[i - 1] - mag[i + 1]) / den if den != 0 else 0.0
-    return w[i] + float(np.clip(shift, -0.5, 0.5)) * (w[1] - w[0])
-
-
-def peak_frequency(w, mag, lo=0.0):
-    """Frequency of the largest spectral magnitude in (lo, w[-1]), refined
-    by parabolic interpolation of the three bins around the maximum.
-    Returns nan when the window contains no bins."""
-    sel = np.flatnonzero((w > lo) & (w < w[-1]))
-    if len(sel) == 0:
-        return float("nan")
-    i = sel[np.argmax(mag[sel])]
-    if not 1 <= i < len(w) - 1:
-        return float(w[i])
-    return float(_refined_peak(w, mag, i))
-
-
-def spectral_peaks(w, mag):
-    """Local maxima with magnitude ≥ PEAK_FLOOR·max, parabolic-refined,
-    strongest first.  Returns an array of (frequency, magnitude) rows."""
-    floor = PEAK_FLOOR * np.max(mag)
-    out = []
-    for i in range(1, len(mag) - 1):
-        if mag[i] >= floor and mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]:
-            out.append((_refined_peak(w, mag, i), mag[i]))
-    out.sort(key=lambda p: -p[1])
-    return np.array(out) if out else np.empty((0, 2))
+    shift = np.divide(0.5 * (mag[i - 1] - mag[i + 1]), den,
+                      out=np.zeros(len(i)), where=den != 0)
+    freq = w[i] + np.clip(shift, -0.5, 0.5) * (w[1] - w[0])
+    order = np.argsort(-mag[i], kind="stable")
+    return np.column_stack((freq, mag[i]))[order]
 
 
 @dataclass(frozen=True)
@@ -190,14 +174,15 @@ def envelope_metrics(ts, x):
     """Carrier period, envelope depth and envelope width of a sampled
     trace.
 
-    The carrier is the dominant tone of the trace's spectrum above one
-    cycle per window.  The envelope is the magnitude of the numpy FFT
-    analytic signal (`analytic_signal`, the discrete Hilbert transform)
-    with ENVELOPE_TRIM of the samples dropped at each end to discard
-    transform edge ripple.  Raises ValueError for a trace of fewer than
-    16 samples or a constant one, which has neither carrier nor
-    envelope.  The depth and width are meaningful only when the carrier
-    is well above the modulation frequency (ω_a ≳ 3Ω here).
+    The carrier is the strongest peak of the trace's spectrum above one
+    cycle per window (spectral_peaks).  The envelope is the magnitude of
+    the numpy FFT analytic signal (`analytic_signal`, the discrete
+    Hilbert transform) with ENVELOPE_TRIM of the samples dropped at each
+    end to discard transform edge ripple.  Raises ValueError for a trace
+    of fewer than 16 samples or a constant one, which has neither
+    carrier nor envelope, and for one with no spectral peak above one
+    cycle per window.  The depth and width are meaningful only when the
+    carrier is well above the modulation frequency (ω_a ≳ 3Ω here).
     """
     ts = np.asarray(ts, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -206,15 +191,17 @@ def envelope_metrics(ts, x):
         raise ValueError("trace too short for envelope analysis")
     if np.all(x == x[0]):
         raise ValueError("constant trace: no carrier or envelope to analyse")
-    w, mag = spectrum(ts, x)
-    # carrier: the dominant tone above one cycle per window
-    wc = peak_frequency(w, mag, lo=2.0 * np.pi / (ts[-1] - ts[0]))
+    # carrier: the strongest spectral peak above one cycle per window
+    peaks = spectral_peaks(*spectrum(ts, x),
+                           lo=2.0 * np.pi / (ts[-1] - ts[0]))
+    if not len(peaks):
+        raise ValueError("no spectral peak above one cycle per window")
     env = np.abs(analytic_signal(x - x.mean()))
     k = max(int(ENVELOPE_TRIM * n), 1)
     ee = env[k:n - k]
     lo, hi = float(np.min(ee)), float(np.max(ee))
     mid = 0.5 * (hi + lo)
     return EnvelopeMetrics(
-        carrier_period=2.0 * np.pi / wc,
+        carrier_period=2.0 * np.pi / float(peaks[0, 0]),
         modulation_depth=(hi - lo) / (hi + lo),
         envelope_width_ratio=float(np.mean(ee < mid)))

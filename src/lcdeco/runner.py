@@ -174,7 +174,7 @@ def _envelope_echo(ts, trace, time_scale):
     {"skipped": reason} when the trace has none to report."""
     try:
         em = envelope_metrics(ts, trace)
-    except ValueError as exc:   # too short or constant
+    except ValueError as exc:   # too short, constant or without a peak
         return {"skipped": str(exc)}
     return {"carrier_period": em.carrier_period * time_scale,
             "modulation_depth": em.modulation_depth,

@@ -183,6 +183,38 @@ def test_run_numeric_failure_exit_three(exc, message, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scenario", ["fig2", "sweep"])
+def test_run_overflowing_alpha_exit_three(scenario, tmp_path, capsys):
+    """|alpha|^2 overflows a float at alpha = 1e200: exit 3 with one
+    error line, and the output directory holds only the manifest, which
+    records the error."""
+    cfg = _write(tmp_path, "big.cfg",
+                 "scenario = %s\n[model]\nomega_a = 8.0\ng = 0.35\n"
+                 "alpha = 1e200\nsamples = 40\n" % scenario)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == ["manifest.json"]
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["error"].startswith("OverflowError: ")
+
+
+def test_derive_overflowing_alpha_exit_three(tmp_path, capsys, monkeypatch):
+    """derive with alpha = 1e200 exits 3 with one error line and writes
+    no file."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "device.cfg", DEVICE_SI.replace(
+        "[device]", "[model]\nalpha = 1e200\n[device]"))
+    assert cli.main(["derive", "--config", cfg]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["device.cfg"]
+
+
 def test_cli_import_skips_scipy():
     """Importing the CLI must load no scipy module: scipy is imported only
     where a sector is diagonalized, so --version, derive, sweep and

@@ -19,9 +19,8 @@ from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
                          Sector, SectorHamiltonian, SpectralPropagator,
-                         assert_leakage, coherent_mass_below, coherent_state,
-                         coherent_tail_mass, hermitian_eig, joint_state,
-                         min_adequate_dim)
+                         _poisson_log_pmf, assert_leakage, coherent_state,
+                         hermitian_eig, joint_state, min_adequate_dim)
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lcdeco")
 
@@ -84,20 +83,32 @@ def test_coherent_poisson_distribution():
     assert np.max(np.abs(np.abs(psi) ** 2 - poisson)) < 1e-10
 
 
+def _refusal(alpha, dim, n_lo=0):
+    """coherent_state's TruncationError at (alpha, dim, n_lo), or None
+    when it builds the state."""
+    try:
+        coherent_state(alpha, dim, n_lo)
+    except TruncationError as err:
+        return err
+    return None
+
+
 def test_coherent_truncation_guard():
-    with pytest.raises(TruncationError) as err:
-        coherent_state(4.0, 16)
-    suggested = err.value.suggested_dim
+    err = _refusal(4.0, 16)
+    assert err is not None
+    suggested = err.suggested_dim
     assert suggested is not None and suggested > 16
+    # the message prints the reference mass above dim − 1
+    from scipy.special import gammainc
+    assert "(tail mass %.3e at dim=16)" % gammainc(16, 16.0) in str(err)
     # the suggestion must actually be adequate
-    assert coherent_tail_mass(4.0, suggested) < 1e-12
     coherent_state(4.0, suggested)
 
 
 def test_min_adequate_dim_is_minimal():
     d = min_adequate_dim(3.0)
-    assert coherent_tail_mass(3.0, d) < 1e-12
-    assert coherent_tail_mass(3.0, d - 1) >= 1e-12
+    coherent_state(3.0, d)
+    assert _refusal(3.0, d - 1).suggested_dim == d
 
 
 def test_coherent_amplitudes_match_gammaln_at_alpha_30():
@@ -112,16 +123,22 @@ def test_coherent_amplitudes_match_gammaln_at_alpha_30():
 
 @pytest.mark.parametrize("alpha", [0.05, 0.7, 3.0 - 1.0j, 10.0, 30.0, 35.0])
 def test_coherent_tail_mass_matches_gammainc(alpha):
-    """P(n >= dim) = gammainc(dim, |alpha|^2), from below the mean to far
-    out in the tail (wherever the reference is a normal double)."""
+    """coherent_state refuses exactly when P(n >= dim) =
+    gammainc(dim, |alpha|^2) is at least COHERENT_TAIL_TOL, from below
+    the mean to far out in the tail and on both sides of the boundary,
+    and each refusal prints the reference mass and min_adequate_dim."""
     from scipy.special import gammainc
     lam = abs(alpha) ** 2
-    for dim in (2, int(lam) + 1, int(lam + 3 * abs(alpha)) + 2,
-                min_adequate_dim(alpha),
-                min_adequate_dim(alpha) + int(8 * abs(alpha)) + 20):
+    edge = min_adequate_dim(alpha)
+    for dim in (2, max(int(lam) + 1, 2), int(lam + 3 * abs(alpha)) + 2,
+                edge - 1, edge, edge + int(8 * abs(alpha)) + 20):
         ref = gammainc(dim, lam)
-        assert ref > 1e-300
-        assert abs(coherent_tail_mass(alpha, dim) - ref) <= 1e-10 * ref
+        err = _refusal(alpha, dim)
+        assert (err is not None) == (ref >= COHERENT_TAIL_TOL), dim
+        if err is not None:
+            assert "(tail mass %.3e at dim=%d)" % (ref, dim) in str(err)
+            assert err.suggested_dim == edge
+    assert gammainc(edge - 1, lam) >= COHERENT_TAIL_TOL > gammainc(edge, lam)
 
 
 def test_min_adequate_dim_matches_gammainc_scan():
@@ -986,6 +1003,15 @@ def test_leakage_bound_holds_both_edges_for_every_form(monkeypatch, n_lo,
         assert population <= seen[0][edge]
 
 
+def _mass_below_edge(alpha):
+    """The lowest n_lo at which the reference mass below it,
+    gammaincc(n_lo, |alpha|^2), reaches COHERENT_TAIL_TOL."""
+    from scipy.special import gammaincc
+    n = np.arange(1, int(abs(alpha) ** 2) + 2)
+    return int(n[np.argmax(gammaincc(n, abs(alpha) ** 2)
+                           >= COHERENT_TAIL_TOL)])
+
+
 def test_coherent_state_from_n_lo_is_the_full_state_cut():
     """Levels [n_lo, dim) of |α⟩: the full state's entries from n_lo up,
     renormalized, while the mass below n_lo stays under
@@ -997,31 +1023,60 @@ def test_coherent_state_from_n_lo_is_the_full_state_cut():
     assert cut.shape == (dim - n_lo,)
     ref = full[n_lo:] / np.linalg.norm(full[n_lo:])
     assert np.max(np.abs(cut - ref)) <= 1e-15
-    edge = next(n for n in range(n_lo, dim)
-                if coherent_mass_below(alpha, n + 1) >= COHERENT_TAIL_TOL)
-    coherent_state(alpha, dim, edge)
+    edge = _mass_below_edge(alpha)
+    coherent_state(alpha, dim, edge - 1)
     with pytest.raises(TruncationError, match="below n_lo"):
-        coherent_state(alpha, dim, edge + 1)
+        coherent_state(alpha, dim, edge)
     with pytest.raises(ValueError):
         coherent_state(alpha, dim, dim - 1)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 3.0 - 1.0j, 20.0 * np.exp(0.3j),
+                                   30.0])
+def test_coherent_state_cut_bit_for_bit(alpha):
+    """On a grid of dim and n_lo, the amplitudes are the full state's
+    unnormalized amplitudes e^{½ ln P(n) + inφ} cut at n_lo and
+    renormalized, bit for bit: the state, its mass above dim − 1 and its
+    mass below n_lo are read from one pmf, and its slices are the levels'
+    own weights."""
+    edge = _mass_below_edge(alpha)
+    top = min_adequate_dim(alpha)
+    for dim in (top, top + 1, top + 57):
+        raw = (np.exp(0.5 * _poisson_log_pmf(alpha, 0, dim))
+               * np.exp(1j * np.arange(dim) * np.angle(alpha)))
+        for n_lo in sorted({0, edge // 3, edge // 2, edge - 1}):
+            cut = raw[n_lo:]
+            assert np.array_equal(coherent_state(alpha, dim, n_lo),
+                                  cut / np.linalg.norm(cut))
 
 
 @pytest.mark.parametrize("alpha, n_lo", [(2.0, 1), (20.0, 150), (20.0, 400),
                                          (30.0, 428), (30.0, 800),
                                          (30.0, 1400)])
 def test_coherent_mass_below_matches_gammaincc(alpha, n_lo):
-    """P(n < n_lo) of a Poisson(|α|²) is Q(n_lo, |α|²), the regularized
-    upper incomplete gamma function."""
+    """coherent_state refuses exactly when P(n < n_lo) of a
+    Poisson(|α|²), Q(n_lo, |α|²), the regularized upper incomplete
+    gamma function, is at least COHERENT_TAIL_TOL, at n_lo and on both
+    sides of the boundary, and each refusal prints the reference
+    mass."""
     from scipy.special import gammaincc
-
-    ref = gammaincc(n_lo, alpha ** 2)
-    assert coherent_mass_below(alpha, n_lo) == pytest.approx(
-        ref, rel=1e-9, abs=1e-300)
+    edge = _mass_below_edge(alpha)
+    dim = max(min_adequate_dim(alpha), n_lo + 2)
+    for n in (n_lo, edge - 1, edge):
+        ref = gammaincc(n, alpha ** 2) if n > 0 else 0.0
+        err = _refusal(alpha, dim, n)
+        assert (err is not None) == (ref >= COHERENT_TAIL_TOL), n
+        if err is not None:
+            assert "needs levels below n_lo=%d (mass %.3e below it)" % (
+                n, ref) in str(err)
+            assert err.suggested_dim is None
 
 
 def test_coherent_mass_below_edges():
-    assert coherent_mass_below(3.0, 0) == 0.0
-    assert coherent_mass_below(0.0, 1) == 1.0
+    """No level lies below n_lo = 0, so it is never refused; all of |0⟩
+    lies below n_lo = 1."""
+    coherent_state(3.0, min_adequate_dim(3.0), 0)
+    assert "(mass 1.000e+00 below it)" in str(_refusal(0.0, 8, 1))
 
 
 def test_overlap_basics():

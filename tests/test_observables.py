@@ -13,9 +13,10 @@ import lcdeco.observables as observables
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import decoherence_approx, decoherence_exact
 from lcdeco.fock import coherent_state, joint_state
-from lcdeco.observables import (analytic_signal, current_analytic,
-                                current_numeric, envelope_metrics,
-                                sampling_limit, spectral_peaks, spectrum)
+from lcdeco.observables import (PEAK_FLOOR, analytic_signal,
+                                current_analytic, current_numeric,
+                                envelope_metrics, sampling_limit,
+                                spectral_peaks, spectrum)
 
 M_REF = params_from_dimensionless(1.8, 0.05)
 SQ = 1.0 / math.sqrt(2.0)
@@ -92,6 +93,110 @@ def test_analytic_current_sidebands():
     expected = np.sort([m.omega_a, m.omega_a - 2 * m.Omega,
                         m.omega_a + 2 * m.Omega])
     assert np.max(np.abs(freqs - expected) / expected) < 0.01
+
+
+def _refined_peak_ref(w, mag, i):
+    """Reference: w[i] moved to the vertex of the parabola through the
+    three bins around the maximum at i, by at most half a bin."""
+    den = mag[i - 1] - 2.0 * mag[i] + mag[i + 1]
+    shift = 0.5 * (mag[i - 1] - mag[i + 1]) / den if den != 0 else 0.0
+    return w[i] + float(np.clip(shift, -0.5, 0.5)) * (w[1] - w[0])
+
+
+def _spectral_peaks_ref(w, mag, lo=0.0):
+    """Reference: the per-bin loop over local maxima with magnitude >=
+    PEAK_FLOOR·max, parabolic-refined, strongest first, here also cut
+    at bins above lo."""
+    floor = PEAK_FLOOR * np.max(mag)
+    out = []
+    for i in range(1, len(mag) - 1):
+        if (w[i] > lo and mag[i] >= floor and mag[i] > mag[i - 1]
+                and mag[i] >= mag[i + 1]):
+            out.append((_refined_peak_ref(w, mag, i), mag[i]))
+    out.sort(key=lambda p: -p[1])
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def _peak_frequency_ref(w, mag, lo=0.0):
+    """Reference: the bin of the largest magnitude in (lo, w[-1]) and its
+    refined frequency (the rule fig4's carrier once had), or None when
+    the window holds no bin."""
+    sel = np.flatnonzero((w > lo) & (w < w[-1]))
+    if len(sel) == 0:
+        return None
+    i = sel[np.argmax(mag[sel])]
+    return i, float(_refined_peak_ref(w, mag, i))
+
+
+def _random_spectra(rng, count):
+    """(w, mag, lo) cases: smooth and quantized magnitudes (plateaus and
+    ties), maxima at either end, and lo at 0, on a bin and between
+    bins."""
+    for case in range(count):
+        n = int(rng.integers(3, 80))
+        w = np.arange(n) * float(rng.uniform(0.01, 3.0))
+        if case % 3 == 0:
+            mag = rng.integers(0, 6, n).astype(float)
+        elif case % 3 == 1:
+            mag = np.abs(np.convolve(rng.standard_normal(n + 4),
+                                     np.ones(5) / 5.0, mode="valid"))
+        else:
+            mag = rng.exponential(1.0, n)
+        if case % 5 == 0:
+            mag[0] = 2.0 * np.max(mag)
+        if case % 7 == 0:
+            mag[-1] = 2.0 * np.max(mag)
+        k = int(rng.integers(0, n))
+        for lo in (0.0, w[k], 0.5 * (w[k] + w[min(k + 1, n - 1)])):
+            yield w, mag, lo
+
+
+def test_spectral_peaks_match_the_per_bin_loop():
+    """The vectorized rule gives the reference loop's rows bit for bit,
+    ties in order, on random spectra with plateaus, ties, maxima at both
+    ends and lo cuts; at lo = 0 that loop is the rule gate 9's sidebands
+    were read with."""
+    rng = np.random.default_rng(30)
+    for w, mag, lo in _random_spectra(rng, 600):
+        got = spectral_peaks(w, mag, lo)
+        ref = _spectral_peaks_ref(w, mag, lo)
+        assert got.shape == ref.shape and np.array_equal(got, ref), (mag, lo)
+
+
+def test_first_spectral_peak_is_the_old_carrier_pick():
+    """Wherever the largest bin in (lo, w[-1]) is a local maximum at or
+    above the floor, the first row is that bin's refined frequency, bit
+    for bit as the old largest-bin rule; elsewhere that bin is no peak
+    (a window edge on a slope, or under the floor) and no row is
+    stronger than it."""
+    rng = np.random.default_rng(31)
+    agreed = 0
+    for w, mag, lo in _random_spectra(rng, 600):
+        got = spectral_peaks(w, mag, lo)
+        pick = _peak_frequency_ref(w, mag, lo)
+        if pick is None:
+            assert len(got) == 0
+            continue
+        i, freq = pick
+        if (mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]
+                and mag[i] >= PEAK_FLOOR * np.max(mag)):
+            assert (got[0, 0], got[0, 1]) == (freq, mag[i])
+            agreed += 1
+        else:
+            assert len(got) == 0 or got[0, 1] <= mag[i]
+    assert agreed > 300
+
+
+def test_envelope_without_a_peak_above_one_cycle_refused():
+    """Half a sine over the window has no spectral peak above one cycle
+    per window, so no carrier: it is refused by name."""
+    ts = np.linspace(0.0, 10.0, 256)
+    x = np.sin(math.pi * ts / 10.0)
+    assert len(spectral_peaks(*spectrum(ts, x),
+                              lo=2.0 * math.pi / 10.0)) == 0
+    with pytest.raises(ValueError,
+                       match="no spectral peak above one cycle per window"):
+        envelope_metrics(ts, x)
 
 
 def test_numeric_current_uncoupled_amplitude():

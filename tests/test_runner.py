@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import lcdeco.runner as runner
 from lcdeco.config import parse_config
 from lcdeco.emit import read_csv, sha256_file
 from lcdeco.errors import RegimeError, TruncationError
@@ -214,6 +215,24 @@ def test_fig4_too_short_to_analyse_recorded_as_skipped(tmp_path):
     skipped = {"skipped": "trace too short for envelope analysis"}
     assert manifest["params"]["envelope_analytic"] == skipped
     assert manifest["params"]["envelope_numeric"] == skipped
+
+
+def test_fig4_trace_without_a_peak_recorded_as_skipped(tmp_path,
+                                                     monkeypatch):
+    """An analytic current of half a sine over the span has no spectral
+    peak above one cycle per window: its record is skipped with
+    envelope_metrics' reason, while the numeric trace is recorded in
+    full."""
+    def half_sine(m, alpha, ts):
+        return np.sin(math.pi * (ts - ts[0]) / (ts[-1] - ts[0]))
+    monkeypatch.setattr(runner, "current_analytic", half_sine)
+    cfg = parse_config(FIG4_UNCOUPLED.replace("g = 0.0", "g = 0.35")
+                       .replace("samples = 4096", "samples = 1024")
+                       .replace("t_max = 6.283185307179586\n", ""))
+    manifest, _ = run_scenario(cfg, out_dir=str(tmp_path))
+    assert manifest["params"]["envelope_analytic"] == {
+        "skipped": "no spectral peak above one cycle per window"}
+    assert set(manifest["params"]["envelope_numeric"]) == ENVELOPE_FIELDS
 
 
 def test_oracle_check_scenario(tmp_path):
