@@ -17,37 +17,54 @@ The working pieces:
   the charge occupation's line spectrum), spectral envelope metrics.
 * :mod:`lcdeco.runner` / :mod:`lcdeco.cli` — scenario execution with
   deterministic CSV/SVG/manifest emission.
+
+The names below are re-exported lazily (PEP 562): each module is
+imported when one of its names is first read, so importing lcdeco, or
+running `lcdeco --version`, loads no numpy.
 """
 
-from .circuit import (CircuitParams, ModelParams, RegimeReport,
-                      circuit_from_kelvin, derive_params, model_params,
-                      params_from_dimensionless, validate_regime)
-from .decoherence import (JumpMetrics, decoherence_approx, decoherence_exact,
-                          decoherence_fock_oracle,
-                          decoherence_gaussian_oracle, full_model_coherence,
-                          jump_metrics)
-from .errors import ConfigError, RegimeError, TruncationError
-from .fock import coherent_state
-from .hamiltonians import (SWReport, build_effective_hamiltonian,
-                           build_full_hamiltonian, schrieffer_wolff_check,
-                           squeeze_coefficients)
-from .observables import (EnvelopeMetrics, current_analytic,
-                          current_numeric, envelope_metrics)
-from .config import DeviceConfig, RunConfig, parse_config
-from .runner import run_scenario
+import importlib
+
 from .version import VERSION as __version__
 
-__all__ = [
-    "CircuitParams", "ConfigError", "DeviceConfig", "EnvelopeMetrics",
-    "JumpMetrics", "ModelParams", "RegimeError", "RegimeReport",
-    "RunConfig", "SWReport", "TruncationError",
-    "build_effective_hamiltonian", "build_full_hamiltonian",
-    "circuit_from_kelvin", "coherent_state", "current_analytic",
-    "current_numeric", "decoherence_approx",
-    "decoherence_exact", "decoherence_fock_oracle",
-    "decoherence_gaussian_oracle", "derive_params", "envelope_metrics",
-    "full_model_coherence", "jump_metrics", "model_params",
-    "params_from_dimensionless", "parse_config", "run_scenario",
-    "schrieffer_wolff_check", "squeeze_coefficients", "validate_regime",
-    "__version__",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "CircuitParams": "circuit", "ModelParams": "circuit",
+    "RegimeReport": "circuit", "circuit_from_kelvin": "circuit",
+    "derive_params": "circuit", "model_params": "circuit",
+    "params_from_dimensionless": "circuit", "validate_regime": "circuit",
+    "JumpMetrics": "decoherence", "decoherence_approx": "decoherence",
+    "decoherence_exact": "decoherence",
+    "decoherence_fock_oracle": "decoherence",
+    "decoherence_gaussian_oracle": "decoherence",
+    "full_model_coherence": "decoherence", "jump_metrics": "decoherence",
+    "ConfigError": "errors", "RegimeError": "errors",
+    "TruncationError": "errors",
+    "coherent_state": "fock",
+    "SWReport": "hamiltonians",
+    "build_effective_hamiltonian": "hamiltonians",
+    "build_full_hamiltonian": "hamiltonians",
+    "schrieffer_wolff_check": "hamiltonians",
+    "squeeze_coefficients": "hamiltonians",
+    "EnvelopeMetrics": "observables", "current_analytic": "observables",
+    "current_numeric": "observables", "envelope_metrics": "observables",
+    "DeviceConfig": "config", "RunConfig": "config",
+    "parse_config": "config",
+    "run_scenario": "runner",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -8,16 +8,16 @@ Exit codes:
         a failed linear-algebra routine, an amplitude that overflows a
         float) or out of memory
     4   one or more recorded checks ended in FAIL
+
+config and runner are imported by the commands that use them, so
+--version, --help, a usage error and a config error load no numpy.
 """
 
 import argparse
 import os
 import sys
 
-from .config import parse_config
 from .errors import ConfigError, RegimeError, TruncationError
-from .runner import (BUILTIN_ORACLE_CONFIG, BUILTIN_SW_CONFIG, derive_report,
-                     default_out_dir, failed_checks, run_scenario)
 from .version import VERSION
 
 EXIT_CONFIG = 2
@@ -55,6 +55,24 @@ def _build_parser():
     return parser
 
 
+# the three calls a command makes into config and runner, looked up here
+# at call time, so a test or the benchmark's span tracer can replace each
+
+def parse_config(text):
+    from . import config
+    return config.parse_config(text)
+
+
+def run_scenario(cfg, out_dir=None, config_text=None):
+    from . import runner
+    return runner.run_scenario(cfg, out_dir=out_dir, config_text=config_text)
+
+
+def derive_report(cfg):
+    from . import runner
+    return runner.derive_report(cfg)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,26 +96,29 @@ def _cmd_run(args):
     cfg, text = _load_config(args.config)
     manifest, report = run_scenario(cfg, out_dir=args.out,
                                     config_text=text)
+    from . import runner
     if report is not None:
         sys.stdout.write(report)
     _print_checks(manifest)
-    out = default_out_dir(cfg, args.out)
+    out = runner.default_out_dir(cfg, args.out)
     print("scenario %s: wrote %d file(s) to %s (%.2f s)"
           % (manifest["scenario"], len(manifest["files"]), out,
              manifest["wall_time_s"]))
-    return EXIT_CHECK if failed_checks(manifest) else 0
+    return EXIT_CHECK if runner.failed_checks(manifest) else 0
 
 
 def _cmd_check(args):
+    from . import runner
     status = 0
-    for tag, text in (("oracle", BUILTIN_ORACLE_CONFIG),
-                      ("sw", BUILTIN_SW_CONFIG)):
+    for tag, text in (("oracle", runner.BUILTIN_ORACLE_CONFIG),
+                      ("sw", runner.BUILTIN_SW_CONFIG)):
         cfg = parse_config(text)
-        out = os.path.join(default_out_dir(cfg, args.out), "check-" + tag)
+        out = os.path.join(runner.default_out_dir(cfg, args.out),
+                           "check-" + tag)
         manifest, _ = run_scenario(cfg, out_dir=out, config_text=text)
         print("[%s]" % cfg.scenario)
         _print_checks(manifest)
-        if failed_checks(manifest):
+        if runner.failed_checks(manifest):
             status = EXIT_CHECK
     return status
 

@@ -50,12 +50,12 @@ nothing is limited, and the bits follow the host's thread count.
 
 hermitian_eig calls LAPACK's dstevd through scipy's compiled wrapper
 scipy.linalg._flapack, which _dstevd loads by file path at the first
-eigensolve of a process, so no run imports scipy.linalg (334 modules,
-about a quarter of a second on a two-vCPU Xeon), and importing lcdeco,
-and every command that diagonalizes no sector, loads no scipy.  The
-coherent-state weights come from one log-domain Poisson pmf built on
+eigensolve of a process, from the folder importlib finds for scipy, so
+no run imports the scipy package or scipy.linalg (334 modules, about a
+quarter of a second on a two-vCPU Xeon): the wrapper alone is loaded.
+The coherent-state weights come from one log-domain Poisson pmf built on
 math.lgamma.  numpy.fft is reached only inside _line_sums, so importing
-lcdeco does not load it either.
+lcdeco.fock does not load it.
 """
 
 import contextlib
@@ -205,17 +205,26 @@ def _dstevd():
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        # scipy itself (~12 ms) gives the folder, and its __init__ does
-        # whatever set-up a wheel needs to find its shared libraries
-        import scipy
-        folder = os.path.join(scipy.__path__[0], "linalg")
+        # scipy's folder, found without running scipy's __init__ (about
+        # 15 ms of subprocess, sysconfig and test utilities): the wrapper
+        # finds scipy's OpenBLAS by its rpath
+        scipy = sys.modules.get("scipy")
+        if scipy is not None:
+            roots = scipy.__path__
+        else:
+            spec = importlib.util.find_spec("scipy")
+            if spec is None:
+                raise ImportError("no module named scipy: the eigensolver "
+                                  "needs its compiled LAPACK wrapper",
+                                  name="scipy")
+            roots = spec.submodule_search_locations
+        folder = os.path.join(roots[0], "linalg")
         paths = [os.path.join(folder, "_flapack" + suffix)
                  for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((p for p in paths if os.path.isfile(p)), None)
         if path is None:
-            raise ImportError("scipy %s has no compiled LAPACK wrapper "
-                              "_flapack in %s" % (scipy.__version__, folder),
-                              name=_FLAPACK)
+            raise ImportError("scipy has no compiled LAPACK wrapper "
+                              "_flapack in %s" % folder, name=_FLAPACK)
         spec = importlib.util.spec_from_file_location(_FLAPACK, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -279,11 +288,18 @@ def min_adequate_dim(alpha):
     of the pmf falls below it.  The one sum runs down from
     _poisson_reach above the mean to max(⌊|α|²⌋, 2): the tail at the
     mean is about ½, so the crossing lies above it, and where |α|² < 2
-    a tail already below the tolerance at level 2 gives 2."""
+    a tail already below the tolerance at level 2 gives 2.  Raises
+    ValueError, before any pmf is built, where that sum's top level lies
+    beyond the largest array index."""
     if alpha == 0:
         return 2
-    lo = max(int(abs(alpha) ** 2), 2)
     top = int(abs(alpha) ** 2 + _poisson_reach(alpha)) + 1
+    if top > np.iinfo(np.intp).max:
+        raise ValueError(
+            "coherent state alpha=%r holds its weight near level |alpha|^2 "
+            "= %.3g, beyond the last level any Fock truncation can index"
+            % (alpha, abs(alpha) ** 2))
+    lo = max(int(abs(alpha) ** 2), 2)
     run = np.cumsum(np.exp(_poisson_log_pmf(alpha, lo, top))[::-1])
     # run rises from the top level down: the levels where it has reached
     # the tolerance are the ones the truncation must keep
@@ -720,6 +736,12 @@ def _line_sums(C, delta, t0, dt, n, budget):
     ≤ `budget`: 15 orders at fig4's α = 30.  One sample (n = 1, dt = 0)
     has ε = 0, so it takes order 0 alone: the direct sum.  Rounding adds
     about eps·|Δ|·max|t| of phase per line.
+
+    A step of 2^53 grid frequencies or more (or not finite) is refused
+    with a ValueError: k is then no exact integer in a double, ε no
+    longer stays within π/N', and the orders would grow without bound.
+    Below it rounding moves k and ε by a few grid frequencies at most, so
+    x < 2π and L stays below about 40.
     """
     if not len(C) or not n:
         return np.zeros(n, dtype=complex), 0.0
@@ -728,6 +750,11 @@ def _line_sums(C, delta, t0, dt, n, budget):
     scale = max(mid, 1.0)
     step = delta * dt
     k = np.rint(step * (size / (2.0 * math.pi)))
+    if not np.all(np.abs(k) < 2.0 ** 53):
+        raise ValueError(
+            "time step %.6g is too long to phase in double precision: a "
+            "line's phase step is %.3g steps of its %d-frequency grid, "
+            "2^53 at most; lower t_max" % (dt, float(np.max(np.abs(k))), size))
     eps = step - k * (2.0 * math.pi / size)
     weight = C * np.exp(1j * (delta * t0 + eps * mid))
     u = eps * scale

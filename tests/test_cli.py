@@ -215,10 +215,96 @@ def test_derive_overflowing_alpha_exit_three(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["device.cfg"]
 
 
+def _in_fresh_process(code):
+    """`code` run to its end by a new interpreter on this checkout's src;
+    a run that outlives the timeout fails."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+
+
+TIMED_MAIN = """\
+import time
+import lcdeco.cli
+start = time.perf_counter()
+code = lcdeco.cli.main(%r)
+print(code, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("t_max", ["1e300", "1e17"])
+def test_run_unphaseable_time_step_exit_three(t_max, tmp_path):
+    """A fig2 grid whose step no double can split on the line sums' FFT
+    grid is refused within a second, with exit 3 and one error line: at
+    1e300 the Taylor orders had grown without bound, and at 1e17 every
+    D_fock cell had been written as NaN under exit 0.  The run is a
+    child process, so a hang fails at its timeout."""
+    cfg = _write(tmp_path, "long.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 8\ng = 0.35\n"
+                 "alpha = 2\ndim = 64\nsamples = 400\nt_max = %s\n" % t_max)
+    out = tmp_path / "o"
+    proc = _in_fresh_process(
+        TIMED_MAIN % (["run", "--config", cfg, "--out", str(out)],))
+    code, seconds = proc.stdout.split()
+    assert int(code) == cli.EXIT_NUMERIC
+    assert float(seconds) < 1.0
+    assert proc.stderr.startswith("error: time step ")
+    assert "too long to phase in double precision" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_run_unindexable_alpha_exit_three(tmp_path, capsys):
+    """fig4 at alpha = 1e20 puts the coherent state's weight near level
+    1e40, which no Fock truncation can index: exit 3 with one error line
+    that says so, not a TypeError from a pmf over Python integers."""
+    cfg = _write(tmp_path, "huge.cfg",
+                 "scenario = fig4\n[model]\nomega_a = 8.0\ng = 0.35\n"
+                 "alpha = 1e20\ndim = 64\nsamples = 4096\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: coherent state alpha=1e+20 ")
+    assert "beyond the last level any Fock truncation can index" in err
+    assert err.count("\n") == 1
+    assert os.listdir(out) == ["manifest.json"]
+
+
+NUMPY_AFTER_MAIN = """\
+import sys
+import lcdeco.cli
+try:
+    code = lcdeco.cli.main(%r)
+except SystemExit as exc:
+    code = exc.code
+print(code, 'numpy' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["run"], 2),
+    (["run", "--config", "{unknown}"], 2),
+], ids=["version", "help", "usage-error", "unknown-key"])
+def test_commands_that_compute_nothing_load_no_numpy(argv, code, tmp_path):
+    """--version, --help, a usage error and a config error end before
+    any command computes, so they never import numpy."""
+    cfg = _write(tmp_path, "unknown.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"
+                 "alpha = 2\nno_such_key = 1\n")
+    argv = [a.format(unknown=cfg) for a in argv]
+    out = _in_fresh_process(NUMPY_AFTER_MAIN % (argv,)).stdout
+    assert out.splitlines()[-1] == "%d False" % code
+
+
 def test_cli_import_skips_scipy():
-    """Importing the CLI must load no scipy module: scipy is imported only
-    where a sector is diagonalized, so --version, derive, sweep and
-    device_si never pay for loading it."""
+    """Importing the CLI must load no scipy module: scipy's LAPACK wrapper
+    is loaded only where a sector is diagonalized, so --version, --help,
+    usage and config errors, derive, sweep and device_si never load any
+    scipy file, and no command imports the scipy package."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import lcdeco.cli, sys; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
@@ -244,26 +330,38 @@ def test_cli_import_skips_numpy_fft():
     assert loaded == "False"
 
 
+SCIPY_AFTER_MAIN = """\
+import sys
+import lcdeco.cli
+from lcdeco import fock
+code = lcdeco.cli.main(%r)
+print(code, fock._dstevd.cache_info().currsize, [m for m in
+      ('scipy', 'scipy.linalg', 'scipy.special') if m in sys.modules])
+"""
+
+
 def test_fock_run_skips_scipy_linalg_and_special(tmp_path):
-    """A fig2 run that writes a D_fock column loads neither scipy.linalg
-    nor scipy.special: the sector eigensolver calls scipy's compiled
-    LAPACK wrapper directly, and the coherent-state weights are built
-    from math.lgamma."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    """A fig2 run that writes a D_fock column loads neither the scipy
+    package, scipy.linalg nor scipy.special: the sector eigensolver calls
+    scipy's compiled LAPACK wrapper, loaded by path, and the
+    coherent-state weights are built from math.lgamma."""
     cfg = _write(tmp_path, "fig2.cfg",
                  "scenario = fig2\n[model]\nomega_a = 1.8\ng = 0.05\n"
                  "alpha = 2\ndim = 40\nsamples = 40\n")
     out = str(tmp_path / "out")
-    code = ("import lcdeco.cli, sys; "
-            "code = lcdeco.cli.main(['run', '--config', %r, '--out', %r]); "
-            "print(code, 'scipy.linalg' in sys.modules, "
-            "'scipy.special' in sys.modules)" % (cfg, out))
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "0 False False"
+    proc = _in_fresh_process(
+        SCIPY_AFTER_MAIN % (["run", "--config", cfg, "--out", out],))
+    assert proc.stdout.splitlines()[-1] == "0 1 []"
     _, columns, _ = read_csv(os.path.join(out, "fig2_alpha2.csv"))
     assert "D_fock" in columns
+
+
+def test_check_loads_no_scipy_package(tmp_path):
+    """lcdeco check diagonalizes through the same wrapper and imports
+    neither the scipy package nor scipy.linalg."""
+    proc = _in_fresh_process(
+        SCIPY_AFTER_MAIN % (["check", "--out", str(tmp_path / "out")],))
+    assert proc.stdout.splitlines()[-1] == "0 1 []"
 
 
 def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):

@@ -1,5 +1,6 @@
-"""Every name imported into an lcdeco module is used in that module, and
-every private module-level name of lcdeco is read somewhere in lcdeco.
+"""Every name imported into an lcdeco module is used in that module,
+every private module-level name of lcdeco is read somewhere in lcdeco,
+and every name lcdeco exports resolves.
 
 The only exceptions to the first are names that the benchmark's span
 tracer (perfbench/spans.py) patches at that module: they must stay
@@ -8,6 +9,7 @@ list of such imports is the tracer's own.
 """
 
 import ast
+import importlib
 import os
 
 from test_tracer_contract import _load_spans
@@ -26,9 +28,10 @@ def _modules():
     return trees
 
 
-def _unused_imports(tree):
+def _unused_imports(module, tree):
     """Names an import binds in the module that nothing in it reads (a
-    name listed in __all__ counts as read)."""
+    name listed in __all__ counts as read; __all__ is read from the
+    imported module, since lcdeco builds it from its export table)."""
     bound = set()
     read = set()
     for node in ast.walk(tree):
@@ -41,7 +44,7 @@ def _unused_imports(tree):
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "__all__"
                       for t in node.targets)):
-            read.update(ast.literal_eval(node.value))
+            read.update(importlib.import_module(module).__all__)
     return bound - read
 
 
@@ -52,7 +55,7 @@ def test_every_import_is_used_or_traced():
     dead = []
     for module, tree in _modules().items():
         dead += [(module, imported)
-                 for imported in sorted(_unused_imports(tree))
+                 for imported in sorted(_unused_imports(module, tree))
                  if (module, imported) not in traced]
     assert dead == []
 
@@ -93,3 +96,23 @@ def test_every_private_name_is_read():
         dead += [(module, name) for name in sorted(_private_names(tree))
                  if name not in read and (module, name) not in imported]
     assert dead == []
+
+
+def test_every_exported_name_resolves():
+    """lcdeco re-exports its names lazily: each in __all__ resolves to
+    its module's own object, and a star import binds them all."""
+    import lcdeco
+
+    for name in lcdeco.__all__:
+        module = lcdeco._EXPORTS.get(name, "version")
+        owner = importlib.import_module("lcdeco." + module)
+        expected = (owner.VERSION if name == "__version__"
+                    else getattr(owner, name))
+        assert getattr(lcdeco, name) is expected, name
+    assert set(lcdeco.__all__) <= set(dir(lcdeco))
+    assert not hasattr(lcdeco, "no_such_name")
+    namespace = {}
+    exec("from lcdeco import *", namespace)
+    assert set(lcdeco.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(lcdeco, name)
+               for name in lcdeco.__all__)
