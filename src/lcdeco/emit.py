@@ -7,7 +7,7 @@ always "\\n", and nothing here reads clocks or global state.
 A table is not formatted value by value: emit_csv picks one format per
 column from the kinds of its cells and prints each row with one format
 string, and emit_svg maps each trace to pixels with numpy and prints
-its points with one format per point.
+its points with one format per point, the shared x pixels once per plot.
 """
 
 import csv
@@ -26,12 +26,15 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
+_FLOAT = "%.17g"
+
+
 def _spec(kind):
     """The format of a cell of type `kind`: a float (numpy's float64
     too) at 17 significant digits, an int in decimal (a bool as 1 or 0),
     and None for text: anything else, printed as its str."""
     if issubclass(kind, float):
-        return "%.17g"
+        return _FLOAT
     if issubclass(kind, int):
         return "%d"
     return None
@@ -52,16 +55,19 @@ def _quote(text):
 # ---------------------------------------------------------------------------
 # CSV
 
-def _row_format(columns):
+def _row_format(names, columns):
     """(format, columns): the row format string of a table given by
     column, and the columns to fill it with.  A column of one numeric
     spec (_spec) gets that spec and is passed on as it is; a column of
     text gets %s and its cells quoted, and one that mixes kinds gets %s
-    and each cell's own text (_cell)."""
+    and each cell's own text (_cell).  A float cell that is nan or ±inf
+    is a ValueError naming its column and row."""
     specs = []
     filled = []
-    for values in columns:
+    for name, values in zip(names, columns):
         kinds = {_spec(kind) for kind in set(map(type, values))}
+        if _FLOAT in kinds:
+            _refuse_non_finite(name, values, len(kinds) == 1)
         if len(kinds) > 1:
             spec, values = "%s", list(map(_cell, values))
         elif None in kinds:
@@ -71,6 +77,19 @@ def _row_format(columns):
         specs.append(spec)
         filled.append(values)
     return ",".join(specs), filled
+
+
+def _refuse_non_finite(name, values, all_floats):
+    """ValueError naming the column and row of the first float among
+    values that is nan or ±inf; all_floats: every cell is a float."""
+    floats = values if all_floats else [v for v in values
+                                        if isinstance(v, float)]
+    if all(map(math.isfinite, floats)):
+        return
+    row, value = next((i, v) for i, v in enumerate(values)
+                      if isinstance(v, float) and not math.isfinite(v))
+    raise ValueError("non-finite value %s in column %r, row %d"
+                     % (value, str(name), row))
 
 
 def emit_csv(path, columns, rows, meta=None):
@@ -84,6 +103,9 @@ def emit_csv(path, columns, rows, meta=None):
     verbatim, numbers as data cells).  A file read back with read_csv is
     re-emitted byte for byte by splitting each of its meta lines back
     into a pair at the first ' = '.
+
+    A float cell that is nan or ±inf is refused with a ValueError that
+    names its column and row, before the file is opened.
     """
     if set(map(len, rows)) - {len(columns)}:
         i = next(i for i, row in enumerate(rows) if len(row) != len(columns))
@@ -96,7 +118,7 @@ def emit_csv(path, columns, rows, meta=None):
                                       if not isinstance(value, str)
                                       else value))
     out.append(",".join(_quote(str(c)) for c in columns))
-    fmt, filled = _row_format(zip(*rows))
+    fmt, filled = _row_format(columns, zip(*rows))
     out.extend(map(fmt.__mod__, zip(*filled)))
     data = "\n".join(out) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -226,11 +248,11 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
                  '</text>' % (left - 6, ypix + 4, _tick_label(tv)))
     e.append('<rect x="%d" y="%d" width="%d" height="%d" fill="none" '
              'stroke="#333333" stroke-width="1"/>' % (left, top, pw, ph))
-    xpix_all = px(xs).tolist()
+    # the x pixel column is shared by every series: printed once
+    xtext = list(map("%.2f".__mod__, px(xs).tolist()))
     for i, ys in enumerate(ys_all):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(map("%.2f,%.2f".__mod__,
-                           zip(xpix_all, py(ys).tolist())))
+        pts = " ".join(map("%s,%.2f".__mod__, zip(xtext, py(ys).tolist())))
         e.append('<polyline points="%s" fill="none" stroke="%s" '
                  'stroke-width="1.5"/>' % (pts, color))
     if title:

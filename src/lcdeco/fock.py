@@ -46,7 +46,11 @@ library its thread count back when they return or raise
 thread count the host sets, and fig4's probe current at α = 30 takes
 about a fifth less time than on two threads of two vCPUs.  Where no
 OpenBLAS is found (MKL, Accelerate, a platform without /proc/self/maps)
-nothing is limited, and the bits follow the host's thread count.
+nothing is limited, and the bits follow the host's thread count.  A
+process that the CLI starts has every BLAS library on one thread from
+the moment it loads (cli._cold_process), whatever the BLAS, so there the
+limiter finds nothing to change: it serves callers that imported numpy
+first, such as tests, notebooks and in-process benchmarks.
 
 hermitian_eig calls LAPACK's dstevd through scipy's compiled wrapper
 scipy.linalg._flapack, which _dstevd loads by file path at the first

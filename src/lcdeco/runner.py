@@ -329,8 +329,10 @@ def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
 
     Every table and plot is computed before the first file is written;
     the manifest is written last, to <out>/manifest.json, and on failure
-    it holds the error instead.  Check failures do not raise — they are
-    recorded with status FAIL (the CLI maps them to its exit code).
+    it holds the error instead, and the files this run wrote before an
+    emitter refused its data are removed.  Check failures do not raise —
+    they are recorded with status FAIL (the CLI maps them to its exit
+    code).
     """
     out = default_out_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
@@ -363,6 +365,10 @@ def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
         for name, *plot in plots:
             files.append(emit_svg(os.path.join(out, name), *plot))
     except Exception as exc:
+        # an emitter's refusal (a non-finite value) after earlier files
+        for path in files:
+            if os.path.exists(path):
+                os.remove(path)
         write_manifest(os.path.join(out, "manifest.json"), {
             **head, "error": "%s: %s" % (type(exc).__name__, exc)})
         raise

@@ -202,6 +202,36 @@ def test_run_overflowing_alpha_exit_three(scenario, tmp_path, capsys):
         assert json.load(fh)["error"].startswith("OverflowError: ")
 
 
+def test_run_non_finite_cell_exit_three(tmp_path, capsys, monkeypatch):
+    """A NaN in the second of fig2's tables is refused as its CSV is
+    written: exit 3 with one error line that names the column and row,
+    and the first table's CSV, written before it, is removed, so the
+    directory holds only the error manifest."""
+    import lcdeco.runner as runner
+
+    exact = runner.decoherence_exact
+
+    def nan_at_alpha_3(m, alpha, ts):
+        d = exact(m, alpha, ts)
+        if alpha == 3:
+            d[5] = np.nan
+        return d
+
+    monkeypatch.setattr(runner, "decoherence_exact", nan_at_alpha_3)
+    cfg = _write(tmp_path, "nan.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"
+                 "alpha = 2, 3\ndim = 48\nsamples = 40\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == \
+        cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "error: non-finite value nan in column 'D_exact', row 5\n"
+    assert os.listdir(out) == ["manifest.json"]
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["error"] == ("ValueError: non-finite value nan "
+                                          "in column 'D_exact', row 5")
+
+
 def test_derive_overflowing_alpha_exit_three(tmp_path, capsys, monkeypatch):
     """derive with alpha = 1e200 exits 3 with one error line and writes
     no file."""
@@ -215,11 +245,12 @@ def test_derive_overflowing_alpha_exit_three(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["device.cfg"]
 
 
-def _in_fresh_process(code):
-    """`code` run to its end by a new interpreter on this checkout's src;
-    a run that outlives the timeout fails."""
+def _in_fresh_process(code, **env):
+    """`code` run to its end by a new interpreter on this checkout's src,
+    with `env` added to the environment; a run that outlives the timeout
+    fails."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
 
@@ -384,30 +415,100 @@ def test_fig2_with_an_axis_a_few_ulps_wide_exits(tmp_path):
     assert ys and all(0.0 <= y <= 560.0 for y in ys)
 
 
+TWO_BLAS_THREADS = {var: "2" for var in cli.BLAS_THREAD_VARS}
+
+LIBRARY_RUN = """\
+import json
+from lcdeco import config, fock, runner
+with open(%r, encoding="utf-8") as fh:
+    text = fh.read()
+runner.run_scenario(config.parse_config(text), out_dir=%r, config_text=text)
+print(json.dumps([get() for get, _ in fock._openblas_thread_calls()]))
+"""
+
+
 def test_fig4_across_blas_thread_counts(tmp_path):
-    """The shipped fig4 config under 1 and 2 BLAS threads: fig4.csv and
-    fig4.svg are byte-identical, I_numeric included, and the manifests
-    differ only in wall_time_s, since every eigensolve and evolution
-    product runs on one BLAS thread whatever the host sets."""
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    """The shipped fig4 config through the CLI, which pins every BLAS
+    library to one thread, and through runner.run_scenario in a process
+    whose libraries keep the two threads its environment asks for, where
+    only fock._one_blas_thread limits them: fig4.csv and fig4.svg are
+    byte-identical, I_numeric included, and the manifests differ only in
+    wall_time_s."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "fig4.cfg")
+    out = {side: str(tmp_path / side) for side in ("cli", "library")}
+    _in_fresh_process(
+        "import lcdeco.cli, sys; sys.exit(lcdeco.cli.main(%r))"
+        % (["run", "--config", cfg, "--out", out["cli"]],),
+        **TWO_BLAS_THREADS)
+    kept = json.loads(_in_fresh_process(
+        LIBRARY_RUN % (cfg, out["library"]), **TWO_BLAS_THREADS).stdout)
+    assert kept == [2] * len(kept)
     manifests = []
-    for threads in ("1", "2"):
-        out = str(tmp_path / threads)
-        code = ("import lcdeco.cli, sys; sys.exit(lcdeco.cli.main(['run', "
-                "'--config', %r, '--out', %r]))"
-                % (os.path.join(root, "configs", "fig4.cfg"), out))
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(
-            os.path.join(root, "src")), OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                       capture_output=True, timeout=300)
-        with open(os.path.join(out, "manifest.json")) as fh:
+    for side in ("cli", "library"):
+        with open(os.path.join(out[side], "manifest.json")) as fh:
             manifests.append(json.load(fh))
         manifests[-1].pop("wall_time_s")
     for name in ("fig4.csv", "fig4.svg"):
-        assert ((tmp_path / "1" / name).read_bytes()
-                == (tmp_path / "2" / name).read_bytes()), name
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "library" / name).read_bytes()), name
     assert manifests[0] == manifests[1]
+
+
+COLD_MAIN = """\
+import atexit, json, os
+import lcdeco.cli
+hooks = atexit._ncallbacks()
+code = lcdeco.cli.main(%r)
+from lcdeco import fock
+print(json.dumps({
+    "code": code, "hooks": atexit._ncallbacks() - hooks,
+    "threads": len(os.listdir("/proc/self/task")),
+    "blas": [get() for get, _ in fock._openblas_thread_calls()],
+    "env": [os.environ[var] for var in lcdeco.cli.BLAS_THREAD_VARS]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="a process's threads are counted in /proc")
+def test_cold_cli_process_starts_no_blas_threads(tmp_path):
+    """A fresh process whose first BLAS load is a command of main, here
+    a fig2 run that diagonalizes, under an environment asking for two
+    BLAS threads: main pins every BLAS library to one thread before it
+    loads, so the process ends with its one thread, every OpenBLAS
+    library found reads 1, and main registered the exit freeze."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "fig2.cfg")
+    got = json.loads(_in_fresh_process(
+        COLD_MAIN % (["run", "--config", cfg, "--out", str(tmp_path)],),
+        **TWO_BLAS_THREADS).stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert got["threads"] == 1
+    assert got["blas"] == [1] * len(got["blas"])
+    assert got["env"] == ["1"] * len(cli.BLAS_THREAD_VARS)
+    assert got["hooks"] == 1
+
+
+WARM_MAIN = """\
+import atexit, json, os
+import numpy
+import lcdeco.cli
+env, hooks = dict(os.environ), atexit._ncallbacks()
+code = lcdeco.cli.main(%r)
+print(json.dumps({"code": code, "env": dict(os.environ) == env,
+                  "hooks": atexit._ncallbacks() - hooks}))
+"""
+
+
+def test_cli_main_after_numpy_keeps_environment_and_exit(tmp_path):
+    """main called in a process that imported numpy first, as a test, a
+    notebook or an in-process benchmark does, leaves os.environ as it
+    was and registers no exit hook."""
+    cfg = _write(tmp_path, "sweep.cfg", GOOD_SWEEP)
+    got = json.loads(_in_fresh_process(
+        WARM_MAIN % (["run", "--config", cfg, "--out", str(tmp_path)],),
+        **TWO_BLAS_THREADS).stdout.splitlines()[-1])
+    assert got == {"code": 0, "env": True, "hooks": 0}
 
 
 @pytest.mark.parametrize("command", [["run", "--config", "x.cfg"], ["check"]])

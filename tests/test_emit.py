@@ -1,6 +1,7 @@
 """CSV/SVG emission: byte determinism, round-trips, quoting, and the
 goldens of literal inputs."""
 
+import math
 import os
 
 import numpy as np
@@ -17,7 +18,9 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # which the per-cell emitters wrote (each value converted and formatted
 # on its own): floats as hex literals, so the inputs are the same bits on
 # every platform.  Each kind of cell the emitters take has a column of
-# its own, and "mixed" mixes the kinds in one column.
+# its own, and "mixed" mixes the kinds in one column.  emit_csv refuses
+# a nan or ±inf cell, so the golden's six non-finite cells became finite
+# floats, each rewritten in the file as format(v, ".17g").
 NEG_ZERO = float.fromhex("-0x0p+0")
 TINY = float.fromhex("0x0.0000000000001p-1022")       # 5e-324
 HUGE = float.fromhex("0x1.fffffffffffffp+1023")       # 1.7976931348623157e308
@@ -34,15 +37,14 @@ GOLDEN_CSV_ROWS = [
      THIRD, "y"),
     (HUGE, np.float64(NEG_ZERO), 2 ** 70, True, np.uint8(255),
      'quote"inside', False, "z"),
-    (TENTH, np.float64(float("nan")), 1, False, np.int64(0), "line\nbreak",
+    (TENTH, np.float64(-THIRD), 1, False, np.int64(0), "line\nbreak",
      np.int64(4), "w"),
-    (THIRD, np.float64(float("inf")), -1, True, np.int64(2 ** 62), "",
+    (THIRD, np.float64(HUGE), -1, True, np.int64(2 ** 62), "",
      np.float64(-TENTH), "v"),
-    (float("nan"), np.float64(THIRD), 3, False, np.int16(-1), "tab\there",
+    (-TENTH, np.float64(THIRD), 3, False, np.int16(-1), "tab\there",
      "text, too", "u"),
-    (float("inf"), np.float64(TENTH), 4, True, np.int64(5), "-0.0",
-     float("-inf"), "t"),
-    (float("-inf"), np.float64(1.0), 5, False, np.int64(6), "1e5", True,
+    (-HUGE, np.float64(TENTH), 4, True, np.int64(5), "-0.0", -TINY, "t"),
+    (float(2 ** 70), np.float64(1.0), 5, False, np.int64(6), "1e5", True,
      "s"),
 ]
 GOLDEN_SVG_X = [NEG_ZERO, TENTH, THIRD, 0.5, 1.0, 2.0]
@@ -177,20 +179,48 @@ def test_emitters_reproduce_the_goldens_of_literal_inputs(tmp_path):
     max_size=40)))
 def test_csv_of_float_tables_is_the_per_cell_rule(tmp_path_factory, rows):
     """Each float of a table is written as format(float(v), ".17g"), one
-    row per line, whether handed over as Python floats or numpy's."""
+    row per line, whether handed over as Python floats or numpy's; a
+    table with a nan or ±inf cell is refused, naming the column and row
+    of the first one in column order, and no file is written."""
     width = len(rows[0]) if rows else 1
     columns = ["c%d" % i for i in range(width)]
     expected = "\n".join([",".join(columns)] + [
         ",".join(format(float(v), ".17g") for v in row) for row in rows])
+    bad = [(c, r) for c in range(width) for r, row in enumerate(rows)
+           if not math.isfinite(row[c])]
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     for table in (rows, [tuple(map(np.float64, row)) for row in rows]):
-        emit_csv(str(path), columns, table)
-        assert path.read_text(encoding="utf-8") == expected + "\n"
+        if bad:
+            with pytest.raises(ValueError, match=r"in column 'c%d', row %d$"
+                               % bad[0]):
+                emit_csv(str(path), columns, table)
+            assert not path.exists()
+        else:
+            emit_csv(str(path), columns, table)
+            assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
 def test_csv_rejects_rows_of_another_width(tmp_path):
     with pytest.raises(ValueError, match="row 1 has 1 cells"):
         emit_csv(str(tmp_path / "r.csv"), ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+@pytest.mark.parametrize("column, row, value", [
+    ("D_fock", 2, float("nan")),
+    ("D_fock", 0, np.float64(float("-inf"))),
+    ("mixed", 1, float("inf")),
+])
+def test_csv_refuses_a_non_finite_cell(tmp_path, column, row, value):
+    """A nan or ±inf float cell, in a column of floats or one that mixes
+    kinds, is a ValueError that names its column and row, raised before
+    the file is opened; ints and text beside it are not float cells."""
+    rows = [[0.5, 1.0, "text"], [1.5, 2.0, 3], [2.5, 3.0, "nan"]]
+    rows[row][("t", "D_fock", "mixed").index(column)] = value
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"^non-finite value %s in column "
+                       r"'%s', row %d$" % (value, column, row)):
+        emit_csv(str(path), ["t", "D_fock", "mixed"], rows)
+    assert not path.exists()
 
 
 def test_svg_refuses_an_empty_trace(tmp_path):
