@@ -186,8 +186,9 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
-        print("error: out of memory (%s); lower model.dim or model.samples"
-              % (str(exc) or "allocation failed"), file=sys.stderr)
+        print("error: out of memory (%s); lower model.alpha, model.dim or "
+              "model.samples" % (str(exc) or "allocation failed"),
+              file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)

@@ -24,14 +24,15 @@ eigencomponents at fig4's α = 30), and a tile none reaches is zero.
 The band-cut state reaches its callers only as the values of quadratic
 forms, never as states: SpectralPropagator.evolve_grid takes a form, a
 list of sector pairs standing for Σ ψ_iᴴ·diag(w)·ψ_j(t), and turns it
-into a sum of lines C_p·e^{iΔ_p t}, built once from the tiles' bands;
-_line_sums evaluates them, on a uniform grid by a Taylor-expanded FFT
-oversampled LINE_OVERSAMPLE times, on any other grid one time at a
-time.  Lines whose |C| sum to at most √PRUNE_TOL of the state's weight
-are left out; a sector's own form is one line, the mid-range of its
-weights times its norm, plus an imbalance part left out whole when its
-bound fits that budget.  The probe current's P_c and the qubit
-coherence ρ_01 are such forms.  evolve_grid hands the state's
+into a sum of lines C_p·e^{iΔ_p t}, built once from the tiles' bands,
+refuses times it cannot phase to PHASE_TOL, and sums the lines
+(_line_sums), on a uniform grid by a Taylor-expanded FFT oversampled
+LINE_OVERSAMPLE times, on any other grid one time at a time.  Lines
+whose |C| sum to at most √PRUNE_TOL of the state's weight are left
+out; a sector's own form is one line, the mid-range of its weights
+times its norm, plus an imbalance part left out whole when its bound
+fits that budget.  The probe current's P_c and the qubit coherence
+ρ_01 are such forms.  evolve_grid hands the state's
 eigencomponents, once per call, to the leakage guard (assert_leakage),
 which bounds each edge's population at every t from them alone,
 whatever the time grid.
@@ -107,6 +108,12 @@ LINE_OVERSAMPLE = 2
 # clearly fastest
 TILE_ROWS = 32
 
+# phase rounding of a form's lines, eps·max|Δ|·max|t|·Σ|C|, allowed per
+# unit of the state's weight ‖ψ‖² (see evolve_grid): D(t) is |ρ_01| at
+# weight 2 (the Fock oracle) or 2|ρ_01| at weight 1 (the full model), so
+# its rounding stays within 2e-9, a fifth of gaussian_vs_fock's 1e-8 bar
+PHASE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # BLAS threads
@@ -128,8 +135,9 @@ _OPENBLAS_THREAD_CALLS = (
 def _openblas_thread_calls():
     """(get, set) thread-count functions of every OpenBLAS library mapped
     into the process, found once, from /proc/self/maps, at the first
-    _one_blas_thread; empty where that file is missing or no mapped
-    library exports them (MKL, Accelerate, another platform)."""
+    _one_blas_thread, once _dstevd has mapped scipy's; empty where that
+    file is missing or no mapped library exports them (MKL, Accelerate)."""
+    _dstevd()
     try:
         with open("/proc/self/maps", encoding="utf-8",
                   errors="replace") as fh:
@@ -162,17 +170,13 @@ def _one_blas_thread():
     thread, and give each its own count back afterwards, also when the
     block raises.
 
-    Its products and eigensolves then sum in one order whatever the
-    host's thread count, so their bits do not depend on it, and at the
-    sizes lcdeco multiplies a second thread only costs: at fig4's
-    α = 30 on two vCPUs, current_numeric took medians of 32–33 ms on
-    one thread against 40–41 ms on two (three rounds of 15 interleaved
-    calls).  The libraries are found at the first
-    entry, so that entry must follow the loading of scipy's LAPACK
-    wrapper in hermitian_eig (_dstevd), which maps scipy's OpenBLAS; a
-    library loaded later is never limited.  The thread count is
-    process-wide, so of two Python threads inside this block at once,
-    the one that leaves last may run its rest on the host's count.
+    Its products and eigensolves then sum in one order whatever the host's
+    thread count, so their bits do not depend on it, and at the sizes
+    lcdeco multiplies a second thread only costs: at fig4's α = 30 on two
+    vCPUs, current_numeric took medians of 32–33 ms on one thread against
+    40–41 ms on two (three rounds of 15 interleaved calls).  The thread
+    count is process-wide, so of two Python threads inside this block at
+    once, the one that leaves last may run its rest on the host's count.
     """
     calls = _openblas_thread_calls()
     saved = [get() for get, _ in calls]
@@ -209,20 +213,15 @@ def _dstevd():
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
-        # scipy's folder, found without running scipy's __init__ (about
-        # 15 ms of subprocess, sysconfig and test utilities): the wrapper
-        # finds scipy's OpenBLAS by its rpath
-        scipy = sys.modules.get("scipy")
-        if scipy is not None:
-            roots = scipy.__path__
-        else:
-            spec = importlib.util.find_spec("scipy")
-            if spec is None:
-                raise ImportError("no module named scipy: the eigensolver "
-                                  "needs its compiled LAPACK wrapper",
-                                  name="scipy")
-            roots = spec.submodule_search_locations
-        folder = os.path.join(roots[0], "linalg")
+        # scipy's folder from its spec (an imported scipy's own), without
+        # running scipy's __init__ (about 15 ms of subprocess, sysconfig
+        # and test utilities): the wrapper finds its OpenBLAS by rpath
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ImportError("no module named scipy: the eigensolver "
+                              "needs its compiled LAPACK wrapper",
+                              name="scipy")
+        folder = os.path.join(spec.submodule_search_locations[0], "linalg")
         paths = [os.path.join(folder, "_flapack" + suffix)
                  for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((p for p in paths if os.path.isfile(p)), None)
@@ -574,35 +573,45 @@ class SpectralPropagator:
         band-cut state's value, and a uniform grid's sums within as much
         again of the lines'.
 
-        ts must be finite.  A grid uniform to rounding, each time within
-        2·eps·max|t| of t0 + i·dt (t0 the first time, dt the mean step),
-        is summed in one Taylor-expanded FFT pass (_line_sums).  Any other
-        grid is summed one time at a time, each a one-sample _line_sums
-        call, which is the direct sum Σ_p C_p·e^{iΔ_p t}: its cost is
-        lines × samples.  The Fock oracle's ρ_01 has 1,345 lines at
-        fig2's α = 5 (dim 96) and 48,671 at α = 30 (dim 1200); each time
-        off a uniform grid took 0.08 and 1.6 ms there, against 1.1 and
-        16 ms for a whole uniform grid of 400 samples, eigensolves
-        included (one BLAS thread, two-vCPU Xeon).  Only tests and scalar
-        t pass such grids.  guard(sectors, pruned), when given, gets
-        _banded's components and dropped weight once, before any line is
-        built (see assert_leakage).  The call, guard included, runs on
-        one BLAS thread (_one_blas_thread).
+        Phase rounding, eps·max|Δ|·max|t| times the lines' summed |C| (at
+        least ‖psi‖²), above PHASE_TOL·‖psi‖² or not finite is a ValueError
+        naming the largest admissible max|t|, raised before any phase is
+        formed, so every phase step stays far below 2^53 of _line_sums' grid
+        frequencies.  A grid uniform to rounding, each time within
+        2·eps·max|t| of t0 + i·dt (t0 the first time, dt the mean step), a
+        scalar t included, is summed in one Taylor-expanded FFT pass
+        (_line_sums).  Any other grid is summed one time at a time, each a
+        one-sample _line_sums call, which is the direct sum
+        Σ_p C_p·e^{iΔ_p t}: its cost is lines × samples.  For the Fock
+        oracle's ρ_01 at fig2's α = 5 (dim 96) and at α = 30 (dim 1200),
+        each time off a uniform grid took 0.08 and 1.6 ms, a whole uniform
+        grid of 400 samples 1.1 and 16 ms, eigensolves included (one BLAS
+        thread, two-vCPU Xeon).  Only tests pass such grids.
+        guard(sectors, pruned), when given, gets _banded's components and
+        dropped weight once, before any line is built (see
+        assert_leakage).  The call, guard included, runs on one BLAS
+        thread (_one_blas_thread).
         """
         ts = np.asarray(ts, dtype=float).ravel()
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("evolution times must be finite")
         banded, pruned = self._banded(psi)
         if guard is not None:
             guard(banded, pruned)
-        budget = math.sqrt(PRUNE_TOL) * float(np.vdot(psi, psi).real)
+        weight = float(np.vdot(psi, psi).real)
+        budget = math.sqrt(PRUNE_TOL) * weight
         C, delta, _ = _lines(banded, form, budget)
+        span = float(np.max(np.abs(ts), initial=0.0))
+        rate = sys.float_info.epsilon * max(float(np.sum(np.abs(C))), weight)
+        rate *= float(np.max(np.abs(delta), initial=0.0))
+        if not rate * span <= PHASE_TOL * weight:     # nan trips too
+            limit = PHASE_TOL * weight / rate if rate else math.inf
+            raise ValueError("time step max|t| = %.6g is too long to phase in "
+                             "double precision; the largest admissible "
+                             "max|t| is %.6g; lower t_max" % (span, limit))
         n = len(ts)
         t0 = ts[0] if n else 0.0
         dt = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
         off = np.abs(ts - (t0 + np.arange(n) * dt))
-        rounding = 2.0 * np.finfo(float).eps * np.max(np.abs(ts), initial=0.0)
-        if np.max(off, initial=0.0) <= rounding:
+        if np.max(off, initial=0.0) <= 2.0 * sys.float_info.epsilon * span:
             return _line_sums(C, delta, t0, dt, n, budget)[0]
         return np.array([_line_sums(C, delta, t, 0.0, 1, budget)[0][0]
                          for t in ts])
@@ -739,13 +748,8 @@ def _line_sums(C, delta, t0, dt, n, budget):
     per unit of |C| (`tail`), and L is the least with summed |C| × tail
     ≤ `budget`: 15 orders at fig4's α = 30.  One sample (n = 1, dt = 0)
     has ε = 0, so it takes order 0 alone: the direct sum.  Rounding adds
-    about eps·|Δ|·max|t| of phase per line.
-
-    A step of 2^53 grid frequencies or more (or not finite) is refused
-    with a ValueError: k is then no exact integer in a double, ε no
-    longer stays within π/N', and the orders would grow without bound.
-    Below it rounding moves k and ε by a few grid frequencies at most, so
-    x < 2π and L stays below about 40.
+    about eps·|Δ|·max|t| of phase per line, which evolve_grid bounds
+    before it calls this (PHASE_TOL).
     """
     if not len(C) or not n:
         return np.zeros(n, dtype=complex), 0.0
@@ -754,11 +758,6 @@ def _line_sums(C, delta, t0, dt, n, budget):
     scale = max(mid, 1.0)
     step = delta * dt
     k = np.rint(step * (size / (2.0 * math.pi)))
-    if not np.all(np.abs(k) < 2.0 ** 53):
-        raise ValueError(
-            "time step %.6g is too long to phase in double precision: a "
-            "line's phase step is %.3g steps of its %d-frequency grid, "
-            "2^53 at most; lower t_max" % (dt, float(np.max(np.abs(k))), size))
     eps = step - k * (2.0 * math.pi / size)
     weight = C * np.exp(1j * (delta * t0 + eps * mid))
     u = eps * scale

@@ -172,7 +172,10 @@ def test_run_check_failure_exit_four(tmp_path, capsys, monkeypatch):
 def test_run_numeric_failure_exit_three(exc, message, tmp_path, capsys,
                                         monkeypatch):
     """Memory exhaustion and a failed LAPACK routine exit 3 with one line
-    on stderr (LinAlgError is a ValueError), not a traceback."""
+    on stderr (LinAlgError is a ValueError), not a traceback.  The
+    memory line names the three keys that size an allocation: alpha
+    (the coherent state's level window grows with it), dim and
+    samples."""
     def fail(cfg, **kw):
         raise exc
     monkeypatch.setattr(cli, "run_scenario", fail)
@@ -181,6 +184,9 @@ def test_run_numeric_failure_exit_three(exc, message, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert err.count("\n") == 1
+    if isinstance(exc, MemoryError):
+        assert err.endswith("); lower model.alpha, model.dim or "
+                            "model.samples\n")
 
 
 @pytest.mark.parametrize("scenario", ["fig2", "sweep"])
@@ -264,13 +270,15 @@ print(code, time.perf_counter() - start)
 """
 
 
-@pytest.mark.parametrize("t_max", ["1e300", "1e17"])
+@pytest.mark.parametrize("t_max", ["1e300", "1e17", "1e12"])
 def test_run_unphaseable_time_step_exit_three(t_max, tmp_path):
-    """A fig2 grid whose step no double can split on the line sums' FFT
-    grid is refused within a second, with exit 3 and one error line: at
-    1e300 the Taylor orders had grown without bound, and at 1e17 every
-    D_fock cell had been written as NaN under exit 0.  The run is a
-    child process, so a hang fails at its timeout."""
+    """A fig2 grid whose times double precision cannot phase to the line
+    route's tolerance is refused within a second, with exit 3 and one
+    error line: at 1e300 the Taylor orders had grown without bound, at
+    1e17 every D_fock cell had been written as NaN under exit 0, and at
+    1e12 D_fock had been written 1.2e-4 off D_gaussian, above 1, under
+    exit 0.  The run is a child process, so a hang fails at its
+    timeout."""
     cfg = _write(tmp_path, "long.cfg",
                  "scenario = fig2\n[model]\nomega_a = 8\ng = 0.35\n"
                  "alpha = 2\ndim = 64\nsamples = 400\nt_max = %s\n" % t_max)

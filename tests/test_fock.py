@@ -281,12 +281,16 @@ def fresh_dstevd():
 def test_missing_flapack_extension_names_it(fresh_dstevd, monkeypatch,
                                             tmp_path):
     """A scipy whose linalg folder holds no _flapack extension fails with
-    an ImportError that names it, not with a fallback."""
+    an ImportError that names it, not with a fallback.  The fake scipy is
+    found as an imported one is, by its spec."""
+    import importlib.machinery
     import types
     import sys
 
     fake = types.ModuleType("scipy")
-    fake.__path__, fake.__version__ = [str(tmp_path)], "0.0"
+    fake.__spec__ = importlib.machinery.ModuleSpec("scipy", None,
+                                                   is_package=True)
+    fake.__spec__.submodule_search_locations = [str(tmp_path)]
     monkeypatch.setitem(sys.modules, "scipy", fake)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     with pytest.raises(ImportError, match="_flapack"):
@@ -1426,6 +1430,65 @@ def test_first_evolution_of_a_process_limits_every_blas_library():
     assert got["after"] == [2] * got["mapped"]
 
 
+ONE_LEVEL_SECTORS_FIRST = """\
+import ctypes, json
+import numpy as np
+from lcdeco import fock
+
+
+def openblas_getters():
+    \"\"\"{path: address of its thread-count getter} of every mapped
+    library that exports one, as the limiter would find it.\"\"\"
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh
+                 if "openblas" in line.rsplit("/", 1)[-1]}
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, _ in fock._OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name):
+                found[path] = ctypes.cast(getattr(lib, get_name),
+                                          ctypes.c_void_p).value
+                break
+    return found
+
+
+before = openblas_getters()
+H = fock.SectorHamiltonian(4, [fock.Sector([i], [float(i)], [])
+                               for i in range(4)])
+fock.SpectralPropagator(H).evolve_grid(np.eye(4)[0], [0.0, 1.0],
+                                       [(0, 0, np.ones(1))])
+fock.hermitian_eig(np.arange(6.0), np.ones(5))
+limited = {ctypes.cast(get, ctypes.c_void_p).value
+           for get, _ in fock._openblas_thread_calls()}
+print(json.dumps({path: address in limited for path, address
+                  in openblas_getters().items() if path not in before}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="OpenBLAS libraries are found from /proc/self/maps")
+def test_blas_limiter_finds_scipys_library_after_one_level_sectors():
+    """A fresh process whose first limited call evolves one-level sectors,
+    which need no eigensolve and so load no LAPACK wrapper, still finds
+    the OpenBLAS library scipy's wrapper maps: discovery loads the
+    wrapper first, so the found set does not depend on the order of
+    calls."""
+    import json
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(
+        SRC, os.pardir)), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", ONE_LEVEL_SECTORS_FIRST],
+                          env=env, check=True, capture_output=True,
+                          text=True, timeout=60)
+    scipys = json.loads(done.stdout)
+    if not scipys:
+        pytest.skip("scipy maps no OpenBLAS library of its own")
+    assert all(scipys.values()), scipys
+
+
 def test_readme_layout_states_the_fock_constants():
     """Every "`NAME` = value" in README's `lcdeco.fock` Layout row is the
     constant's value, and the row states each propagator, line-sum and
@@ -1440,6 +1503,6 @@ def test_readme_layout_states_the_fock_constants():
     stated = dict(re.findall(r"`(\w+)` = (-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)",
                              row))
     assert set(stated) == {"PRUNE_TOL", "TILE_ROWS", "LINE_OVERSAMPLE",
-                           "LEAK_LEVELS", "LEAK_TOL"}
+                           "PHASE_TOL", "LEAK_LEVELS", "LEAK_TOL"}
     for name, value in stated.items():
         assert float(value) == getattr(fock, name), name

@@ -1,8 +1,9 @@
 """P_c(t) from its line spectrum: the Taylor-expanded FFT evaluator, the
-lines against dense evolution, the dropped lines' weight, and grids that
-are not uniform."""
+lines against dense evolution, the dropped lines' weight, grids that are
+not uniform, and the phase rule at its limit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from dense_ref import charge_occupation, dense_evolution
 from lcdeco import fock
 from lcdeco.circuit import params_from_dimensionless
-from lcdeco.decoherence import evolve_form
+from lcdeco.decoherence import (decoherence_fock_oracle,
+                                decoherence_gaussian_oracle, evolve_form)
 from lcdeco.fock import (PRUNE_TOL, SpectralPropagator, _line_sums, _lines,
                          _poisson_reach, coherent_state, joint_state)
 from lcdeco.hamiltonians import build_full_hamiltonian
@@ -227,3 +229,31 @@ def test_same_sector_forms_at_half_mixing_are_one_trace_line(monkeypatch):
     ts = np.linspace(0.0, 3.0, 31)
     got = _charge(H, psi, ts, theta)
     assert np.max(np.abs(got - _dense_charge(H, psi, ts, theta))) <= 1e-12
+
+
+def test_phase_rule_refuses_just_past_the_limit_it_names(monkeypatch):
+    """fig2's model at α = 2 on 64 levels: a grid to t = 1e12 is refused
+    with the largest admissible max|t|.  A 400-sample grid ending just
+    inside that limit keeps the Fock oracle within gaussian_vs_fock's
+    1e-8 bar of the Gaussian oracle; one ending just outside it is
+    refused before any line is summed."""
+    m = params_from_dimensionless(8.0, 0.35)
+    with pytest.raises(ValueError, match="too long to phase in double "
+                       "precision") as refused:
+        decoherence_fock_oracle(m, 2.0, np.linspace(0.0, 1e12, 400), 64)
+    assert str(refused.value).startswith("time step max|t| = 1e+12 ")
+    limit = float(re.search(r"largest admissible max\|t\| is (\S+);",
+                            str(refused.value)).group(1))
+    assert 1e3 < limit < 1e12
+    inside = np.linspace(0.0, limit * (1.0 - 1e-5), 400)
+    assert np.max(np.abs(decoherence_fock_oracle(m, 2.0, inside, 64)
+                         - decoherence_gaussian_oracle(m, 2.0, inside))) \
+        <= 1e-8
+
+    def unreachable(*args):
+        raise AssertionError("_line_sums called past the phase limit")
+
+    monkeypatch.setattr(fock, "_line_sums", unreachable)
+    with pytest.raises(ValueError, match="largest admissible max"):
+        decoherence_fock_oracle(
+            m, 2.0, np.linspace(0.0, limit * (1.0 + 1e-5), 400), 64)
