@@ -13,7 +13,10 @@ the simplified form.
   branches, evaluated in the log domain so |α| = 30 costs the same as
   |α| = 2.
 
-All evaluators accept scalar or array t and return matching shape.
+Every evaluator takes a scalar or array t and returns its shape.  The
+closed forms and the Gaussian oracle take any t; the Fock oracle and
+full_model_coherence, on the line route, a scalar or a grid uniform to
+rounding, and refuse any other (ValueError).
 Every truncated-space evolution in the package goes through evolve_form:
 the Fock oracle's and the full model's coherence ρ_01, and
 observables.current_numeric's P_c, are each a quadratic form of the
@@ -57,11 +60,12 @@ def decoherence_approx(m: ModelParams, alpha, t):
 
 def evolve_form(H, psi, ts, form, n_lo=0):
     """The value of `form` on psi evolved under the joint-space H on the
-    levels from n_lo up, at every t in ts (flattened), as a complex
-    array: Σ ψ_iᴴ·diag(w)·ψ_j(t) over the form's sector pairs (i, j, w)
-    of H (SpectralPropagator.evolve_grid), leakage-guarded
-    (assert_leakage) at the top and, with n_lo > 0, the bottom levels, at
-    every t, from psi's eigencomponents before any line is built."""
+    levels from n_lo up, at every t in ts (flattened, uniform to
+    rounding), as a complex array: Σ ψ_iᴴ·diag(w)·ψ_j(t) over the form's
+    sector pairs (i, j, w) of H (SpectralPropagator.evolve_grid),
+    leakage-guarded (assert_leakage) at the top and, with n_lo > 0, the
+    bottom levels, at every t, from psi's eigencomponents before any line
+    is built."""
     return SpectralPropagator(H).evolve_grid(
         psi, ts, form,
         lambda sectors, pruned: assert_leakage(sectors, pruned, n_lo))

@@ -58,9 +58,9 @@ def _quote(text):
 def _row_format(names, columns):
     """(format, columns): the row format string of a table given by
     column, and the columns to fill it with.  A column of one numeric
-    spec (_spec) gets that spec and is passed on as it is; a column of
-    text gets %s and its cells quoted, and one that mixes kinds gets %s
-    and each cell's own text (_cell).  A float cell that is nan or ±inf
+    spec (_spec) gets that spec and is passed on as it is; any other, of
+    text or of mixed kinds, gets %s and each cell's own text (_cell), text
+    quoted where it needs to be.  A float cell that is nan or ±inf
     is a ValueError naming its column and row."""
     specs = []
     filled = []
@@ -68,10 +68,8 @@ def _row_format(names, columns):
         kinds = {_spec(kind) for kind in set(map(type, values))}
         if _FLOAT in kinds:
             _refuse_non_finite(name, values, len(kinds) == 1)
-        if len(kinds) > 1:
+        if len(kinds) > 1 or None in kinds:
             spec, values = "%s", list(map(_cell, values))
-        elif None in kinds:
-            spec, values = "%s", list(map(_quote, map(str, values)))
         else:
             spec = kinds.pop()
         specs.append(spec)

@@ -26,8 +26,8 @@ forms, never as states: SpectralPropagator.evolve_grid takes a form, a
 list of sector pairs standing for Σ ψ_iᴴ·diag(w)·ψ_j(t), and turns it
 into a sum of lines C_p·e^{iΔ_p t}, built once from the tiles' bands,
 refuses times it cannot phase to PHASE_TOL, and sums the lines
-(_line_sums), on a uniform grid by a Taylor-expanded FFT oversampled
-LINE_OVERSAMPLE times, on any other grid one time at a time.  Lines
+(_line_sums) by a Taylor-expanded FFT oversampled LINE_OVERSAMPLE
+times, on a grid uniform to rounding, the only grid it takes.  Lines
 whose |C| sum to at most √PRUNE_TOL of the state's weight are left
 out; a sector's own form is one line, the mid-range of its weights
 times its norm, plus an imbalance part left out whole when its bound
@@ -570,23 +570,18 @@ class SpectralPropagator:
         itself is real, and its lines give it as their real part only
         (_form_lines): a form with such a pair is read by its real part.
         At every t the kept lines are within √PRUNE_TOL·‖psi‖² of the
-        band-cut state's value, and a uniform grid's sums within as much
-        again of the lines'.
+        band-cut state's value, and the grid's sums within as much again
+        of the lines'.
 
         Phase rounding, eps·max|Δ|·max|t| times the lines' summed |C| (at
         least ‖psi‖²), above PHASE_TOL·‖psi‖² or not finite is a ValueError
         naming the largest admissible max|t|, raised before any phase is
         formed, so every phase step stays far below 2^53 of _line_sums' grid
-        frequencies.  A grid uniform to rounding, each time within
-        2·eps·max|t| of t0 + i·dt (t0 the first time, dt the mean step), a
-        scalar t included, is summed in one Taylor-expanded FFT pass
-        (_line_sums).  Any other grid is summed one time at a time, each a
-        one-sample _line_sums call, which is the direct sum
-        Σ_p C_p·e^{iΔ_p t}: its cost is lines × samples.  For the Fock
-        oracle's ρ_01 at fig2's α = 5 (dim 96) and at α = 30 (dim 1200),
-        each time off a uniform grid took 0.08 and 1.6 ms, a whole uniform
-        grid of 400 samples 1.1 and 16 ms, eigensolves included (one BLAS
-        thread, two-vCPU Xeon).  Only tests pass such grids.
+        frequencies.  The grid must then be uniform to rounding, each time
+        within 2·eps·max|t| of t0 + i·dt (t0 the first time, dt the mean
+        step), a scalar t or one sample included, and is summed in one
+        Taylor-expanded FFT pass (_line_sums); any other grid is a
+        ValueError naming its largest deviation.
         guard(sectors, pruned), when given, gets _banded's components and
         dropped weight once, before any line is built (see
         assert_leakage).  The call, guard included, runs on one BLAS
@@ -610,11 +605,13 @@ class SpectralPropagator:
         n = len(ts)
         t0 = ts[0] if n else 0.0
         dt = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
-        off = np.abs(ts - (t0 + np.arange(n) * dt))
-        if np.max(off, initial=0.0) <= 2.0 * sys.float_info.epsilon * span:
-            return _line_sums(C, delta, t0, dt, n, budget)[0]
-        return np.array([_line_sums(C, delta, t, 0.0, 1, budget)[0][0]
-                         for t in ts])
+        off = np.max(np.abs(ts - (t0 + np.arange(n) * dt)), initial=0.0)
+        bound = 2.0 * sys.float_info.epsilon * span
+        if off > bound:
+            raise ValueError("time grid is not uniform: a time is %.3g off "
+                             "t0 + i·dt, above the rounding bound %.3g; build "
+                             "it with numpy.linspace" % (off, bound))
+        return _line_sums(C, delta, t0, dt, n, budget)[0]
 
 
 def _lines(sectors, form, budget):

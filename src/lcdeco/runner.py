@@ -268,14 +268,11 @@ def derive_report(cfg):
     for label, value, unit in (
             ("C_J", circ.c_j, "F"), ("C_g", circ.c_g, "F"),
             ("L", circ.l, "H"), ("E_J0", circ.e_j0, "J"),
-            ("n_g", circ.n_g, ""), ("phi_x", circ.phi_x, "Wb")):
+            ("n_g", circ.n_g, ""), ("phi_x", circ.phi_x, "Wb"),
+            ("E_C", charging_energy(circ), "J"),
+            ("E_J(phi_x)", josephson_energy(circ), "J"),
+            ("phi_zpf", flux_zero_point(circ), "Wb")):
         lines.append("  %-10s %-24s %s" % (label, format_float(value), unit))
-    lines.append("  %-10s %-24s %s" % ("E_C", format_float(
-        charging_energy(circ)), "J"))
-    lines.append("  %-10s %-24s %s" % ("E_J(phi_x)", format_float(
-        josephson_energy(circ)), "J"))
-    lines.append("  %-10s %-24s %s" % ("phi_zpf", format_float(
-        flux_zero_point(circ)), "Wb"))
     lines.append("")
     csv_rows = []
     echo = {}

@@ -4,7 +4,8 @@ lcdeco builds its Hamiltonians as real tridiagonal parity sectors and
 never forms these operators, nor evolved states: its propagator returns
 quadratic forms of the state (the qubit coherence ρ_01, the charge
 occupation P_c).  The tests compare the builders and those forms against
-the dense operators and states here.
+the dense operators and states here, on the uniform time grids
+(uniform_grids) that the propagator takes.
 
 Conventions (pinned here, and through the exact builder comparison in
 test_hamiltonians, for the package): joint vectors are qubit-slow, so
@@ -16,11 +17,22 @@ sign-flipped standard Pauli y), sigma_x = |1⟩⟨0| + |0⟩⟨1|.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PROJECTOR_0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def uniform_grids(t_max, max_size):
+    """Hypothesis strategy: a uniform grid t0 + i·dt of 1 to max_size
+    times in [0, t_max], built as numpy.arange builds one, dt of either
+    sign; one time is a one-sample grid."""
+    def grid(t0, t1, n):
+        return t0 + np.arange(n) * ((t1 - t0) / max(n - 1, 1))
+    return st.builds(grid, st.floats(0.0, t_max), st.floats(0.0, t_max),
+                     st.integers(1, max_size))
 
 
 def dense(H):

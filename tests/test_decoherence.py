@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_ref import dense_evolution
+from dense_ref import dense_evolution, uniform_grids
 from lcdeco.circuit import model_params, params_from_dimensionless
 from lcdeco.decoherence import (decoherence_approx, decoherence_exact,
                                 decoherence_fock_oracle,
@@ -183,13 +183,14 @@ def test_gaussian_oracle_matches_exact_large_alpha():
     assert np.max(np.abs(d_g - d_ex)) <= 1e-8
 
 
-def _regimes(alpha_max):
+def _regimes(alpha_max, times=st.lists(st.floats(0.0, 50.0), min_size=1,
+                                        max_size=16)):
     """Random valid regimes: omega_a in [1.5, 12], gamma <= 0.15, complex
-    alpha with |alpha| <= alpha_max, t in [0, 50]."""
+    alpha with |alpha| <= alpha_max, and times in [0, 50] drawn by
+    `times`, any times in any order unless it says otherwise."""
     return st.tuples(
         st.floats(1.5, 12.0), st.floats(0.0, 0.15),
-        st.floats(0.0, alpha_max), st.floats(0.0, 2.0 * math.pi),
-        st.lists(st.floats(0.0, 50.0), min_size=1, max_size=16))
+        st.floats(0.0, alpha_max), st.floats(0.0, 2.0 * math.pi), times)
 
 
 def _regime(omega_a, gamma, r, phase, ts):
@@ -206,13 +207,16 @@ def test_gaussian_oracle_matches_exact_random(regime):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_regimes(FOCK_ALPHA_MAX))
+@example((8.0, 0.05, 5.0, 0.4, [37.5]))
+@example((8.0, 0.05, 5.0, 0.4, np.linspace(50.0, 0.0, 16)))
+@given(_regimes(FOCK_ALPHA_MAX, uniform_grids(50.0, 16)))
 def test_fock_oracle_matches_gaussian_random(regime):
     """The truncated-Fock route over every amplitude the runner sends
-    through it, with a truncation chosen from alpha.  The 32 extra levels
-    hold the squeezed vacuum's own tail: with 16, alpha = 0 at
-    omega_a = 12, gamma = 0.15 (dim 20) is 4e-7 off, and the leakage
-    guard does not trip."""
+    through it, with a truncation chosen from alpha, on uniform grids
+    (the line route's only grids) of one time or more, ascending or
+    descending.  The 32 extra levels hold the squeezed vacuum's own
+    tail: with 16, alpha = 0 at omega_a = 12, gamma = 0.15 (dim 20) is
+    4e-7 off, and the leakage guard does not trip."""
     m, alpha, ts = _regime(*regime)
     dim = 2 * min_adequate_dim(alpha) + 32
     d_f = decoherence_fock_oracle(m, alpha, ts, dim)

@@ -6,16 +6,18 @@ the dense reference."""
 import ast
 import math
 import os
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_ref import (PROJECTOR_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                        annihilation_op, charge_occupation, coherence, dense,
                        dense_evolution, edge_population, fock_state,
-                       number_op, partial_trace_qubit, position_quad)
+                       number_op, partial_trace_qubit, position_quad,
+                       uniform_grids)
 from lcdeco.errors import TruncationError
 from lcdeco.fock import (COHERENT_TAIL_TOL, LEAK_LEVELS, LEAK_TOL, PRUNE_TOL,
                          Sector, SectorHamiltonian, SpectralPropagator,
@@ -614,16 +616,17 @@ def test_leakage_guard_sees_an_empty_top_tile():
 
 
 @settings(max_examples=40, deadline=None)
+@example(8.0, 0.35, 3.0, 0, np.array([2.5]))
+@example(8.0, 0.35, 3.0, 0, np.linspace(4.0, 0.0, 8))
 @given(st.floats(1.5, 12.0), st.floats(0.0, 0.15), st.floats(0.0, 6.0),
-       st.integers(0, 48), st.lists(st.floats(0.0, 4.0), min_size=1,
-                                    max_size=8))
+       st.integers(0, 48), uniform_grids(4.0, 8))
 def test_windowed_evolution_matches_dense_random(omega_a, gamma, alpha,
                                                  extra, ts):
     """Random valid regimes of the full H, with truncations from tight to
-    roomy and times in any order: ρ_01 and P_c of the banded evolution
-    stay within 1e-12 of the dense reference, and the dropped weight
-    within its budget.  t stays below 4, where the dense reference itself
-    holds ~1e-13."""
+    roomy, on uniform grids of one time or more, ascending or
+    descending: ρ_01 and P_c of the banded evolution stay within 1e-12
+    of the dense reference, and the dropped weight within its budget.
+    t stays below 4, where the dense reference itself holds ~1e-13."""
     dim = min_adequate_dim(alpha) + extra
     _, H, psi = _full_model(omega_a, gamma * (omega_a - 1.0), alpha, dim)
     P = SpectralPropagator(H)
@@ -681,7 +684,8 @@ def test_evolution_with_nothing_to_cut(name):
 def _fig4_span_grids(m, samples):
     """fig4's eight jump periods (t up to 24.3 at the display set) sampled
     uniformly, uniformly with a ±1e-9 jitter (far above the rounding of
-    the times, far below the spacing), and geometrically."""
+    the times, far below the spacing), and geometrically.  Only the first
+    is a grid the line route takes."""
     t_max = 8.0 * math.pi / m.Omega
     uniform = np.linspace(0.0, t_max, samples)
     jitter = np.random.default_rng(13).uniform(-1e-9, 1e-9, samples)
@@ -713,17 +717,31 @@ def test_chunked_uniform_grid_matches_one_chunk_out_to_fig4_span():
         assert np.max(np.abs(chunked - ref)) <= bound
 
 
+def _refused(ts, run):
+    """run(), given the grid ts that is not uniform to rounding, raises
+    the line route's refusal, which names the grid's largest deviation
+    from ts[0] + i·dt."""
+    off = np.max(np.abs(ts - np.linspace(ts[0], ts[-1], len(ts))))
+    with pytest.raises(ValueError, match="time grid is not uniform") as err:
+        run()
+    named = float(re.search(r"a time is (\S+) off", str(err.value)).group(1))
+    assert named == pytest.approx(off, rel=1e-2)
+
+
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
 def test_grid_matches_single_sample_evolution(grid):
-    """Every sample of the grid is what evolving to its time alone gives,
-    for ρ_01 and P_c: on the uniform grid one Taylor-expanded pass
-    against direct sums, off it direct sums both."""
+    """Every sample of the uniform grid is what evolving to its time
+    alone gives, for ρ_01 and P_c: one Taylor-expanded pass against
+    direct sums.  The jittered and geometric grids are refused."""
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 99)[grid]
     P = SpectralPropagator(H)
     # P_c is its form's real part
     for form, read in ((_rho01_form(H), np.asarray),
                        (_charge_form(H), np.real)):
+        if grid != "uniform":
+            _refused(ts, lambda: P.evolve_grid(psi, ts, form))
+            continue
         values = read(P.evolve_grid(psi, ts, form))
         single = read(np.concatenate([P.evolve_grid(psi, [t], form)
                                       for t in ts]))
@@ -735,9 +753,9 @@ def test_grid_matches_single_sample_evolution(grid):
 def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
     """A grid of 20 samples evaluated in 3 chunks of at most 7, one
     evolve_grid call each: a uniform chunk is one _line_sums pass from
-    its own first time at its own step, and a chunk off uniform one
-    one-sample call per time, at that time, so every sample is phased at
-    its own time."""
+    its own first time at its own step, so every sample is phased at its
+    own time, and a chunk off uniform is refused before any line is
+    summed."""
     from lcdeco import fock
 
     m, H, psi = _full_model(8.0, 0.35, 1.0, 24)
@@ -754,26 +772,31 @@ def test_each_chunk_phased_at_its_own_times(monkeypatch, grid):
     expected = []
     for lo in range(0, 20, 7):
         chunk = ts[lo:lo + 7]
+        if grid != "uniform":
+            _refused(chunk, lambda: P.evolve_grid(psi, chunk, _rho01_form(H)))
+            continue
         P.evolve_grid(psi, chunk, _rho01_form(H))
-        if grid == "uniform":
-            expected.append((chunk[0], (chunk[-1] - chunk[0])
-                             / (len(chunk) - 1), len(chunk)))
-        else:
-            expected += [(t, 0.0, 1) for t in chunk]
+        expected.append((chunk[0], (chunk[-1] - chunk[0]) / (len(chunk) - 1),
+                         len(chunk)))
     assert calls == expected
 
 
 @pytest.mark.parametrize("grid", ["uniform", "jittered", "geometric"])
 def test_forms_match_the_dense_reference_on_any_grid(grid):
-    """fig4's span sampled uniformly, with a jitter and geometrically:
-    the Fock oracle's ρ_01 (H₀ ⊕ H₁), the full model's ρ_01 and P_c, each
-    within 1e-12 of the dense reference, and the public routes'
-    |ρ_01| too."""
+    """fig4's span sampled uniformly: the Fock oracle's ρ_01 (H₀ ⊕ H₁),
+    the full model's ρ_01 and P_c, each within 1e-12 of the dense
+    reference, and the public routes' |ρ_01| too.  Sampled with a jitter
+    or geometrically, the public routes refuse the grid."""
     from lcdeco.decoherence import (decoherence_fock_oracle,
                                     full_model_coherence)
 
     m, _, _ = _full_model(8.0, 0.35, 1.0, 24)
     ts = _fig4_span_grids(m, 99)[grid]
+    if grid != "uniform":
+        _refused(ts, lambda: decoherence_fock_oracle(m, 1.0, ts, 24))
+        _refused(ts, lambda: full_model_coherence(
+            m, math.sqrt(0.5), math.sqrt(0.5), 1.0, ts, 24))
+        return
     oracle, pair = _guarded_model(False, m, 1.0, 24, 0)
     rho01 = SpectralPropagator(oracle).evolve_grid(pair, ts, [
         (2 + p, p, np.ones(len(s.index)))

@@ -1,6 +1,6 @@
 """P_c(t) from its line spectrum: the Taylor-expanded FFT evaluator, the
-lines against dense evolution, the dropped lines' weight, grids that are
-not uniform, and the phase rule at its limit."""
+lines against dense evolution, the dropped lines' weight, the refusal of
+grids that are not uniform, and the phase rule at its limit."""
 
 import math
 import re
@@ -156,13 +156,13 @@ def test_forms_need_one_row_per_level():
         charge_form(H, 1.0)
 
 
-def test_off_grid_times_are_summed_at_their_own_times(monkeypatch):
-    """A grid that current_numeric accepts as uniform (each step within
-    1e-9·dt of the first) but whose times sit ~1e-10·dt off
+def test_off_grid_times_are_refused_before_any_line_sum(monkeypatch):
+    """A grid within the sampling limit whose steps each sit within
+    1e-9·dt of the first, but whose times sit ~1e-10·dt off
     ts[0] + i·dt, far above their rounding: the line sums at
-    ts[0] + i·dt miss the dense P_c at ts by more than 1e-12, so each
-    time is summed on its own, one one-sample _line_sums call per t,
-    and P_c is within 1e-12 of dense evolution at ts."""
+    ts[0] + i·dt would miss the dense P_c at ts by more than 1e-12, so
+    current_numeric refuses the grid, naming its deviation, and no line
+    is summed."""
     m = params_from_dimensionless(8.0, 0.35)
     dim, alpha = 64, 3.0
     dt = sampling_limit(m) / 2
@@ -175,17 +175,15 @@ def test_off_grid_times_are_summed_at_their_own_times(monkeypatch):
     ref = _dense_charge(H, psi, ts, m.theta)
     uniform = ts[0] + np.arange(100) * ((ts[-1] - ts[0]) / 99)
     assert np.max(np.abs(_charge(H, psi, uniform, m.theta) - ref)) > 1e-12
-    calls = []
-    line_sums = fock._line_sums
 
-    def recording(C, delta, t0, step, n, budget):
-        calls.append((t0, step, n))
-        return line_sums(C, delta, t0, step, n, budget)
+    def unreachable(*args):
+        raise AssertionError("_line_sums called on a grid off uniform")
 
-    monkeypatch.setattr(fock, "_line_sums", recording)
-    pc, _ = current_numeric(m, alpha, ts, dim)
-    assert calls == [(t, 0.0, 1) for t in ts]
-    assert np.max(np.abs(pc - ref)) <= 1e-12
+    monkeypatch.setattr(fock, "_line_sums", unreachable)
+    off = np.max(np.abs(ts - uniform))
+    with pytest.raises(ValueError, match="time grid is not uniform: a time "
+                       "is %.3g off" % off):
+        current_numeric(m, alpha, ts, dim)
 
 
 def _same_sector_d_part(sector, squares):

@@ -262,10 +262,13 @@ def test_numeric_current_grid_validation():
     m = params_from_dimensionless(8.0, 0.0)
     coarse = np.linspace(0.0, 10.0, 40)   # dt well above the limit
     assert coarse[1] - coarse[0] > sampling_limit(m)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sampling criterion"):
         current_numeric(m, 1.0, coarse, 24)
-    with pytest.raises(ValueError):
-        current_numeric(m, 1.0, np.array([0.0, 0.1, 0.3]), 24)
+    uneven = np.array([0.0, 0.01, 0.03])   # each step inside the limit
+    assert np.max(np.diff(uneven)) <= sampling_limit(m)
+    with pytest.raises(ValueError, match="time grid is not uniform: a time "
+                       "is 0.005 off"):
+        current_numeric(m, 1.0, uneven, 24)
 
 
 @pytest.mark.parametrize("ts", [np.zeros(5), np.linspace(10.0, 0.0, 5)],
