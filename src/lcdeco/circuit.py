@@ -212,10 +212,6 @@ class RegimeReport:
     coupling_pass: bool
     notes: tuple
 
-    @property
-    def ok(self):
-        return self.gamma_pass and self.coupling_pass
-
 
 def validate_regime(m: ModelParams, phi_rms_estimate=None, cap_ratio=None):
     """Report-only regime validation.

@@ -2,7 +2,8 @@
 
 Exit codes:
     0   success
-    1   I/O error (an output file or directory could not be written)
+    1   I/O error (an output file or directory could not be written or
+        read back)
     2   configuration error (every problem is listed on stderr)
     3   numeric or regime error (truncation, invalid regime, sampling,
         a failed linear-algebra routine, an amplitude that overflows a

@@ -118,10 +118,7 @@ def emit_csv(path, columns, rows, meta=None):
     out.append(",".join(_quote(str(c)) for c in columns))
     fmt, filled = _row_format(columns, zip(*rows))
     out.extend(map(fmt.__mod__, zip(*filled)))
-    data = "\n".join(out) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
-    return path
+    return write_text(path, "\n".join(out) + "\n")
 
 
 def read_csv(path):
@@ -278,9 +275,7 @@ def emit_svg(path, x, series, labels, title="", xlabel="", ylabel=""):
                  'font-size="12" fill="#111111">%s</text>'
                  % (lx + 32, ly + 18 * i, _esc(str(label))))
     e.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(e) + "\n")
-    return path
+    return write_text(path, "\n".join(e) + "\n")
 
 
 def _esc(text):
@@ -289,7 +284,15 @@ def _esc(text):
 
 
 # ---------------------------------------------------------------------------
-# digests / manifest
+# writing, digests, manifest
+
+def write_text(path, text):
+    """Write text to path as UTF-8, each "\\n" kept as it is; → path.
+    The one place lcdeco opens a file for writing."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
 
 def sha256_file(path):
     digest = hashlib.sha256()
@@ -304,6 +307,5 @@ def sha256_text(text):
 
 
 def write_manifest(path, payload):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_text(path, json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n")

@@ -12,8 +12,6 @@ class ConfigError(Exception):
     number where one is known."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 

@@ -192,7 +192,6 @@ class BranchFit:
 @dataclass(frozen=True)
 class SWReport:
     gamma: float
-    dim: int
     branches: tuple
 
     @property
@@ -279,4 +278,4 @@ def schrieffer_wolff_check(m: ModelParams, dim):
             k=k, omega_fit=omega_fit, lam_fit=lam_fit,
             omega_ref=m.omega_tilde,
             lam_ref=branch_sign(k) * m.lam))
-    return SWReport(gamma=m.gamma, dim=dim, branches=tuple(branches))
+    return SWReport(gamma=m.gamma, branches=tuple(branches))

@@ -2,8 +2,9 @@
 
 Scenario functions are pure and return (tables, plots, checks, echo).
 `run_scenario` alone writes files: the CSV meta head and config digest
-are set there once, and nothing is written before every result is
-computed, so a failed run leaves only its error manifest.
+are set there once, nothing is written before every result is computed,
+and the manifest is written once, last, so a run that fails or is
+interrupted leaves only its error manifest in a fresh directory.
 """
 
 import math
@@ -24,7 +25,7 @@ from .decoherence import (decoherence_approx, decoherence_exact,
                           decoherence_fock_oracle,
                           decoherence_gaussian_oracle, jump_metrics)
 from .emit import (emit_csv, emit_svg, format_float, sha256_file,
-                   sha256_text, write_manifest)
+                   sha256_text, write_manifest, write_text)
 from .errors import RegimeError
 from .hamiltonians import SW_TOL_GAMMA_MAX, schrieffer_wolff_check
 from .observables import current_analytic, current_numeric, envelope_metrics
@@ -324,19 +325,18 @@ _SCENARIO_FNS = {
 def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
     """Execute one scenario; returns (manifest dict, derive-report text).
 
-    Every table and plot is computed before the first file is written;
-    the manifest is written last, to <out>/manifest.json, and on failure
-    it holds the error instead, and the files this run wrote before an
-    emitter refused its data are removed.  Check failures do not raise —
-    they are recorded with status FAIL (the CLI maps them to its exit
-    code).
+    Every table and plot is computed before the first file is written,
+    and <out>/manifest.json is written once, last.  On an error or an
+    interrupt it holds the error instead, and every file this run wrote
+    is removed first.  Check failures do not raise — they are recorded
+    with status FAIL (the CLI maps them to its exit code).
     """
     out = default_out_dir(cfg, out_dir)
     os.makedirs(out, exist_ok=True)
     started = time.perf_counter()
     digest = config_digest(cfg)
-    head = {"tool": "lcdeco", "version": VERSION, "scenario": cfg.scenario,
-            "mode": cfg.mode, "config_sha256": digest}
+    manifest = {"tool": "lcdeco", "version": VERSION, "mode": cfg.mode,
+                "scenario": cfg.scenario, "config_sha256": digest}
     report_text = None
     files = []
     try:
@@ -348,8 +348,7 @@ def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
             meta = [("tool", "lcdeco " + VERSION),
                     ("scenario", cfg.scenario), ("config_sha256", digest)]
             files.append(os.path.join(out, "derive_report.txt"))
-            with open(files[0], "w", encoding="utf-8", newline="") as fh:
-                fh.write(report_text)
+            write_text(files[0], report_text)
         else:
             m, time_scale, current_scale = resolve_model(cfg)
             tables, plots, checks, echo = _SCENARIO_FNS[cfg.scenario](
@@ -361,28 +360,27 @@ def run_scenario(cfg: RunConfig, out_dir=None, config_text=None):
                                   meta=meta + extra))
         for name, *plot in plots:
             files.append(emit_svg(os.path.join(out, name), *plot))
-    except Exception as exc:
-        # an emitter's refusal (a non-finite value) after earlier files
+        manifest.update(
+            config_file_sha256=(sha256_text(config_text)
+                                if config_text is not None else None),
+            constants=constants_record(),
+            params=params_echo,
+            checks=[{"name": row[0], "at": row[1], "value": row[2],
+                     "limit": row[3], "status": row[4]} for row in checks],
+            files={os.path.basename(p): {"sha256": sha256_file(p),
+                                         "bytes": os.path.getsize(p)}
+                   for p in files},
+            wall_time_s=time.perf_counter() - started)
+    except BaseException as exc:
+        # a refusal, a file that cannot be read back or an interrupt: the
+        # update above has not run, so the record is the head and the error
         for path in files:
             if os.path.exists(path):
                 os.remove(path)
-        write_manifest(os.path.join(out, "manifest.json"), {
-            **head, "error": "%s: %s" % (type(exc).__name__, exc)})
+        manifest["error"] = "%s: %s" % (type(exc).__name__, exc)
         raise
-    manifest = {
-        **head,
-        "config_file_sha256": (sha256_text(config_text)
-                               if config_text is not None else None),
-        "constants": constants_record(),
-        "params": params_echo,
-        "checks": [{"name": row[0], "at": row[1], "value": row[2],
-                    "limit": row[3], "status": row[4]} for row in checks],
-        "files": {os.path.basename(p): {"sha256": sha256_file(p),
-                                        "bytes": os.path.getsize(p)}
-                  for p in files},
-        "wall_time_s": time.perf_counter() - started,
-    }
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    finally:
+        write_manifest(os.path.join(out, "manifest.json"), manifest)
     return manifest, report_text
 
 

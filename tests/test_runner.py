@@ -359,6 +359,51 @@ def test_error_manifest_written(tmp_path, text, exc):
     assert os.listdir(tmp_path) == ["manifest.json"]
 
 
+FIG2_ALPHA2 = ("scenario = fig2\n[model]\nomega_a = 8.0\ng = 0.35\n"
+               "alpha = 2\ndim = 64\nsamples = 50\n")
+
+
+def _lone_manifest_error(out):
+    """The error of a run that left only its manifest in out."""
+    assert os.listdir(out) == ["manifest.json"]
+    on_disk = json.loads((out / "manifest.json").read_text())
+    assert "files" not in on_disk
+    return on_disk["error"]
+
+
+def test_unreadable_output_leaves_only_the_error_manifest(tmp_path,
+                                                          monkeypatch):
+    """An output that cannot be read back for its digest fails the run
+    after every file is written: they are removed, and the manifest
+    records the OSError."""
+    def unreadable(path):
+        raise OSError("cannot read %s" % os.path.basename(path))
+
+    monkeypatch.setattr(runner, "sha256_file", unreadable)
+    with pytest.raises(OSError):
+        run_scenario(parse_config(FIG2_ALPHA2), out_dir=str(tmp_path))
+    assert _lone_manifest_error(tmp_path) == \
+        "OSError: cannot read fig2_alpha2.csv"
+
+
+def test_interrupt_after_the_first_csv_leaves_only_the_error_manifest(
+        tmp_path, monkeypatch):
+    """An interrupt between two output files is recorded like an error:
+    the CSV written before it is removed, and the manifest names the
+    KeyboardInterrupt."""
+    written = []
+
+    def interrupt(path, *args, **kwargs):
+        written.extend(sorted(os.listdir(tmp_path)))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "emit_svg", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(parse_config(FIG2_ALPHA2), out_dir=str(tmp_path))
+    assert written == ["fig2_alpha2.csv"]
+    assert _lone_manifest_error(tmp_path) == "KeyboardInterrupt: "
+
+
 def test_sw_check_names_the_doubled_gamma(tmp_path):
     # gamma = 0.1 is valid; it is the doubled-coupling model that is not
     cfg = parse_config("scenario = sw-check\n[model]\nomega_a = 10.0\n"
